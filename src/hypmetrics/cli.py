@@ -21,10 +21,7 @@ import json
 import sys
 
 from .curvature import curvature_at
-from .distances import (dist_annulus, dist_disk, dist_halfplane,
-                        dist_punctured_disk, dist_strip)
-from .domains import (ANNULUS, DISK, HALF_PLANE, PUNCTURED_DISK,
-                      PUNCTURED_DISK_R, STRIP)
+from .distances import dist_punctured_disk
 from .errors import HypMetricsError, ParseError, UnknownSuite
 from .liouville import classify_singularity, closed_form_family, integrate_radial
 from .metrics import density_at, log_density_at
@@ -32,7 +29,7 @@ from .oracle import geodesic_oracle
 from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
                        decay_exponent_fit)
 from .sampling import cartesian_grid, polar_grid
-from .specparse import parse_domain, parse_metric
+from .specparse import domain_distance, parse_domain, parse_metric
 from .suites import SuiteConfig, run_suite
 
 
@@ -70,7 +67,8 @@ def _cmd_density(args) -> int:
         pts = cartesian_grid(args.grid_n, args.half_width).tolist()
     rows = []
     for z in pts:
-        if metric.domain.is_singular(z) or not metric.domain.contains(z):
+        # grid points off the domain are skipped; a --z point off it is an error
+        if args.z is None and (metric.domain.is_singular(z) or not metric.domain.contains(z)):
             continue
         lam = density_at(metric, z)
         rows.append((z.real, z.imag, lam, log_density_at(metric, z)))
@@ -99,22 +97,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_distance(args) -> int:
     domain = parse_domain(args.domain)
     z1, z2 = _parse_complex(args.z1), _parse_complex(args.z2)
-    winding = args.winding
-    if domain.kind == DISK:
-        res = dist_disk(z1, z2)
-    elif domain.kind == HALF_PLANE:
-        res = dist_halfplane(z1, z2)
-    elif domain.kind in (PUNCTURED_DISK, PUNCTURED_DISK_R):
-        if domain.kind == PUNCTURED_DISK_R:
-            res = dist_punctured_disk(z1 / domain.param, z2 / domain.param, winding)
-        else:
-            res = dist_punctured_disk(z1, z2, winding)
-    elif domain.kind == ANNULUS:
-        res = dist_annulus(z1, z2, domain.param, winding)
-    elif domain.kind == STRIP:
-        res = dist_strip(z1, z2, domain.param)
-    else:  # pragma: no cover
-        raise ParseError(f"no distance for domain {args.domain!r}")
+    res = domain_distance(domain, z1, z2)
     deck = "" if res.deck_index is None else str(res.deck_index)
     lines = [f"distance,{res.value!r},{res.method.value},{deck}"]
     if args.oracle_grid:
@@ -133,7 +116,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = SuiteConfig(suite=args.suite, seed=args.seed,
-                         tolerances=_parse_tols(args.tol), output=args.output)
+                         tolerances=_parse_tols(args.tol))
     report = run_suite(config)
     _emit(report.to_json() if args.output == "json" else report.to_csv())
     return 0 if report.passed else 1
@@ -264,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--domain", required=True)
     t.add_argument("--z1", required=True)
     t.add_argument("--z2", required=True)
-    t.add_argument("--winding", type=int, default=None)
     t.add_argument("--oracle-grid", type=int, default=0,
                    help="also run the grid oracle at this resolution")
     t.set_defaults(func=_cmd_distance)

@@ -13,7 +13,14 @@ The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
 (zeta = arg z + i log(1/|z|)), the annulus A_r to the strip
 {0 < Im zeta < log(1/r)}. Distances are minimized over the deck
-translations zeta -> zeta + 2 pi k, and the minimizing k is recorded.
+translations zeta -> zeta + 2 pi k, and the minimizing k is recorded. Lifts
+take arg z in (-pi, pi], so the real separation x of two lifts satisfies
+|x| < 2 pi, and both lifted distances increase with |x - 2 pi k|; the
+minimum is therefore attained at some k in {-1, 0, 1}, and only those three
+translations are evaluated.
+
+Every distance checks its points with the membership predicate of its
+domain, so non-finite and outside points raise OutsideDomain.
 """
 from __future__ import annotations
 
@@ -24,12 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutsideDomain, WindingBoundTooSmall
+from .domains import DomainModel
+from .errors import OutsideDomain
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
 
-DEFAULT_WINDING = 8
-MAX_WINDING = 1024
+_DISK = DomainModel.disk()
+_PUNCTURED_DISK = DomainModel.punctured_disk()
+_HALF_PLANE = DomainModel.half_plane()
 
 
 class DistanceMethod(Enum):
@@ -48,7 +57,7 @@ class DistanceResult:
 def dist_disk(z1, z2) -> DistanceResult:
     """Hyperbolic distance in the unit disk."""
     z1, z2 = complex(z1), complex(z2)
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+    if not (_DISK.contains(z1) and _DISK.contains(z2)):
         raise OutsideDomain(f"disk distance needs |z| < 1, got {z1}, {z2}")
     rho = abs((z1 - z2) / (1.0 - z1.conjugate() * z2))
     return DistanceResult(HALF * 2.0 * math.atanh(rho), DistanceMethod.CLOSED_FORM)
@@ -62,7 +71,7 @@ def _halfplane_value(w1: complex, w2: complex) -> float:
 def dist_halfplane(w1, w2) -> DistanceResult:
     """Hyperbolic distance in the upper half-plane (density 1/(2 Im w))."""
     w1, w2 = complex(w1), complex(w2)
-    if w1.imag <= 0.0 or w2.imag <= 0.0:
+    if not (_HALF_PLANE.contains(w1) and _HALF_PLANE.contains(w2)):
         raise OutsideDomain(f"half-plane distance needs Im w > 0, got {w1}, {w2}")
     return DistanceResult(_halfplane_value(w1, w2), DistanceMethod.CLOSED_FORM)
 
@@ -89,7 +98,8 @@ def _strip_value(z1: complex, z2: complex, h: float) -> float:
 def dist_strip(z1, z2, h: float) -> DistanceResult:
     """Hyperbolic distance in the strip {0 < Im z < h}."""
     z1, z2 = complex(z1), complex(z2)
-    if not (0.0 < z1.imag < h and 0.0 < z2.imag < h):
+    dom = DomainModel.strip(h)
+    if not (dom.contains(z1) and dom.contains(z2)):
         raise OutsideDomain(f"strip distance needs 0 < Im z < {h}, got {z1}, {z2}")
     return DistanceResult(_strip_value(z1, z2, h), DistanceMethod.CLOSED_FORM)
 
@@ -99,50 +109,36 @@ def _lift(z: complex) -> complex:
     return complex(math.atan2(z.imag, z.real), -math.log(abs(z)))
 
 
-def _deck_minimize(value_at_k, winding_bound: Optional[int]):
-    """Minimize a lifted distance over deck translations by 2 pi k.
+def _deck_minimize(value_at_k):
+    """Minimize a lifted distance over the deck translations 2 pi k.
 
-    With an explicit winding bound, raises WindingBoundTooSmall when the
-    minimum sits at |k| = bound. With winding_bound=None the bound starts at
-    DEFAULT_WINDING and doubles adaptively up to MAX_WINDING.
+    Only k in {-1, 0, 1} can attain the minimum (see the module docstring);
+    ties go to the first of them, the smallest k.
     """
-    adaptive = winding_bound is None
-    bound = DEFAULT_WINDING if adaptive else int(winding_bound)
-    if bound < 1:
-        raise WindingBoundTooSmall(f"winding bound must be >= 1, got {bound}")
-    while True:
-        ks = range(-bound, bound + 1)
-        vals = [value_at_k(k) for k in ks]
-        i = int(np.argmin(vals))
-        k_min = i - bound
-        if abs(k_min) < bound:
-            return vals[i], k_min
-        if not adaptive or bound >= MAX_WINDING:
-            raise WindingBoundTooSmall(
-                f"deck minimum attained at |k| = {bound}; increase winding bound")
-        bound *= 2
+    vals = [value_at_k(k) for k in (-1, 0, 1)]
+    i = int(np.argmin(vals))
+    return vals[i], i - 1
 
 
-def dist_punctured_disk(z1, z2, winding_bound: Optional[int] = None) -> DistanceResult:
+def dist_punctured_disk(z1, z2) -> DistanceResult:
     """Distance in the punctured unit disk via the half-plane lift."""
     z1, z2 = complex(z1), complex(z2)
-    if not (0.0 < abs(z1) < 1.0 and 0.0 < abs(z2) < 1.0):
+    if not (_PUNCTURED_DISK.contains(z1) and _PUNCTURED_DISK.contains(z2)):
         raise OutsideDomain(f"punctured-disk distance needs 0 < |z| < 1, got {z1}, {z2}")
     w1, w2 = _lift(z1), _lift(z2)
-    value, k = _deck_minimize(lambda k: _halfplane_value(w1, w2 + 2.0 * math.pi * k),
-                              winding_bound)
+    value, k = _deck_minimize(lambda k: _halfplane_value(w1, w2 + 2.0 * math.pi * k))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 
-def dist_annulus(z1, z2, r: float, winding_bound: Optional[int] = None) -> DistanceResult:
+def dist_annulus(z1, z2, r: float) -> DistanceResult:
     """Distance in the annulus {r < |z| < 1} via the strip lift."""
     z1, z2 = complex(z1), complex(z2)
-    if not (r < abs(z1) < 1.0 and r < abs(z2) < 1.0):
+    dom = DomainModel.annulus(r)
+    if not (dom.contains(z1) and dom.contains(z2)):
         raise OutsideDomain(f"annulus distance needs {r} < |z| < 1, got {z1}, {z2}")
     s = math.log(1.0 / r)
     w1, w2 = _lift(z1), _lift(z2)
-    value, k = _deck_minimize(lambda k: _strip_value(w1, w2 + 2.0 * math.pi * k, s),
-                              winding_bound)
+    value, k = _deck_minimize(lambda k: _strip_value(w1, w2 + 2.0 * math.pi * k, s))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 

@@ -1,21 +1,27 @@
 """Model hyperbolic domains in the plane.
 
-A DomainModel is a tagged description of one of the model domains:
+Every model domain is an open interval lo < c < hi of one coordinate of z,
+either c = |z| (radial kinds) or c = Im z (horizontal kinds). KINDS is the
+one table of these facts:
 
-    disk            |z| < 1
-    pdisk           0 < |z| < 1          (punctured unit disk)
-    pdiskR          0 < |z| < R, R >= 1  (punctured disk of radius R)
-    annulus         r < |z| < 1, 0 < r < 1
-    halfplane       Im z > 0
-    strip           0 < Im z < h
+    kind        c       lo      hi      parameter
+    disk        |z|     -inf    1
+    pdisk       |z|     0       1                   (punctured unit disk)
+    pdiskR      |z|     0       R       R >= 1      (punctured disk of radius R)
+    annulus     |z|     r       1       0 < r < 1
+    halfplane   Im z    0       inf
+    strip       Im z    0       h       h > 0
 
-Membership is exact, and each domain knows its declared singular points and
-the Euclidean distance to its edge (used to shrink finite-difference
-stencils near the boundary).
+Membership, the Euclidean distance to the edge (min(c - lo, hi - c), used
+to shrink finite-difference stencils near the boundary), the singular point
+(z = 0 for the radial kinds that exclude it) and the label all follow from
+the table. Membership is exact and false for non-finite points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,19 +36,45 @@ STRIP = "strip"
 
 
 @dataclass(frozen=True)
+class Kind:
+    """One domain kind: lo < c < hi, with c = |z| when radial, else c = Im z."""
+    radial: bool
+    bounds: Callable[[float], tuple]  # parameter -> (lo, hi)
+    rule: Optional[Callable[[float], bool]] = None  # parameter check; None: no parameter
+    message: str = ""  # raised when the rule fails, formatted with the parameter
+
+
+KINDS = {
+    DISK: Kind(True, lambda _: (-math.inf, 1.0)),
+    PUNCTURED_DISK: Kind(True, lambda _: (0.0, 1.0)),
+    PUNCTURED_DISK_R: Kind(True, lambda R: (0.0, R), lambda R: R >= 1.0,
+                           "punctured disk radius requires R >= 1, got R={}"),
+    ANNULUS: Kind(True, lambda r: (r, 1.0), lambda r: 0.0 < r < 1.0,
+                  "annulus requires 0 < r < 1, got r={}"),
+    HALF_PLANE: Kind(False, lambda _: (0.0, math.inf)),
+    STRIP: Kind(False, lambda h: (0.0, h), lambda h: h > 0.0,
+                "strip requires height h > 0, got h={}"),
+}
+
+
+@dataclass(frozen=True)
 class DomainModel:
     kind: str
     param: float = 0.0
+    radial: bool = field(init=False, repr=False, compare=False)
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == ANNULUS and not 0.0 < self.param < 1.0:
-            raise BadParameter(f"annulus requires 0 < r < 1, got r={self.param}")
-        if self.kind == PUNCTURED_DISK_R and not self.param >= 1.0:
-            raise BadParameter(f"punctured disk radius requires R >= 1, got R={self.param}")
-        if self.kind == STRIP and not self.param > 0.0:
-            raise BadParameter(f"strip requires height h > 0, got h={self.param}")
-        if self.kind not in (DISK, PUNCTURED_DISK, PUNCTURED_DISK_R, ANNULUS, HALF_PLANE, STRIP):
+        spec = KINDS.get(self.kind)
+        if spec is None:
             raise BadParameter(f"unknown domain kind {self.kind!r}")
+        if spec.rule is not None and not spec.rule(self.param):
+            raise BadParameter(spec.message.format(self.param))
+        lo, hi = spec.bounds(self.param)
+        object.__setattr__(self, "radial", spec.radial)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     # --- constructors -----------------------------------------------------
 
@@ -72,51 +104,35 @@ class DomainModel:
 
     # --- geometry ---------------------------------------------------------
 
+    @property
+    def doubly_connected(self) -> bool:
+        """True for the radial kinds that exclude z = 0 (punctured disks, annulus)."""
+        return self.radial and self.lo >= 0.0
+
     def contains(self, z):
         """Exact membership predicate. Works on scalars and numpy arrays."""
         z = np.asarray(z, dtype=complex)
-        az = np.abs(z)
-        if self.kind == DISK:
-            out = az < 1.0
-        elif self.kind == PUNCTURED_DISK:
-            out = (az > 0.0) & (az < 1.0)
-        elif self.kind == PUNCTURED_DISK_R:
-            out = (az > 0.0) & (az < self.param)
-        elif self.kind == ANNULUS:
-            out = (az > self.param) & (az < 1.0)
-        elif self.kind == HALF_PLANE:
-            out = z.imag > 0.0
-        else:  # STRIP
-            out = (z.imag > 0.0) & (z.imag < self.param)
+        if self.radial:
+            c = np.abs(z)  # nan or inf whenever z is not finite
+            out = c < self.hi
+        else:
+            c = z.imag
+            out = (c < self.hi) & np.isfinite(z.real)
+        if self.lo > -math.inf:  # the disk needs no lower test (hot in the oracle)
+            out = out & (c > self.lo)
         return bool(out) if out.ndim == 0 else out
 
     def is_singular(self, z) -> bool:
         """True when z is a declared singular point of the domain (the puncture)."""
-        if self.kind in (PUNCTURED_DISK, PUNCTURED_DISK_R, ANNULUS):
-            return complex(z) == 0.0
-        return False
+        return self.doubly_connected and complex(z) == 0.0
 
     def boundary_distance(self, z) -> float:
-        """Euclidean distance from z to the domain edge (inf for none)."""
+        """Euclidean distance from z to the domain edge."""
         z = complex(z)
-        az = abs(z)
-        if self.kind == DISK:
-            return 1.0 - az
-        if self.kind == PUNCTURED_DISK:
-            return min(az, 1.0 - az)
-        if self.kind == PUNCTURED_DISK_R:
-            return min(az, self.param - az)
-        if self.kind == ANNULUS:
-            return min(az - self.param, 1.0 - az)
-        if self.kind == HALF_PLANE:
-            return z.imag
-        return min(z.imag, self.param - z.imag)
+        c = abs(z) if self.radial else z.imag
+        return min(c - self.lo, self.hi - c)
 
     def label(self) -> str:
-        if self.kind == ANNULUS:
-            return f"annulus:{self.param}"
-        if self.kind == PUNCTURED_DISK_R:
-            return f"pdiskR:{self.param}"
-        if self.kind == STRIP:
-            return f"strip:{self.param}"
-        return self.kind
+        if KINDS[self.kind].rule is None:
+            return self.kind
+        return f"{self.kind}:{self.param}"

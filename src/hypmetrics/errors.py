@@ -10,7 +10,8 @@ class HypMetricsError(Exception):
 
 
 class OutsideDomain(HypMetricsError):
-    """A point lies outside the domain of the metric or operation."""
+    """A point lies outside the domain of the metric or operation; non-finite
+    points (nan or inf in either part) lie outside every domain."""
 
 
 class SingularPoint(HypMetricsError):
@@ -23,10 +24,6 @@ class StencilOutsideDomain(HypMetricsError):
 
 class NonpositiveDensity(HypMetricsError):
     """The density is zero or negative where a positive value is required."""
-
-
-class WindingBoundTooSmall(HypMetricsError):
-    """The deck-transformation minimum was attained at the scan boundary."""
 
 
 class DegenerateSample(HypMetricsError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .distances import _golden_max
 from .errors import BadParameter, NonpositiveDensity, OutsideDomain
-from .metrics import MetricDensity, eval_many, punctured_disk_metric
+from .metrics import MetricDensity, conical_metric, eval_many, punctured_disk_metric
 from .reports import Check, VerificationReport
 
 
@@ -62,13 +62,6 @@ def beardon_minda_bound(f_distortion_q: float, d: float) -> float:
         raise BadParameter(f"distance must be nonnegative, got {d}")
     t = math.tanh(2.0 * d)
     return (f_q + t) / (1.0 + f_q * t)
-
-
-def hyperbolic_distortion(metric_pullback: MetricDensity, reference: MetricDensity,
-                          z) -> float:
-    """The distortion lambda_ref'(f(z))|f'(z)| / lambda_ref(z) at z."""
-    z = complex(z)
-    return float(np.real(metric_pullback.eval(z)) / np.real(reference.eval(z)))
 
 
 # --- Harnack --------------------------------------------------------------
@@ -133,16 +126,12 @@ def aux_v_alpha(alpha: float, z) -> float:
 def harnack_conical_bound(alpha: float, r: float, boundary_max_ratio: float,
                           z) -> float:
     """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z)."""
-    if not alpha < 1.0:
-        raise BadParameter(f"conical order requires alpha < 1, got {alpha}")
+    lam_alpha = conical_metric(alpha)
     z = complex(z)
     if not 0.0 < abs(z) < r < 1.0:
         raise OutsideDomain(f"conical harnack needs 0 < |z| < r < 1, got {z}, r={r}")
     exponent = aux_v_alpha(alpha, z) / aux_v_alpha(alpha, r)
-    s = 1.0 - alpha
-    az = abs(z)
-    lam_alpha = s * az ** (-alpha) / (1.0 - az ** (2.0 * s))
-    return boundary_max_ratio ** exponent * lam_alpha
+    return float(boundary_max_ratio ** exponent * lam_alpha.eval(z))
 
 
 # --- Hopf functionals -----------------------------------------------------
@@ -172,9 +161,7 @@ def hopf_conical_functional(metric: MetricDensity, alpha: float, z) -> float:
         raise OutsideDomain(f"conical hopf functional needs 0 < |z| < 1, got {z}")
     if float(np.real(metric.eval(z))) <= 0.0:
         raise NonpositiveDensity(f"density must be positive at z={z}")
-    s = 1.0 - alpha
-    log_lam_alpha = math.log(s) - alpha * math.log(az) - math.log1p(-az ** (2.0 * s))
-    diff = float(np.real(metric.log_density(z))) - log_lam_alpha
+    diff = float(np.real(metric.log_density(z))) - float(conical_metric(alpha).log_density(z))
     return diff * az ** (2.0 * (alpha - 1.0))
 
 

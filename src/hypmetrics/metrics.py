@@ -99,7 +99,7 @@ def punctured_disk_metric() -> MetricDensity:
 
 def punctured_disk_metric_r(R: float) -> MetricDensity:
     """Hyperbolic density of {0 < |z| < R}, restricted to the unit punctured disk."""
-    if R < 1.0:
+    if not R >= 1.0:
         raise BadParameter(f"punctured disk radius requires R >= 1, got {R}")
     logR = np.log(R)
 

@@ -24,44 +24,22 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .distances import DistanceMethod, DistanceResult
-from .domains import (ANNULUS, DISK, HALF_PLANE, PUNCTURED_DISK,
-                      PUNCTURED_DISK_R, STRIP, DomainModel)
+from .domains import DomainModel
 from .errors import BadParameter, OutsideDomain
-from .metrics import (MetricDensity, annulus_metric, disk_metric, eval_many,
-                      half_plane_metric, punctured_disk_metric, strip_metric)
+from .metrics import MetricDensity, eval_many
+from .specparse import domain_metric
 
 _OFFSETS = [(1, 0), (0, 1), (1, 1), (1, -1)]  # undirected 8-neighbor generators
 
 
-def _domain_density(domain: DomainModel) -> MetricDensity:
-    if domain.kind == DISK:
-        return disk_metric()
-    if domain.kind == PUNCTURED_DISK:
-        return punctured_disk_metric()
-    if domain.kind == PUNCTURED_DISK_R:
-        R = domain.param
-        logR = math.log(R)
-
-        def ev(z):
-            az = np.abs(z)
-            return 1.0 / (2.0 * az * (logR - np.log(az)))
-
-        return MetricDensity(domain, ev, f"pdiskR-full:{R}")
-    if domain.kind == ANNULUS:
-        return annulus_metric(domain.param)
-    if domain.kind == HALF_PLANE:
-        return half_plane_metric()
-    if domain.kind == STRIP:
-        return strip_metric(domain.param)
-    raise BadParameter(f"no density for domain kind {domain.kind!r}")
-
-
 def _cartesian_nodes(domain: DomainModel, z1: complex, z2: complex, n: int):
-    if domain.kind == DISK:
+    """Box of the simply connected kinds: the disk (the radial one), the
+    half-plane (Im z unbounded above) and the strip."""
+    if domain.radial:
         rbox = min(0.995, max(abs(z1), abs(z2)) + 0.15)
         xs = np.linspace(-rbox, rbox, n)
         ys = xs
-    elif domain.kind == HALF_PLANE:
+    elif domain.hi == math.inf:
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
         if abs(x1 - x2) < 1e-12:
             apex = max(y1, y2)
@@ -72,26 +50,26 @@ def _cartesian_nodes(domain: DomainModel, z1: complex, z2: complex, n: int):
             cx, half = c, 1.15 * apex
         xs = np.linspace(cx - half, cx + half, n)
         ys = np.linspace(0.75 * min(y1, y2), 1.15 * max(apex, y1, y2), n)
-    elif domain.kind == STRIP:
-        h = domain.param
+    else:
+        h = domain.hi
         pad = 2.0 + 0.5 * abs(z1.real - z2.real)
         xs = np.linspace(min(z1.real, z2.real) - pad, max(z1.real, z2.real) + pad, n)
         ys = np.linspace(h * 1e-3, h * (1.0 - 1e-3), n)
-    else:
-        raise BadParameter(f"no cartesian grid for {domain.kind!r}")
     return xs[:, None] + 1j * ys[None, :], False
 
 
 def _polar_nodes(domain: DomainModel, z1: complex, z2: complex, n: int):
     t1, t2 = math.log(abs(z1)), math.log(abs(z2))
-    if domain.kind == ANNULUS:
-        s = -math.log(domain.param)
-        t_lo, t_hi = -s + 0.002 * s, -0.002 * s
+    t_hi = math.log(domain.hi)
+    if domain.lo > 0.0:
+        # annulus: the whole radial range, inset by 0.2% at both edges
+        t_lo = math.log(domain.lo)
+        inset = 0.002 * (t_hi - t_lo)
+        t_lo, t_hi = t_lo + inset, t_hi - inset
     else:
-        outer = math.log(domain.param) if domain.kind == PUNCTURED_DISK_R else 0.0
         depth = max(-t1, -t2)
         t_lo = -(depth + 0.5 * math.pi + 0.5)
-        t_hi = min(outer - 1e-4, max(t1, t2) + 0.2)
+        t_hi = min(t_hi - 1e-4, max(t1, t2) + 0.2)
     ts = np.linspace(t_lo, t_hi, n)
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return np.exp(ts[:, None] + 1j * thetas[None, :]), True
@@ -225,8 +203,8 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
     if z1 == z2:
         return DistanceResult(0.0, DistanceMethod.GRID_ORACLE)
 
-    metric = _domain_density(domain)
-    if domain.kind in (PUNCTURED_DISK, PUNCTURED_DISK_R, ANNULUS):
+    metric = domain_metric(domain)
+    if domain.doubly_connected:
         nodes, periodic = _polar_nodes(domain, z1, z2, grid_n)
     else:
         nodes, periodic = _cartesian_nodes(domain, z1, z2, grid_n)

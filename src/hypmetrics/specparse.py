@@ -1,4 +1,5 @@
-"""Parsers for the metric / domain / map specification grammar.
+"""Parsers for the metric / domain / map specification grammar, and the
+table of builtin spec heads.
 
 Metric specs:
     disk | pdisk | pdiskR:<R> | annulus:<r> | conical:<alpha>
@@ -7,10 +8,20 @@ Map specs:
     phi | example1 | square | mobius:<a_re>,<a_im>
 Domain specs (for distance / oracle commands):
     disk | pdisk | pdiskR:<R> | annulus:<r> | halfplane | strip:<h>
+
+BUILTINS maps each builtin head to its parameter name, its density
+constructor and, for the heads that are domain kinds, its distance. A
+domain's parameter is passed to both; the pdiskR density is restricted to
+the unit punctured disk, so domain_metric widens it to the whole domain.
 """
 from __future__ import annotations
 
-from .domains import DomainModel
+import dataclasses
+from typing import Callable, NamedTuple, Optional
+
+from .distances import (DistanceResult, dist_annulus, dist_disk, dist_halfplane,
+                        dist_punctured_disk, dist_strip)
+from .domains import KINDS, DomainModel
 from .errors import BadParameter, ParseError
 from .maps import HolomorphicMap, builtin_map
 from .metrics import (MetricDensity, annulus_metric, conical_metric,
@@ -19,11 +30,45 @@ from .metrics import (MetricDensity, annulus_metric, conical_metric,
                       strip_metric)
 
 
+class Builtin(NamedTuple):
+    param: Optional[str]  # name of the ':' parameter in error messages; None: none
+    metric: Callable[..., MetricDensity]
+    distance: Optional[Callable[..., DistanceResult]] = None  # None: not a domain
+
+
+BUILTINS = {
+    "disk": Builtin(None, disk_metric, dist_disk),
+    "pdisk": Builtin(None, punctured_disk_metric, dist_punctured_disk),
+    # z -> z/R maps the punctured disk of radius R isometrically onto the unit one
+    "pdiskR": Builtin("radius", punctured_disk_metric_r,
+                      lambda z1, z2, R: dist_punctured_disk(z1 / R, z2 / R)),
+    "annulus": Builtin("inner radius", annulus_metric, dist_annulus),
+    "conical": Builtin("conical order", conical_metric),
+    "halfplane": Builtin(None, half_plane_metric, dist_halfplane),
+    "strip": Builtin("strip height", strip_metric, dist_strip),
+}
+
+
 def _float(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
         raise ParseError(f"bad {what}: {text!r}") from exc
+
+
+def _params(domain: DomainModel) -> tuple:
+    return () if BUILTINS[domain.kind].param is None else (domain.param,)
+
+
+def domain_metric(domain: DomainModel) -> MetricDensity:
+    """The builtin density of a model domain, on the whole domain."""
+    metric = BUILTINS[domain.kind].metric(*_params(domain))
+    return dataclasses.replace(metric, domain=domain)
+
+
+def domain_distance(domain: DomainModel, z1, z2) -> DistanceResult:
+    """Closed-form or lift distance between z1 and z2 in a model domain."""
+    return BUILTINS[domain.kind].distance(z1, z2, *_params(domain))
 
 
 def parse_map(spec: str) -> tuple[HolomorphicMap, DomainModel, str]:
@@ -48,50 +93,37 @@ def parse_map(spec: str) -> tuple[HolomorphicMap, DomainModel, str]:
     return m, dom, rest
 
 
+def _builtin(spec: str, what: str) -> tuple[Builtin, tuple]:
+    """Split a builtin spec into its table entry and parsed parameters."""
+    head, colon, rest = spec.partition(":")
+    entry = BUILTINS.get(head)
+    if entry is None or (entry.param is None and colon):
+        raise ParseError(f"unknown {what} spec {spec!r}")
+    return entry, () if entry.param is None else (_float(rest, entry.param),)
+
+
 def parse_metric(spec: str) -> MetricDensity:
     """Parse a metric spec string into a MetricDensity."""
     try:
-        if spec == "disk":
-            return disk_metric()
-        if spec == "pdisk":
-            return punctured_disk_metric()
-        if spec == "halfplane":
-            return half_plane_metric()
         head, _, rest = spec.partition(":")
-        if head == "pdiskR":
-            return punctured_disk_metric_r(_float(rest, "radius"))
-        if head == "annulus":
-            return annulus_metric(_float(rest, "inner radius"))
-        if head == "conical":
-            return conical_metric(_float(rest, "conical order"))
-        if head == "strip":
-            return strip_metric(_float(rest, "strip height"))
         if head == "pull":
             m, source, remainder = parse_map(rest)
             if not remainder:
                 raise ParseError(f"pull spec {spec!r} is missing a target metric")
             return pullback(parse_metric(remainder), m, source)
+        entry, params = _builtin(spec, "metric")
+        return entry.metric(*params)
     except BadParameter as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown metric spec {spec!r}")
 
 
 def parse_domain(spec: str) -> DomainModel:
     """Parse a domain spec string into a DomainModel."""
+    head = spec.partition(":")[0]
+    if head not in KINDS:
+        raise ParseError(f"unknown domain spec {spec!r}")
+    _, params = _builtin(spec, "domain")
     try:
-        if spec == "disk":
-            return DomainModel.disk()
-        if spec == "pdisk":
-            return DomainModel.punctured_disk()
-        if spec == "halfplane":
-            return DomainModel.half_plane()
-        head, _, rest = spec.partition(":")
-        if head == "pdiskR":
-            return DomainModel.punctured_disk_r(_float(rest, "radius"))
-        if head == "annulus":
-            return DomainModel.annulus(_float(rest, "inner radius"))
-        if head == "strip":
-            return DomainModel.strip(_float(rest, "strip height"))
+        return DomainModel(head, *params)
     except BadParameter as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown domain spec {spec!r}")

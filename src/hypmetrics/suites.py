@@ -45,9 +45,7 @@ class SuiteConfig:
     suite: str
     seed: int = 42
     tolerances: dict = field(default_factory=dict)
-    grid_n: int = 50
     n_points: int = 100
-    output: str = "csv"
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))

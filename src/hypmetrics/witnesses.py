@@ -59,16 +59,19 @@ class WitnessLimit:
             abs(self.extrapolated_limit - self.expected) <= 1e-4
 
 
-def _phi_ratio(x: float) -> float:
-    """(1-x^2) (phi*lambda_D)(x) for real x in (0, 1).
+def _phi_factors(u: float) -> tuple[float, float, float]:
+    """1 - phi(x), 1 + phi(x) and phi'(x) at x = 1 - u.
 
-    Grouped through u = 1 - x so that the 1 - phi(x)^2 factor carries no
+    Grouped through u so that the 1 - phi(x)^2 factor carries no
     cancellation; the functionals magnify ratio - 1 by (1-x)^-2.
     """
+    return u * (1.0 - u * u / 12.0), 2.0 - u + u ** 3 / 12.0, 1.0 - u * u / 4.0
+
+
+def _phi_ratio(x: float) -> float:
+    """(1-x^2) (phi*lambda_D)(x) for real x in (0, 1)."""
     u = 1.0 - x
-    one_minus_phi = u * (1.0 - u * u / 12.0)
-    one_plus_phi = 2.0 - u + u ** 3 / 12.0
-    dphi = 1.0 - u * u / 4.0
+    one_minus_phi, one_plus_phi, dphi = _phi_factors(u)
     return u * (2.0 - u) * dphi / (one_minus_phi * one_plus_phi)
 
 
@@ -158,13 +161,10 @@ def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None,
     calibration = 0.5 * math.log(2.0 * s / math.pi)
     values = []
     for x in xs:
-        # phi*lambda_D(x) / lambda_A_r(x), grouped so that the 1 - phi(x)^2
-        # factor is computed through u = 1 - x without cancellation (the
-        # functional magnifies ratio - 1 by e^(4d) ~ u^-2)
+        # phi*lambda_D(x) / lambda_A_r(x); the functional magnifies
+        # ratio - 1 by e^(4d) ~ u^-2
         u = 1.0 - x
-        one_minus_phi = u * (1.0 - u * u / 12.0)
-        one_plus_phi = 2.0 - u + u ** 3 / 12.0
-        dphi = 1.0 - u * u / 4.0
+        one_minus_phi, one_plus_phi, dphi = _phi_factors(u)
         L = -math.log1p(-u)
         ratio = (dphi * 2.0 * x * s * math.sin(math.pi * L / s)
                  / (math.pi * one_minus_phi * one_plus_phi))

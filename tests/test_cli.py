@@ -73,6 +73,33 @@ def test_distance_command_formats(capsys):
     assert payload["distance"] == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
 
 
+def test_distance_deck_index_across_branch_cut(capsys):
+    # once refused with "deck minimum attained at |k| = 1" under --winding 1
+    code, out, _ = run(capsys, "distance", "--domain", "pdisk",
+                       "--z1=-0.5,0.1", "--z2=-0.5,-0.1")
+    assert code == 0
+    assert out.strip().split(",")[2:] == ["lift_minimization", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--domain", "pdisk", "--z1=-0.5,0.1", "--z2=-0.5,-0.1",
+              "--winding", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--domain", "halfplane", "--z", "nan,1"],
+    ["density", "--domain", "strip:1", "--z", "inf,0.5"],
+    ["curvature", "--metric", "halfplane", "--z", "nan,1"],
+    ["distance", "--domain", "disk", "--z1", "nan,0", "--z2", "0,0"],
+    ["distance", "--domain", "halfplane", "--z1", "0,1", "--z2", "nan,1"],
+    ["distance", "--domain", "strip:1", "--z1", "nan,0.5", "--z2", "0,0.5"],
+])
+def test_nonfinite_point_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "nan" not in out
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "decay-ratio")
     assert code == 0
@@ -168,7 +195,7 @@ def test_spec_grammar():
     assert parse_domain("annulus:0.5").kind == "annulus"
     m, dom, rest = parse_map("example1")
     assert m.label == "example1" and dom.kind == "pdisk" and rest == ""
-    for bad in ("nope", "annulus:2", "pull:phi", "pull:warp:disk", "strip:-1"):
+    for bad in ("nope", "annulus:2", "pull:phi", "pull:warp:disk", "strip:-1", "pdiskR:nan"):
         with pytest.raises(ParseError):
             parse_metric(bad)
 

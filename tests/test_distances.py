@@ -8,7 +8,8 @@ from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   covering_decay_ratio, dist_annulus,
                                   dist_disk, dist_halfplane,
                                   dist_punctured_disk, dist_strip)
-from hypmetrics.errors import OutsideDomain, WindingBoundTooSmall
+from hypmetrics import distances
+from hypmetrics.errors import OutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import annulus_metric
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
@@ -90,16 +91,57 @@ def test_annulus_boundary_asymptotic_is_minus_half_loglog():
     assert diffs[-1] == pytest.approx(expected_const, abs=1e-3)
 
 
-def test_deck_minimization_consistency_with_large_bound():
-    for z1, z2 in [(0.2 + 0.1j, -0.3 - 0.2j), (0.05, 0.5j)]:
-        a = dist_punctured_disk(z1, z2, winding_bound=4)
-        b = dist_punctured_disk(z1, z2, winding_bound=64)
-        assert a.value == pytest.approx(b.value, rel=1e-15)
+def _hard_pairs(radii):
+    """Antipodal pairs at many angles, and pairs on both sides of the branch
+    cut of arg (including the signed zeros), where deck ties and |k| = 1
+    minima occur."""
+    pairs = []
+    for a in radii:
+        for b in radii:
+            for theta in np.linspace(-math.pi, math.pi, 25):
+                u = complex(math.cos(theta), math.sin(theta))
+                pairs.append((a * u, -b * u))
+            pairs += [(complex(-a, 0.0), complex(-b, -0.0)),
+                      (complex(-a, -0.0), complex(-b, 0.0)),
+                      (complex(-a, 1e-12), complex(-b, -1e-12)),
+                      (complex(-a, 0.1 * a), complex(-b, -0.1 * b))]
+    return pairs
 
 
-def test_winding_bound_too_small():
-    with pytest.raises(WindingBoundTooSmall):
-        dist_punctured_disk(0.1, 0.2, winding_bound=0)
+def _wide_scan(value_at_k):
+    """Reference deck minimum: first argmin over k in [-64, 64]."""
+    vals = [value_at_k(k) for k in range(-64, 65)]
+    i = int(np.argmin(vals))
+    return vals[i], i - 64
+
+
+def test_deck_minimum_matches_wide_scan():
+    two_pi = 2.0 * math.pi
+    for z1, z2 in _hard_pairs((1e-6, 0.05, 0.3, 0.9)):
+        w1, w2 = distances._lift(z1), distances._lift(z2)
+        res = dist_punctured_disk(z1, z2)
+        want = _wide_scan(lambda k: distances._halfplane_value(w1, w2 + two_pi * k))
+        assert (res.value, res.deck_index) == want, (z1, z2)
+    r = 0.5
+    s = math.log(1.0 / r)
+    for z1, z2 in _hard_pairs((0.51, 0.7, 0.99)):
+        w1, w2 = distances._lift(z1), distances._lift(z2)
+        res = dist_annulus(z1, z2, r)
+        want = _wide_scan(lambda k: distances._strip_value(w1, w2 + two_pi * k, s))
+        assert (res.value, res.deck_index) == want, (z1, z2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda z: dist_disk(z, 0.1),
+    lambda z: dist_halfplane(z, 1j),
+    lambda z: dist_strip(z, 0.5j, 1.0),
+    lambda z: dist_punctured_disk(z, 0.1),
+    lambda z: dist_annulus(z, 0.7, 0.5),
+])
+def test_distances_reject_nonfinite(call):
+    for z in (complex(math.nan, 0.5), complex(math.inf, 0.5), complex(0.5, math.nan)):
+        with pytest.raises(OutsideDomain):
+            call(z)
 
 
 def test_symmetry_and_triangle_inequality():
