@@ -29,7 +29,7 @@ from .oracle import geodesic_oracle
 from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
                        decay_exponent_fit)
 from .sampling import cartesian_grid, polar_grid
-from .specparse import domain_distance, parse_domain, parse_metric
+from .specparse import domain_distance, parse_domain, parse_float, parse_metric
 from .suites import SuiteConfig, run_suite
 
 
@@ -47,7 +47,7 @@ def _parse_tols(items) -> dict:
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad tolerance override {item!r}, expected name=value")
-        out[name] = float(value)
+        out[name] = parse_float(value, f"tolerance for {name!r}")
     return out
 
 
@@ -125,16 +125,22 @@ def _cmd_verify(args) -> int:
 def _read_sample_csv(path: str) -> BoundarySequenceSample:
     import csv as _csv
 
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        cols = {"re", "im", "ratio", "distance"}
-        if reader.fieldnames is None or not cols.issubset(set(reader.fieldnames)):
-            raise ParseError(f"CSV must have header columns {sorted(cols)}")
-        points, ratios, distances = [], [], []
-        for row in reader:
-            points.append(complex(float(row["re"]), float(row["im"])))
-            ratios.append(float(row["ratio"]))
-            distances.append(float(row["distance"]))
+    try:
+        with open(path, newline="") as fh:
+            reader = _csv.DictReader(fh)
+            cols = {"re", "im", "ratio", "distance"}
+            if reader.fieldnames is None or not cols.issubset(set(reader.fieldnames)):
+                raise ParseError(f"CSV must have header columns {sorted(cols)}")
+            points, ratios, distances = [], [], []
+            for row in reader:
+                re_, im, ratio, dist = (
+                    parse_float(row[c], f"{c} value on line {reader.line_num} of {path}")
+                    for c in ("re", "im", "ratio", "distance"))
+                points.append(complex(re_, im))
+                ratios.append(ratio)
+                distances.append(dist)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     if not points:
         raise ParseError("CSV contains no data rows")
     return BoundarySequenceSample(tuple(points), tuple(ratios), tuple(distances),
@@ -157,7 +163,8 @@ def _cmd_rigidity(args) -> int:
     if args.action == "classify":
         setting_spec = args.setting
         if setting_spec.startswith("conical:"):
-            setting = Setting.conical(float(setting_spec.split(":", 1)[1]))
+            setting = Setting.conical(parse_float(setting_spec.split(":", 1)[1],
+                                                  "conical order"))
         elif setting_spec in ("general", "puncture"):
             setting = Setting.general() if setting_spec == "general" else Setting.puncture()
         else:

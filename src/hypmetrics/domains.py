@@ -6,11 +6,11 @@ one table of these facts:
 
     kind        c       lo      hi      parameter
     disk        |z|     -inf    1
-    pdisk       |z|     0       1                   (punctured unit disk)
-    pdiskR      |z|     0       R       R >= 1      (punctured disk of radius R)
+    pdisk       |z|     0       1                       (punctured unit disk)
+    pdiskR      |z|     0       R       finite R >= 1   (punctured disk of radius R)
     annulus     |z|     r       1       0 < r < 1
     halfplane   Im z    0       inf
-    strip       Im z    0       h       h > 0
+    strip       Im z    0       h       finite h > 0
 
 Membership, the Euclidean distance to the edge (min(c - lo, hi - c), used
 to shrink finite-difference stencils near the boundary), the singular point
@@ -47,13 +47,13 @@ class Kind:
 KINDS = {
     DISK: Kind(True, lambda _: (-math.inf, 1.0)),
     PUNCTURED_DISK: Kind(True, lambda _: (0.0, 1.0)),
-    PUNCTURED_DISK_R: Kind(True, lambda R: (0.0, R), lambda R: R >= 1.0,
-                           "punctured disk radius requires R >= 1, got R={}"),
+    PUNCTURED_DISK_R: Kind(True, lambda R: (0.0, R), lambda R: math.isfinite(R) and R >= 1.0,
+                           "punctured disk radius requires finite R >= 1, got R={}"),
     ANNULUS: Kind(True, lambda r: (r, 1.0), lambda r: 0.0 < r < 1.0,
                   "annulus requires 0 < r < 1, got r={}"),
     HALF_PLANE: Kind(False, lambda _: (0.0, math.inf)),
-    STRIP: Kind(False, lambda h: (0.0, h), lambda h: h > 0.0,
-                "strip requires height h > 0, got h={}"),
+    STRIP: Kind(False, lambda h: (0.0, h), lambda h: math.isfinite(h) and h > 0.0,
+                "strip requires finite height h > 0, got h={}"),
 }
 
 

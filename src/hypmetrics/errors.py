@@ -56,3 +56,8 @@ class UnknownSuite(HypMetricsError):
 
 class ParseError(HypMetricsError):
     """A metric/domain/map specification string could not be parsed."""
+
+
+class GeodesicSolveFailed(HypMetricsError):
+    """The grid oracle's geodesic solve produced a non-finite value, found no
+    step inside the domain that lowers its energy, or did not converge."""

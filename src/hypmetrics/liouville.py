@@ -27,8 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .domains import DomainModel
 from .errors import BadParameter, GridTooShort, NumericOverflow
 from .extrapolation import neville
+from .metrics import check_conical_order
 from .reports import Check, VerificationReport
 
 OVERFLOW_GUARD = 300.0
@@ -153,8 +155,7 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
     if name == "conical":
         name, c = "conical-scaled", 1.0
     if name == "pdiskR":
-        if R < 1.0:
-            raise BadParameter(f"punctured disk radius requires R >= 1, got {R}")
+        DomainModel.punctured_disk_r(R)  # raises BadParameter unless R is a valid radius
         logR = math.log(R)
         w_func = lambda t: -np.log(2.0 * (logR - t))
         dw_func = lambda t: 1.0 / (logR - t)
@@ -162,8 +163,7 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         label = "pdisk" if R == 1.0 else f"pdiskR:{R}"
         params = {"R": R}
     elif name == "conical-scaled":
-        if not alpha < 1.0:
-            raise BadParameter(f"conical order requires alpha < 1, got {alpha}")
+        check_conical_order(alpha)
         if not 0.0 < c <= 1.0:
             raise BadParameter(f"conical scale requires 0 < c <= 1, got {c}")
         s = 1.0 - alpha
@@ -224,8 +224,7 @@ def dichotomy_verify_part_a(R: float, ks=range(2, 11)) -> VerificationReport:
     sup stays below log R + 0.01, and the extrapolated limit is compared to
     log R.
     """
-    if R < 1.0:
-        raise BadParameter(f"requires R >= 1, got {R}")
+    DomainModel.punctured_disk_r(R)  # raises BadParameter unless R is a valid radius
     logR = math.log(R)
     Ls = np.array([k * math.log(10.0) for k in ks])
     values = Ls * np.log1p(logR / Ls)  # |log ratio| * L, exact closed form

@@ -24,6 +24,7 @@ User-supplied densities are closures; no grids are stored here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,8 +100,7 @@ def punctured_disk_metric() -> MetricDensity:
 
 def punctured_disk_metric_r(R: float) -> MetricDensity:
     """Hyperbolic density of {0 < |z| < R}, restricted to the unit punctured disk."""
-    if not R >= 1.0:
-        raise BadParameter(f"punctured disk radius requires R >= 1, got {R}")
+    DomainModel.punctured_disk_r(R)  # raises BadParameter unless R is a valid radius
     logR = np.log(R)
 
     def ev(z):
@@ -130,6 +130,12 @@ def annulus_metric(r: float) -> MetricDensity:
     return MetricDensity(dom, ev, f"annulus:{r}", logev)
 
 
+def check_conical_order(alpha: float) -> None:
+    """Raise BadParameter unless alpha is a finite conical order alpha < 1."""
+    if not (math.isfinite(alpha) and alpha < 1.0):
+        raise BadParameter(f"conical order requires finite alpha < 1, got {alpha}")
+
+
 def conical_metric(alpha: float) -> MetricDensity:
     """The order-alpha conical model density lambda_alpha, alpha < 1."""
     return conical_scaled_metric(alpha, 1.0, _label=f"conical:{alpha}")
@@ -137,8 +143,7 @@ def conical_metric(alpha: float) -> MetricDensity:
 
 def conical_scaled_metric(alpha: float, c: float, _label: str | None = None) -> MetricDensity:
     """The scaled conical family lambda_{alpha,c}; c = 1 recovers lambda_alpha."""
-    if not alpha < 1.0:
-        raise BadParameter(f"conical order requires alpha < 1, got {alpha}")
+    check_conical_order(alpha)
     if not 0.0 < c <= 1.0:
         raise BadParameter(f"conical scale requires 0 < c <= 1, got {c}")
     s = 1.0 - alpha

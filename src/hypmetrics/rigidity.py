@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (BadParameter, DegenerateSample, TooFewPoints,
                      WrongSingularityOrder)
 from .extrapolation import extrapolate
-from .metrics import MetricDensity, eval_many, punctured_disk_metric
+from .metrics import MetricDensity, check_conical_order, eval_many, punctured_disk_metric
 from .reports import Check, VerificationReport
 
 RATIO_EQUALITY_TOL = 1e-12
@@ -50,8 +50,7 @@ class Setting:
 
     @staticmethod
     def conical(alpha: float) -> "Setting":
-        if not alpha < 1.0:
-            raise BadParameter(f"conical order requires alpha < 1, got {alpha}")
+        check_conical_order(alpha)
         return Setting(CONICAL, alpha)
 
     @property

@@ -49,10 +49,11 @@ BUILTINS = {
 }
 
 
-def _float(text: str, what: str) -> float:
+def parse_float(text: str, what: str) -> float:
+    """float(text), or ParseError naming what the text was meant to be."""
     try:
         return float(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {what}: {text!r}") from exc
 
 
@@ -82,7 +83,8 @@ def parse_map(spec: str) -> tuple[HolomorphicMap, DomainModel, str]:
         if head == "mobius":
             params, _, rest = rest.partition(":")
             re_s, _, im_s = params.partition(",")
-            a = complex(_float(re_s, "mobius parameter"), _float(im_s, "mobius parameter"))
+            a = complex(parse_float(re_s, "mobius parameter"),
+                        parse_float(im_s, "mobius parameter"))
             m, dom = builtin_map("mobius", a)
         elif head in ("phi", "example1", "square", "identity"):
             m, dom = builtin_map(head)
@@ -99,7 +101,7 @@ def _builtin(spec: str, what: str) -> tuple[Builtin, tuple]:
     entry = BUILTINS.get(head)
     if entry is None or (entry.param is None and colon):
         raise ParseError(f"unknown {what} spec {spec!r}")
-    return entry, () if entry.param is None else (_float(rest, entry.param),)
+    return entry, () if entry.param is None else (parse_float(rest, entry.param),)
 
 
 def parse_metric(spec: str) -> MetricDensity:

@@ -100,6 +100,23 @@ def test_nonfinite_point_is_an_error(capsys, argv):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["density", "--domain", "strip:inf", "--z", "0,1"], 2),
+    (["distance", "--domain", "strip:inf", "--z1", "0,1", "--z2", "1,1"], 2),
+    (["density", "--domain", "pdiskR:inf", "--z", "0.5,0"], 2),
+    (["distance", "--domain", "pdiskR:inf", "--z1", "0.5,0", "--z2", "0.1,0"], 2),
+    (["density", "--domain", "conical:-inf", "--z", "0.5,0"], 2),
+    (["liouville", "classify", "--family", "pdiskR", "--R", "nan"], 1),
+    (["liouville", "classify", "--family", "pdiskR", "--R", "inf"], 1),
+    (["liouville", "classify", "--family", "conical", "--alpha=-inf"], 1),
+])
+def test_nonfinite_parameter_is_an_error(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert err.startswith("error:") and "finite" in err
+    assert out == ""
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "decay-ratio")
     assert code == 0
@@ -195,7 +212,8 @@ def test_spec_grammar():
     assert parse_domain("annulus:0.5").kind == "annulus"
     m, dom, rest = parse_map("example1")
     assert m.label == "example1" and dom.kind == "pdisk" and rest == ""
-    for bad in ("nope", "annulus:2", "pull:phi", "pull:warp:disk", "strip:-1", "pdiskR:nan"):
+    for bad in ("nope", "annulus:2", "pull:phi", "pull:warp:disk", "strip:-1", "pdiskR:nan",
+                "pdiskR:inf", "strip:inf", "strip:nan", "conical:-inf", "conical:nan"):
         with pytest.raises(ParseError):
             parse_metric(bad)
 
@@ -206,10 +224,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "density", "--domain", "warp:9", "--z", "0,0")
+@pytest.mark.parametrize("argv", [
+    ["density", "--domain", "warp:9", "--z", "0,0"],
+    ["verify", "curvature", "--tol", "curvature=abc"],
+    ["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "conical:abc"],
+    ["rigidity", "fit", "--input", "{dir}/bad.csv"],
+    ["rigidity", "fit", "--input", "{dir}/missing.csv"],
+], ids=["spec", "tolerance", "setting", "csv-cell", "missing-csv"])
+def test_parse_error_exit_code(tmp_path, capsys, argv):
+    (tmp_path / "good.csv").write_text("re,im,ratio,distance\n0.1,0,0.5,1.0\n")
+    (tmp_path / "bad.csv").write_text("re,im,ratio,distance\n0.1,0,abc,1.0\n")
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error:")
 
 
 def test_witness_suite_emits_sample_series(capsys):

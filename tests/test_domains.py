@@ -75,11 +75,18 @@ def test_label_and_spec_round_trip(spec):
 
 
 @pytest.mark.parametrize("kind, param, message", [
-    ("pdiskR", 0.5, "punctured disk radius requires R >= 1, got R=0.5"),
+    ("pdiskR", 0.5, "punctured disk radius requires finite R >= 1, got R=0.5"),
+    ("pdiskR", INF, "punctured disk radius requires finite R >= 1, got R=inf"),
+    ("pdiskR", NAN, "punctured disk radius requires finite R >= 1, got R=nan"),
     ("annulus", 1.0, "annulus requires 0 < r < 1, got r=1.0"),
     ("annulus", 0.0, "annulus requires 0 < r < 1, got r=0.0"),
-    ("strip", -1.0, "strip requires height h > 0, got h=-1.0"),
-    ("strip", NAN, "strip requires height h > 0, got h=nan"),
+    ("annulus", INF, "annulus requires 0 < r < 1, got r=inf"),
+    ("annulus", -INF, "annulus requires 0 < r < 1, got r=-inf"),
+    ("annulus", NAN, "annulus requires 0 < r < 1, got r=nan"),
+    ("strip", -1.0, "strip requires finite height h > 0, got h=-1.0"),
+    ("strip", NAN, "strip requires finite height h > 0, got h=nan"),
+    ("strip", INF, "strip requires finite height h > 0, got h=inf"),
+    ("strip", -INF, "strip requires finite height h > 0, got h=-inf"),
     ("moon", 0.0, "unknown domain kind 'moon'"),
 ])
 def test_parameter_errors(kind, param, message):

@@ -155,6 +155,13 @@ def test_bad_parameters():
         closed_form_family("conical", alpha=1.5)
     with pytest.raises(BadParameter):
         closed_form_family("pdiskR", R=0.5)
+    for value in (math.nan, math.inf, -math.inf):
+        for family, kw in (("conical", "alpha"), ("conical-scaled", "alpha"),
+                           ("pdiskR", "R")):
+            with pytest.raises(BadParameter, match="finite"):
+                closed_form_family(family, **{kw: value})
+        with pytest.raises(BadParameter, match="finite"):
+            dichotomy_verify_part_a(value)
     with pytest.raises(BadParameter):
         integrate_radial(0.0, 1.0, -1.0, -1.0, 100)
     with pytest.raises(BadParameter):

@@ -1,13 +1,24 @@
 """Grid oracle against the closed-form distances."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import hypmetrics
+from hypmetrics import oracle
 from hypmetrics.distances import (DistanceMethod, dist_annulus, dist_disk,
                                   dist_halfplane, dist_punctured_disk)
 from hypmetrics.domains import DomainModel
-from hypmetrics.errors import BadParameter, OutsideDomain
+from hypmetrics.errors import BadParameter, GeodesicSolveFailed, OutsideDomain
+from hypmetrics.metrics import MetricDensity, disk_metric
 from hypmetrics.oracle import geodesic_oracle
+from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
+from hypmetrics.specparse import domain_distance, parse_domain
 
 
 def test_disk_example_point():
@@ -54,3 +65,79 @@ def test_oracle_validates_input():
         geodesic_oracle(DomainModel.disk(), 0.0, 0.5, grid_n=50)
     with pytest.raises(OutsideDomain):
         geodesic_oracle(DomainModel.disk(), 0.0, 1.5)
+
+
+# Near-antipodal pairs whose Dijkstra path on a periodic polar grid went the
+# long way round the puncture (errors 0.098, 0.118 and 0.024 there).
+@pytest.mark.parametrize("dom,points,i,j", [
+    (DomainModel.annulus(0.5), sample_annular(669, 16, 0.56, 0.94), 3, 11),
+    (DomainModel.annulus(0.5), sample_annular(752, 16, 0.56, 0.94), 5, 13),
+    (DomainModel.punctured_disk(), sample_log_annular(834, 16, 0.02, 0.75), 6, 14),
+])
+def test_near_antipodal_pairs_take_the_shorter_way_round(dom, points, i, j):
+    z1, z2 = complex(points[i]), complex(points[j])
+    value = geodesic_oracle(dom, z1, z2, 220).value
+    assert abs(value - domain_distance(dom, z1, z2).value) <= 1e-3
+
+
+def _six_kind_points(spec: str, seed: int, n: int = 16) -> np.ndarray:
+    rng = rng_for(seed)
+    if spec == "disk":
+        return sample_annular(seed, n, 0.05, 0.75)
+    if spec == "pdisk":
+        return sample_log_annular(seed, n, 0.02, 0.75)
+    if spec == "pdiskR:2":
+        return sample_log_annular(seed, n, 0.02, 1.5)
+    if spec == "annulus:0.5":
+        return sample_annular(seed, n, 0.56, 0.94)
+    if spec == "halfplane":
+        return rng.uniform(-1.0, 1.0, n) + 1j * np.exp(rng.uniform(math.log(0.1),
+                                                                  math.log(2.0), n))
+    return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.05, 0.95, n)  # strip:1
+
+
+@pytest.mark.parametrize("spec", ["disk", "pdisk", "pdiskR:2", "annulus:0.5",
+                                  "halfplane", "strip:1"])
+def test_oracle_matches_lifts_on_every_kind(spec):
+    dom = parse_domain(spec)
+    pts = _six_kind_points(spec, 11)
+    worst = max(abs(geodesic_oracle(dom, z1, z2, 100).value
+                    - domain_distance(dom, z1, z2).value)
+                for z1, z2 in zip(pts[:8], pts[8:]))
+    assert worst <= 1e-3
+
+
+# Far apart, or near the edge or the puncture, where the Dijkstra path is a
+# rough start and full Newton steps overshoot.
+@pytest.mark.parametrize("spec,z1,z2", [
+    ("halfplane", 1j, 1000 + 1j),
+    ("disk", 0.999, -0.999j),
+    ("strip:1", 0.01j, 3 + 0.99j),
+    ("pdisk", 1e-8, 0.5),
+])
+def test_oracle_on_hard_pairs(spec, z1, z2):
+    dom = parse_domain(spec)
+    value = geodesic_oracle(dom, z1, z2, 100).value
+    assert abs(value - domain_distance(dom, z1, z2).value) <= 1e-3
+
+
+def test_geodesic_solve_failures_are_typed():
+    path = np.linspace(0.1, 0.5 + 0.3j, 20)
+    nan_metric = MetricDensity(DomainModel.disk(), lambda z: np.full(np.shape(z), np.nan), "nan")
+    with pytest.raises(GeodesicSolveFailed):
+        oracle._geodesic_length(nan_metric, path)
+    nowhere = SimpleNamespace(contains=lambda z: np.zeros(np.shape(z), dtype=bool),
+                              label=lambda: "nowhere")
+    with pytest.raises(GeodesicSolveFailed):
+        oracle._geodesic_length(MetricDensity(nowhere, disk_metric().eval, "disk"), path)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(hypmetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hypmetrics; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

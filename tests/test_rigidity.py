@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hypmetrics.distances import dist_punctured_disk
-from hypmetrics.errors import DegenerateSample, TooFewPoints, WrongSingularityOrder
+from hypmetrics.errors import (BadParameter, DegenerateSample, TooFewPoints,
+                               WrongSingularityOrder)
 from hypmetrics.maps import example1_map
 from hypmetrics.metrics import (conical_metric, pullback, punctured_disk_metric,
                                 punctured_disk_metric_r)
@@ -106,6 +107,12 @@ def test_pdiskR_family_puncture_fit_not_forced():
     # the finite-sample slope 2L/(L+1) averages below the asymptotic 2
     assert 1.6 <= est.beta <= 2.0
     assert est.classification is not Classification.RIGIDITY_FORCED
+
+
+@pytest.mark.parametrize("alpha", [1.0, math.nan, -math.inf])
+def test_conical_setting_requires_finite_order_below_one(alpha):
+    with pytest.raises(BadParameter, match="finite alpha < 1"):
+        Setting.conical(alpha)
 
 
 def test_conical_setting_regresses_on_log_radius():
