@@ -24,7 +24,7 @@ from .curvature import curvature_at
 from .distances import dist_punctured_disk
 from .errors import HypMetricsError, ParseError, UnknownSuite
 from .liouville import classify_singularity, closed_form_family, integrate_radial
-from .metrics import density_at, log_density_at
+from .metrics import density_at, eval_many, log_density_at
 from .oracle import geodesic_oracle
 from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
                        decay_exponent_fit)
@@ -59,19 +59,17 @@ def _emit(text: str) -> None:
 
 def _cmd_density(args) -> int:
     metric = parse_metric(args.domain)
-    if args.z is not None:
-        pts = [_parse_complex(args.z)]
-    elif args.grid == "polar":
-        pts = polar_grid(args.grid_n, args.rmin, args.rmax).tolist()
-    else:
-        pts = cartesian_grid(args.grid_n, args.half_width).tolist()
-    rows = []
-    for z in pts:
-        # grid points off the domain are skipped; a --z point off it is an error
-        if args.z is None and (metric.domain.is_singular(z) or not metric.domain.contains(z)):
-            continue
-        lam = density_at(metric, z)
-        rows.append((z.real, z.imag, lam, log_density_at(metric, z)))
+    if args.z is not None:  # a --z point off the domain is an error
+        z = _parse_complex(args.z)
+        rows = [(z.real, z.imag, density_at(metric, z), log_density_at(metric, z))]
+    else:  # grid points off the domain are skipped
+        if args.grid == "polar":
+            pts = polar_grid(args.grid_n, args.rmin, args.rmax)
+        else:
+            pts = cartesian_grid(args.grid_n, args.half_width)
+        pts = pts[metric.domain.contains(pts)]
+        rows = list(zip(pts.real.tolist(), pts.imag.tolist(), eval_many(metric, pts).tolist(),
+                        metric.log_density(pts).tolist()))
     if args.output == "json":
         _emit(json.dumps({"metric": metric.label,
                           "points": [{"re": r, "im": i, "lambda": l, "log_lambda": g}

@@ -9,6 +9,8 @@ Closed forms:
                 rho = |(z1-z2)/(1 - conj(z1) z2)|
     half-plane  d(w1,w2) = (1/2) arccosh(1 + |w1-w2|^2/(2 Im w1 Im w2))
 
+arccosh(1 + q) is evaluated as 2 asinh(sqrt(q/2)), exact for small q.
+
 The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
 (zeta = arg z + i log(1/|z|)), the annulus A_r to the strip
@@ -65,7 +67,7 @@ def dist_disk(z1, z2) -> DistanceResult:
 
 def _halfplane_value(w1: complex, w2: complex) -> float:
     q = abs(w1 - w2) ** 2 / (2.0 * w1.imag * w2.imag)
-    return HALF * math.acosh(1.0 + q)
+    return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
 
 
 def dist_halfplane(w1, w2) -> DistanceResult:
@@ -82,17 +84,18 @@ def _strip_value(z1: complex, z2: complex, h: float) -> float:
     Written in terms of differences so that widely separated lifts do not
     overflow: with a = pi Re z / h, b = pi Im z / h,
 
-        cosh(2d) = 1 + (cosh(a1-a2) - cos(b1-b2)) / (sin b1 sin b2).
+        cosh(2d) = 1 + (2 sinh^2((a1-a2)/2) + 2 sin^2((b1-b2)/2)) / (sin b1 sin b2),
+
+    the numerator being cosh(a1-a2) - cos(b1-b2) without its cancellation.
     """
     da = math.pi * (z1.real - z2.real) / h
-    b1 = math.pi * z1.imag / h
-    b2 = math.pi * z2.imag / h
-    sb = math.sin(b1) * math.sin(b2)
+    db = math.pi * (z1.imag - z2.imag) / h  # not b1 - b2, which rounds both
+    sb = math.sin(math.pi * z1.imag / h) * math.sin(math.pi * z2.imag / h)
     if abs(da) > 300.0:
         # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
         return HALF * (abs(da) - math.log(sb))
-    q = (math.cosh(da) - math.cos(b1 - b2)) / sb
-    return HALF * math.acosh(1.0 + q)
+    q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
+    return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
 
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:

@@ -126,11 +126,12 @@ class DomainModel:
         """True when z is a declared singular point of the domain (the puncture)."""
         return self.doubly_connected and complex(z) == 0.0
 
-    def boundary_distance(self, z) -> float:
-        """Euclidean distance from z to the domain edge."""
-        z = complex(z)
-        c = abs(z) if self.radial else z.imag
-        return min(c - self.lo, self.hi - c)
+    def boundary_distance(self, z):
+        """Euclidean distance from z to the domain edge. Works on scalars and numpy arrays."""
+        z = np.asarray(z, dtype=complex)
+        c = np.abs(z) if self.radial else z.imag
+        out = np.minimum(c - self.lo, self.hi - c)
+        return float(out) if out.ndim == 0 else out
 
     def label(self) -> str:
         if KINDS[self.kind].rule is None:

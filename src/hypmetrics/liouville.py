@@ -105,6 +105,9 @@ def integrate_radial(w0: float, dw0: float, t0: float, t1: float, steps: int,
     """
     if steps < 10:
         raise BadParameter(f"steps must be >= 10, got {steps}")
+    if not all(math.isfinite(v) for v in (w0, dw0, t0, t1)):
+        raise BadParameter(
+            f"initial data must be finite, got w0={w0}, dw0={dw0}, t0={t0}, t1={t1}")
     if t0 == t1:
         raise BadParameter("t0 and t1 must differ")
     if on_blowup not in ("raise", "truncate"):

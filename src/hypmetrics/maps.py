@@ -8,12 +8,14 @@ The builtins are the maps used throughout the verification suites:
     phi              z - (z - 1)^3 / 12, the boundary-rigidity witness on D
     example1         z exp(-(1+z)/(1-z)), a self-map of the punctured disk
 
-All evaluators accept scalars or numpy arrays of complex numbers.
+MAPS maps each builtin name to its constructor, its canonical source domain
+and whether it takes a parameter. All evaluators accept scalars or numpy
+arrays of complex numbers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,18 +103,26 @@ def example1_map() -> HolomorphicMap:
     return HolomorphicMap(value, derivative, "example1")
 
 
+class BuiltinMap(NamedTuple):
+    make: Callable[..., HolomorphicMap]
+    source: DomainModel  # canonical source domain
+    takes_param: bool = False  # True: make takes one complex parameter
+
+
+MAPS = {
+    "identity": BuiltinMap(identity_map, DomainModel.disk()),
+    "square": BuiltinMap(square_map, DomainModel.disk()),
+    "phi": BuiltinMap(phi_map, DomainModel.disk()),
+    "example1": BuiltinMap(example1_map, DomainModel.punctured_disk()),
+    "mobius": BuiltinMap(mobius_map, DomainModel.disk(), True),
+}
+
+
 def builtin_map(name: str, a: complex | None = None) -> tuple[HolomorphicMap, DomainModel]:
     """Look up a builtin map and its canonical source domain."""
-    if name == "identity":
-        return identity_map(), DomainModel.disk()
-    if name == "square":
-        return square_map(), DomainModel.disk()
-    if name == "phi":
-        return phi_map(), DomainModel.disk()
-    if name == "example1":
-        return example1_map(), DomainModel.punctured_disk()
-    if name == "mobius":
-        if a is None:
-            raise BadParameter("mobius map requires a parameter")
-        return mobius_map(a), DomainModel.disk()
-    raise BadParameter(f"unknown builtin map {name!r}")
+    if name not in MAPS:
+        raise BadParameter(f"unknown builtin map {name!r}")
+    make, source, takes_param = MAPS[name]
+    if takes_param and a is None:
+        raise BadParameter(f"{name} map requires a parameter")
+    return (make(a) if takes_param else make()), source

@@ -20,7 +20,8 @@ of order alpha; c = 1 recovers lambda_alpha.
 
 Densities near singularities span many orders of magnitude, so every builtin
 carries an exact closed-form log-density used by the curvature operator.
-User-supplied densities are closures; no grids are stored here.
+User-supplied densities are closures that accept numpy arrays of points and
+return real arrays of the same shape; no grids are stored here.
 """
 from __future__ import annotations
 
@@ -52,26 +53,24 @@ class MetricDensity:
         return density_at(self, z)
 
 
-def density_at(metric: MetricDensity, z) -> float:
-    """Evaluate lambda(z) with domain checking.
-
-    Raises SingularPoint at declared singularities and OutsideDomain
-    elsewhere outside the domain.
-    """
+def _check_point(metric: MetricDensity, z) -> complex:
+    """z as a complex number, or SingularPoint / OutsideDomain."""
     if metric.domain.is_singular(z):
         raise SingularPoint(f"{metric.label} is singular at z={z}")
     if not metric.domain.contains(z):
         raise OutsideDomain(f"z={z} is not in the domain of {metric.label}")
-    return float(np.real(metric.eval(complex(z))))
+    return complex(z)
+
+
+def density_at(metric: MetricDensity, z) -> float:
+    """Evaluate lambda(z); SingularPoint at declared singularities and
+    OutsideDomain elsewhere outside the domain."""
+    return float(metric.eval(_check_point(metric, z)))
 
 
 def log_density_at(metric: MetricDensity, z) -> float:
-    """Evaluate log lambda(z) with domain checking."""
-    if metric.domain.is_singular(z):
-        raise SingularPoint(f"{metric.label} is singular at z={z}")
-    if not metric.domain.contains(z):
-        raise OutsideDomain(f"z={z} is not in the domain of {metric.label}")
-    return float(np.real(metric.log_density(complex(z))))
+    """Evaluate log lambda(z), with the domain checks of density_at."""
+    return float(metric.log_density(_check_point(metric, z)))
 
 
 # --- builtin densities ----------------------------------------------------
@@ -216,13 +215,5 @@ def pullback(metric: MetricDensity, map_: HolomorphicMap,
 
 
 def eval_many(metric: MetricDensity, zs: np.ndarray) -> np.ndarray:
-    """Vectorized density evaluation with a scalar fallback for user closures."""
-    zs = np.asarray(zs, dtype=complex)
-    try:
-        out = np.asarray(metric.eval(zs), dtype=float)
-        if out.shape == zs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(np.real(metric.eval(z))) for z in zs.ravel()],
-                    dtype=float).reshape(zs.shape)
+    """Density evaluation on an array of points, as a float array of its shape."""
+    return np.asarray(metric.eval(np.asarray(zs, dtype=complex)), dtype=float)

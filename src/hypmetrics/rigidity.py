@@ -207,8 +207,7 @@ def _tail_slope(metric: MetricDensity, t_lo: float = -200.0, t_hi: float = -20.0
                 n: int = 60) -> float:
     """Least-squares slope of w(t) = log lambda(e^t) + t on a deep tail."""
     t = np.linspace(t_lo, t_hi, n)
-    z = np.exp(t)
-    w = np.array([float(np.real(metric.log_density(complex(x, 0.0)))) for x in z]) + t
+    w = metric.log_density(np.exp(t)) + t
     return float(np.polyfit(t, w, 1)[0])
 
 
@@ -236,8 +235,7 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex],
     order = np.argsort(-np.abs(pts))  # |z| decreasing, toward the puncture
     pts = pts[order]
     Ls = np.log(1.0 / np.abs(pts))
-    w = (np.array([float(np.real(metric.log_density(z))) for z in pts])
-         - np.array([float(np.real(reference.log_density(z))) for z in pts]))
+    w = metric.log_density(pts) - reference.log_density(pts)
     values = w * Ls
     est = extrapolate(values.tolist(), xs=(1.0 / Ls).tolist())
 

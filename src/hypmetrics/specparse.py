@@ -4,8 +4,8 @@ table of builtin spec heads.
 Metric specs:
     disk | pdisk | pdiskR:<R> | annulus:<r> | conical:<alpha>
     | halfplane | strip:<h> | pull:<map>:<metric>
-Map specs:
-    phi | example1 | square | mobius:<a_re>,<a_im>
+Map specs (the heads of maps.MAPS):
+    identity | phi | example1 | square | mobius:<a_re>,<a_im>
 Domain specs (for distance / oracle commands):
     disk | pdisk | pdiskR:<R> | annulus:<r> | halfplane | strip:<h>
 
@@ -23,7 +23,7 @@ from .distances import (DistanceResult, dist_annulus, dist_disk, dist_halfplane,
                         dist_punctured_disk, dist_strip)
 from .domains import KINDS, DomainModel
 from .errors import BadParameter, ParseError
-from .maps import HolomorphicMap, builtin_map
+from .maps import MAPS, HolomorphicMap, builtin_map
 from .metrics import (MetricDensity, annulus_metric, conical_metric,
                       disk_metric, half_plane_metric, pullback,
                       punctured_disk_metric, punctured_disk_metric_r,
@@ -75,21 +75,20 @@ def domain_distance(domain: DomainModel, z1, z2) -> DistanceResult:
 def parse_map(spec: str) -> tuple[HolomorphicMap, DomainModel, str]:
     """Parse a map spec; returns (map, source domain, remainder).
 
-    The remainder is whatever follows the map inside a pull spec (the
-    mobius form consumes an extra ':'-separated parameter segment).
+    The remainder is whatever follows the map inside a pull spec (a map that
+    takes a parameter, mobius, consumes an extra ':'-separated segment).
     """
     head, _, rest = spec.partition(":")
+    if head not in MAPS:
+        raise ParseError(f"unknown map {head!r}")
+    a = None
+    if MAPS[head].takes_param:
+        params, _, rest = rest.partition(":")
+        re_s, _, im_s = params.partition(",")
+        a = complex(parse_float(re_s, f"{head} parameter"),
+                    parse_float(im_s, f"{head} parameter"))
     try:
-        if head == "mobius":
-            params, _, rest = rest.partition(":")
-            re_s, _, im_s = params.partition(",")
-            a = complex(parse_float(re_s, "mobius parameter"),
-                        parse_float(im_s, "mobius parameter"))
-            m, dom = builtin_map("mobius", a)
-        elif head in ("phi", "example1", "square", "identity"):
-            m, dom = builtin_map(head)
-        else:
-            raise ParseError(f"unknown map {head!r}")
+        m, dom = builtin_map(head, a)
     except BadParameter as exc:
         raise ParseError(str(exc)) from exc
     return m, dom, rest

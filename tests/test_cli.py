@@ -109,6 +109,8 @@ def test_nonfinite_point_is_an_error(capsys, argv):
     (["liouville", "classify", "--family", "pdiskR", "--R", "nan"], 1),
     (["liouville", "classify", "--family", "pdiskR", "--R", "inf"], 1),
     (["liouville", "classify", "--family", "conical", "--alpha=-inf"], 1),
+    (["liouville", "solve", "--w0", "nan", "--dw0", "1", "--t0", "-2", "--t1", "-1"], 1),
+    (["liouville", "solve", "--w0", "0", "--dw0", "1", "--t0", "-2", "--t1", "inf"], 1),
 ])
 def test_nonfinite_parameter_is_an_error(capsys, argv, exit_code):
     code, out, err = run(capsys, *argv)

@@ -3,13 +3,16 @@ import math
 
 import pytest
 
-from hypmetrics.curvature import curvature_at
+import numpy as np
+
+from hypmetrics.curvature import curvature_at, laplacian
 from hypmetrics.errors import NonpositiveDensity, StencilOutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric, disk_metric,
                                 pullback, punctured_disk_metric,
                                 punctured_disk_metric_r)
 from hypmetrics.sampling import sample_annular
+from hypmetrics.suites import _curvature_cases
 
 
 def test_disk_curvature_at_paper_point():
@@ -87,3 +90,35 @@ def test_refuses_outside_domain():
         curvature_at(disk_metric(), 1.2, 1e-3)
     with pytest.raises(StencilOutsideDomain):
         curvature_at(disk_metric(), 0.5, -1.0)
+
+
+@pytest.mark.parametrize("metric, pts", [pytest.param(m, pts, id=m.label)
+                                         for m, pts in _curvature_cases(42)])
+def test_array_call_equals_pointwise_calls(metric, pts):
+    grid = pts.reshape(10, 10)
+    for h in (1e-3, 1e-2):
+        kappa, h_used = curvature_at(metric, grid, h, full_output=True)
+        assert kappa.shape == h_used.shape == grid.shape
+        pointwise = [curvature_at(metric, z, h, full_output=True) for z in pts]
+        assert kappa.ravel().tolist() == [k for k, _ in pointwise]
+        assert h_used.ravel().tolist() == [hu for _, hu in pointwise]
+
+
+def test_point_returns_python_floats():
+    kappa, h_used = curvature_at(disk_metric(), 0.3, 1e-3, full_output=True)
+    assert type(kappa) is float and type(h_used) is float
+
+
+def test_one_point_off_domain_refuses_the_array():
+    pts = np.array([0.3, 0.5j, 1.2, -0.4])
+    with pytest.raises(StencilOutsideDomain, match=r"z=\(1\.2\+0j\)"):
+        curvature_at(disk_metric(), pts, 1e-3)
+    with pytest.raises(StencilOutsideDomain):
+        curvature_at(punctured_disk_metric(), np.array([0.3, 0.0]), 1e-3)
+
+
+def test_laplacian_is_exact_on_quadratics():
+    z = np.array([0.1 + 0.2j, -0.7 + 0.3j])
+    lap = laplacian(lambda w: np.abs(w) ** 2, z, 1e-2)  # Laplacian of x^2 + y^2 is 4
+    assert lap == pytest.approx([4.0, 4.0], rel=1e-9)
+

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   covering_decay_ratio, dist_annulus,
@@ -11,8 +12,9 @@ from hypmetrics.distances import (DistanceMethod, comparability_constants,
 from hypmetrics import distances
 from hypmetrics.errors import OutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
-from hypmetrics.metrics import annulus_metric
+from hypmetrics.metrics import annulus_metric, density_at
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
+from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
 
 
 def test_disk_radial_formula():
@@ -218,3 +220,37 @@ def test_covering_decay_ratio():
     assert seq[2] == pytest.approx(0.5, abs=5e-4)
     with pytest.raises(OutsideDomain):
         covering_decay_ratio(1.0)
+
+
+def _point_in(dom, u, v):
+    """The point of dom at fraction u between the edges of |z| (radial kinds) or
+    Im z (the half-plane is cut at Im z = 100), at angle or real part v."""
+    if dom.radial:
+        lo = max(dom.lo, 0.0)
+        return (lo + u * (dom.hi - lo)) * complex(math.cos(v), math.sin(v))
+    return complex(v, u * min(dom.hi, 100.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(["disk", "pdisk", "pdiskR:2.5", "annulus:0.5", "halfplane",
+                             "strip:2.0"]),
+       u=st.floats(1e-3, 1.0 - 1e-3), v=st.floats(-math.pi, math.pi),
+       phi=st.floats(-math.pi, math.pi))
+def test_short_distance_is_density_times_length(spec, u, v, phi):
+    # d(z, z + eps) = lambda(z) |eps| (1 + O(|eps|)); nearly coincident points
+    # must not lose the separation to rounding (1 + q, cosh - cos)
+    dom = parse_domain(spec)
+    z = _point_in(dom, u, v)
+    z2 = z + 1e-8 * dom.boundary_distance(z) * complex(math.cos(phi), math.sin(phi))
+    d = domain_distance(dom, z, z2).value
+    assert abs(d / (density_at(domain_metric(dom), z) * abs(z2 - z)) - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: dist_halfplane(1j, 1j + 1e-8), 5e-9),
+    (lambda: dist_strip(0.5j, 0.5j + 1e-9j, 1.0), 0.5e-9 * math.pi),
+    (lambda: dist_punctured_disk(0.5, 0.5 + 1e-9), 1e-9 / math.log(2.0)),
+], ids=["halfplane", "strip", "pdisk"])
+def test_nearly_coincident_points_keep_their_distance(call, expected):
+    assert call().value == pytest.approx(expected, rel=1e-6)
+

@@ -166,6 +166,10 @@ def test_bad_parameters():
         integrate_radial(0.0, 1.0, -1.0, -1.0, 100)
     with pytest.raises(BadParameter):
         integrate_radial(0.0, 1.0, -1.0, -2.0, 5)
+    for w0, dw0, t0, t1 in ((math.nan, 1.0, -2.0, -1.0), (0.0, math.inf, -2.0, -1.0),
+                            (0.0, 1.0, -math.inf, -1.0), (0.0, 1.0, -2.0, math.inf)):
+        with pytest.raises(BadParameter, match="finite"):
+            integrate_radial(w0, dw0, t0, t1, 100)
 
 
 def test_dichotomy_part_a():
