@@ -1,9 +1,9 @@
 """Numerical verification toolkit for negatively curved conformal metrics
 on planar hyperbolic domains: closed-form densities, finite-difference Gauss
-curvature, hyperbolic distances via covering lifts with an independent grid
-oracle, boundary Harnack/Hopf inequalities, a radial curvature-equation
-solver with singularity classification, boundary rigidity decay-rate fits,
-and sharpness witnesses."""
+curvature, hyperbolic distances via covering lifts with an independent
+geodesic oracle, boundary Harnack/Hopf inequalities, a radial
+curvature-equation solver with singularity classification, boundary
+rigidity decay-rate fits, and sharpness witnesses."""
 
 from .curvature import curvature_at
 from .distances import (DistanceMethod, DistanceResult,

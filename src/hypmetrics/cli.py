@@ -5,7 +5,7 @@ Subcommands:
     density    evaluate a metric density at a point or on a grid (CSV/JSON)
     curvature  discrete Gauss curvature at a point
     distance   hyperbolic distance in a model domain (closed form / lift /
-               optional grid-oracle cross-check)
+               optional geodesic-oracle cross-check)
     verify     run a named verification suite; exit 0 iff all checks pass
     rigidity   fit/classify boundary decay exponents from CSV samples
     liouville  integrate the radial curvature ODE / classify singularities
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--z1", required=True)
     t.add_argument("--z2", required=True)
     t.add_argument("--oracle-grid", type=int, default=0,
-                   help="also run the grid oracle at this resolution")
+                   help="also run the geodesic oracle with this many path points")
     t.set_defaults(func=_cmd_distance)
 
     v = add_parser("verify", help="run a verification suite")

@@ -19,7 +19,8 @@ translations zeta -> zeta + 2 pi k, and the minimizing k is recorded. Lifts
 take arg z in (-pi, pi], so the real separation x of two lifts satisfies
 |x| < 2 pi, and both lifted distances increase with |x - 2 pi k|; the
 minimum is therefore attained at some k in {-1, 0, 1}, and only those three
-translations are evaluated.
+translations are evaluated. Nearby points take the separation of their
+lifts from their quotient (see _lifts), so it keeps its digits.
 
 Every distance checks its points with the membership predicate of its
 domain, so non-finite and outside points raise OutsideDomain.
@@ -65,8 +66,9 @@ def dist_disk(z1, z2) -> DistanceResult:
     return DistanceResult(HALF * 2.0 * math.atanh(rho), DistanceMethod.CLOSED_FORM)
 
 
-def _halfplane_value(w1: complex, w2: complex) -> float:
-    q = abs(w1 - w2) ** 2 / (2.0 * w1.imag * w2.imag)
+def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
+    """Distance between half-plane points at heights y1, y2 that differ by dw."""
+    q = abs(dw) ** 2 / (2.0 * y1 * y2)
     return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
 
 
@@ -75,11 +77,12 @@ def dist_halfplane(w1, w2) -> DistanceResult:
     w1, w2 = complex(w1), complex(w2)
     if not (_HALF_PLANE.contains(w1) and _HALF_PLANE.contains(w2)):
         raise OutsideDomain(f"half-plane distance needs Im w > 0, got {w1}, {w2}")
-    return DistanceResult(_halfplane_value(w1, w2), DistanceMethod.CLOSED_FORM)
+    return DistanceResult(_halfplane_value(w1 - w2, w1.imag, w2.imag), DistanceMethod.CLOSED_FORM)
 
 
-def _strip_value(z1: complex, z2: complex, h: float) -> float:
-    """Distance in the strip {0 < Im z < h} via the exponential map to H.
+def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
+    """Distance between points at heights y1, y2 that differ by dz, in the
+    strip {0 < Im z < h}, via the exponential map to H.
 
     Written in terms of differences so that widely separated lifts do not
     overflow: with a = pi Re z / h, b = pi Im z / h,
@@ -88,9 +91,9 @@ def _strip_value(z1: complex, z2: complex, h: float) -> float:
 
     the numerator being cosh(a1-a2) - cos(b1-b2) without its cancellation.
     """
-    da = math.pi * (z1.real - z2.real) / h
-    db = math.pi * (z1.imag - z2.imag) / h  # not b1 - b2, which rounds both
-    sb = math.sin(math.pi * z1.imag / h) * math.sin(math.pi * z2.imag / h)
+    da = math.pi * dz.real / h
+    db = math.pi * dz.imag / h  # not b1 - b2, which rounds both
+    sb = math.sin(math.pi * y1 / h) * math.sin(math.pi * y2 / h)
     if abs(da) > 300.0:
         # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
         return HALF * (abs(da) - math.log(sb))
@@ -104,12 +107,26 @@ def dist_strip(z1, z2, h: float) -> DistanceResult:
     dom = DomainModel.strip(h)
     if not (dom.contains(z1) and dom.contains(z2)):
         raise OutsideDomain(f"strip distance needs 0 < Im z < {h}, got {z1}, {z2}")
-    return DistanceResult(_strip_value(z1, z2, h), DistanceMethod.CLOSED_FORM)
+    return DistanceResult(_strip_value(z1 - z2, z1.imag, z2.imag, h), DistanceMethod.CLOSED_FORM)
 
 
-def _lift(z: complex) -> complex:
-    """Lift of z through zeta -> e^(i zeta): zeta = arg z + i log(1/|z|)."""
-    return complex(math.atan2(z.imag, z.real), -math.log(abs(z)))
+def _lifts(z1: complex, z2: complex) -> tuple[complex, int, float, float]:
+    """The lifts zeta = arg z + i log(1/|z|), arg z in (-pi, pi], of z1 and z2
+    as (dw, j, y1, y2): zeta2 - zeta1 = dw + 2 pi j and y = Im zeta.
+
+    Nearby points (|d| <= 1/2, d = (z2 - z1)/z1) take dw from d, as
+    arg(1 + d) - i log|1 + d|, so it keeps its digits (each lift on its own
+    rounds arg z to ~ulp(pi)); j counts the turns of the branch cut between
+    them. Far points take dw from the lifts, with j = 0.
+    """
+    y1, y2 = -math.log(abs(z1)), -math.log(abs(z2))
+    darg = math.atan2(z2.imag, z2.real) - math.atan2(z1.imag, z1.real)
+    d = (z2 - z1) / z1
+    if abs(d) > 0.5:
+        return complex(darg, y2 - y1), 0, y1, y2
+    near = math.atan2(d.imag, 1.0 + d.real)
+    dw = complex(near, -0.5 * math.log1p(2.0 * d.real + abs(d) ** 2))
+    return dw, round((darg - near) / (2.0 * math.pi)), y1, y2
 
 
 def _deck_minimize(value_at_k):
@@ -128,8 +145,8 @@ def dist_punctured_disk(z1, z2) -> DistanceResult:
     z1, z2 = complex(z1), complex(z2)
     if not (_PUNCTURED_DISK.contains(z1) and _PUNCTURED_DISK.contains(z2)):
         raise OutsideDomain(f"punctured-disk distance needs 0 < |z| < 1, got {z1}, {z2}")
-    w1, w2 = _lift(z1), _lift(z2)
-    value, k = _deck_minimize(lambda k: _halfplane_value(w1, w2 + 2.0 * math.pi * k))
+    dw, j, y1, y2 = _lifts(z1, z2)
+    value, k = _deck_minimize(lambda k: _halfplane_value(dw + 2.0 * math.pi * (j + k), y1, y2))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 
@@ -140,8 +157,8 @@ def dist_annulus(z1, z2, r: float) -> DistanceResult:
     if not (dom.contains(z1) and dom.contains(z2)):
         raise OutsideDomain(f"annulus distance needs {r} < |z| < 1, got {z1}, {z2}")
     s = math.log(1.0 / r)
-    w1, w2 = _lift(z1), _lift(z2)
-    value, k = _deck_minimize(lambda k: _strip_value(w1, w2 + 2.0 * math.pi * k, s))
+    dw, j, y1, y2 = _lifts(z1, z2)
+    value, k = _deck_minimize(lambda k: _strip_value(dw + 2.0 * math.pi * (j + k), y1, y2, s))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 

@@ -59,5 +59,6 @@ class ParseError(HypMetricsError):
 
 
 class GeodesicSolveFailed(HypMetricsError):
-    """The grid oracle's geodesic solve produced a non-finite value, found no
-    step inside the domain that lowers its energy, or did not converge."""
+    """The oracle's geodesic solve produced a non-finite value or a singular
+    Hessian, found no step inside the domain that lowers its energy, or did
+    not converge."""

@@ -1,14 +1,14 @@
-"""Independent grid oracle for hyperbolic distances.
+"""Independent oracle for hyperbolic distances.
 
-It uses only the density, never closed forms or covering lifts. Dijkstra on
-a grid graph (Cartesian for simply connected domains, polar in
-(log|z|, arg z) for punctured domains and annuli, so the singularity is
-resolved), each 8-neighbor edge weighted by density(midpoint) * |edge|,
-gives a path whose length has a direction bias (up to ~8%) that grid
-refinement does not remove. The path seeds a discrete geodesic: 129 points
-minimizing sum lambda(midpoint)^2 |segment|^2 by damped Newton, whose
-Simpson length is returned. A polar grid is cut along a ray, so its path
-passes the puncture on one side; of one grid per side, the shorter wins.
+It uses only the density, never closed forms or covering lifts. A straight
+seed (the segment z1 -> z2; for punctured domains and annuli the segment in
+log z, once each way round the puncture) is spaced evenly in metric length
+and relaxed onto a discrete geodesic: its points minimize the energy
+sum L_k^2, L_k the Simpson length of segment k, by damped Newton. The
+Simpson length of the result is returned; of the two seeds round a
+puncture, the shorter wins. Simpson weights make a segment pay for the
+density at its ends as well as at its midpoint, so no long chord can skip
+a region where the density is large.
 """
 import cmath
 import math
@@ -21,127 +21,78 @@ from .errors import BadParameter, GeodesicSolveFailed, OutsideDomain
 from .metrics import MetricDensity, eval_many
 from .specparse import domain_metric
 
-_OFFSETS = [(1, 0), (0, 1), (1, 1), (1, -1)]  # undirected 8-neighbor generators
 _BAND = 3  # a gradient component depends on the unknowns at most 3 away
 # Difference and stopping steps, relative to the point spacing (which shrinks
-# near the boundary); gradient rounding moves points by ~1e-9 of the spacing.
-_DIFF_STEP, _STEP_TOL = 1e-5, 1e-7
+# near the boundary). Gradient rounding moves points by ~1e-9 of the spacing;
+# at a minimum the undamped Newton step stays below ~3e-2 of it (1e-9 from
+# the disk's edge), while a solve stalled by damping asks for steps of ~1.
+_DIFF_STEP, _STEP_TOL, _FULL_STEP_TOL = 1e-5, 1e-7, 0.1
 
 
-def _cartesian_nodes(domain: DomainModel, z1: complex, z2: complex, n: int):
-    """Box of the simply connected kinds: the disk (the radial one), the
-    half-plane (Im z unbounded above) and the strip."""
-    if domain.radial:
-        rbox = min(0.995, max(abs(z1), abs(z2)) + 0.15)
-        xs = np.linspace(-rbox, rbox, n)
-        ys = xs
-    elif domain.hi == math.inf:
-        x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-        if abs(x1 - x2) < 1e-12:
-            apex = max(y1, y2)
-            cx, half = x1, 0.5 * abs(y1 - y2) + 0.5
-        else:
-            c = (abs(z1) ** 2 - abs(z2) ** 2) / (2.0 * (x1 - x2))
-            apex = abs(z1 - c)
-            cx, half = c, 1.15 * apex
-        xs = np.linspace(cx - half, cx + half, n)
-        ys = np.linspace(0.75 * min(y1, y2), 1.15 * max(apex, y1, y2), n)
-    else:
-        h = domain.hi
-        pad = 2.0 + 0.5 * abs(z1.real - z2.real)
-        xs = np.linspace(min(z1.real, z2.real) - pad, max(z1.real, z2.real) + pad, n)
-        ys = np.linspace(h * 1e-3, h * (1.0 - 1e-3), n)
-    return xs[:, None] + 1j * ys[None, :]
+def _seeds(domain: DomainModel, z1: complex, z2: complex, m: int) -> list:
+    """m-point straight seeds: the segment z1 -> z2, or for the doubly
+    connected kinds the segment in log z, once each way round the puncture."""
+    t = np.linspace(0.0, 1.0, m)
+    if not domain.doubly_connected:
+        return [z1 + t * (z2 - z1)]
+    one_way = cmath.log(z2) - cmath.log(z1)
+    seeds = []
+    for log_ratio in (one_way, one_way - math.copysign(2.0 * math.pi, one_way.imag) * 1j):
+        seed = z1 * np.exp(t * log_ratio)
+        seed[-1] = z2
+        seeds.append(seed)
+    return seeds
 
 
-def _polar_nodes(domain: DomainModel, z1: complex, z2: complex, n: int, cut: float):
-    """Polar grid with columns from arg z = cut to just short of cut + 2 pi,
-    and no edge between the last and the first: no path crosses that ray."""
-    t1, t2 = math.log(abs(z1)), math.log(abs(z2))
-    t_hi = math.log(domain.hi)
-    if domain.lo > 0.0:
-        # annulus: the whole radial range, inset by 0.2% at both edges
-        t_lo = math.log(domain.lo)
-        inset = 0.002 * (t_hi - t_lo)
-        t_lo, t_hi = t_lo + inset, t_hi - inset
-    else:
-        depth = max(-t1, -t2)
-        t_lo = -(depth + 0.5 * math.pi + 0.5)
-        t_hi = min(t_hi - 1e-4, max(t1, t2) + 0.2)
-    ts = np.linspace(t_lo, t_hi, n)
-    thetas = cut + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.exp(ts[:, None] + 1j * thetas[None, :])
+def _with_midpoints(p: np.ndarray) -> np.ndarray:
+    """The 2m - 1 points p[0], midpoint, p[1], ..., p[m - 1] of the polyline p."""
+    q = np.empty(2 * p.size - 1, dtype=complex)
+    q[0::2], q[1::2] = p, 0.5 * (p[1:] + p[:-1])
+    return q
 
 
-def _build_graph(metric: MetricDensity, nodes: np.ndarray):
-    from scipy.sparse import coo_matrix
-
-    nr, nc = nodes.shape
-    mask = metric.domain.contains(nodes)
-    m = int(mask.sum())
-    idx = -np.ones((nr, nc), dtype=np.int64)
-    idx[mask] = np.arange(m)
-    rows, cols, weights = [], [], []
-    for di, dj in _OFFSETS:
-        tail = (slice(0, nr - di), slice(max(0, -dj), nc - max(0, dj)))
-        head = (slice(di, nr), slice(max(0, dj), nc + min(0, dj)))
-        mid = 0.5 * (nodes[tail] + nodes[head])
-        ok = mask[tail] & mask[head] & metric.domain.contains(mid)
-        weights.append(eval_many(metric, mid[ok]) * np.abs((nodes[head] - nodes[tail])[ok]))
-        rows.append(idx[tail][ok])
-        cols.append(idx[head][ok])
-    graph = coo_matrix((np.concatenate(weights),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(m, m)).tocsr()
-    return graph, nodes[mask]
+def _segment_lengths(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
+    """Simpson quadrature of the metric length of each segment of the polyline p."""
+    lam = eval_many(metric, _with_midpoints(p))
+    return (lam[:-2:2] + 4.0 * lam[1::2] + lam[2::2]) / 6.0 * np.abs(np.diff(p))
 
 
-def _grid_path(metric: MetricDensity, nodes: np.ndarray, z1: complex, z2: complex):
-    """Dijkstra on the grid: the graph length, and the node path with its end
-    nodes replaced by z1 and z2 (which removes the snap error)."""
-    from scipy.sparse.csgraph import dijkstra
-
-    graph, flat_nodes = _build_graph(metric, nodes)
-    src = int(np.argmin(np.abs(flat_nodes - z1)))
-    dst = int(np.argmin(np.abs(flat_nodes - z2)))
-    dist_row, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
-    if not np.isfinite(dist_row[dst]):
-        raise OutsideDomain(f"no grid path between {z1} and {z2} in {metric.domain.label()}")
-    node_path = [dst]
-    while node_path[-1] != src:
-        node_path.append(int(pred[node_path[-1]]))
-    return float(dist_row[dst]), np.concatenate([[z1], flat_nodes[node_path[-2:0:-1]], [z2]])
-
-
-def _segment_lengths(metric: MetricDensity, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Simpson quadrature of the metric length of straight segments a -> b."""
-    mid = 0.5 * (a + b)
-    lam = (eval_many(metric, a) + 4.0 * eval_many(metric, mid) + eval_many(metric, b)) / 6.0
-    return lam * np.abs(b - a)
-
-
-def _resample(metric: MetricDensity, pts: np.ndarray, m: int) -> np.ndarray:
-    """m points along the polyline pts, equally spaced in metric arc length."""
-    arc = np.concatenate([[0.0], np.cumsum(_segment_lengths(metric, pts[:-1], pts[1:]))])
-    targets = np.linspace(0.0, arc[-1], m)
-    return np.interp(targets, arc, pts.real) + 1j * np.interp(targets, arc, pts.imag)
+def _respaced(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
+    """The points of the polyline p moved along it to equal Simpson arc
+    length, again while that length falls by more than 0.1%: Simpson's rule
+    misjudges segments over which the density varies much, so one pass
+    leaves too few points where the density is large."""
+    length = math.inf
+    for _ in range(50):
+        arc = np.concatenate([[0.0], np.cumsum(_segment_lengths(metric, p))])
+        if not arc[-1] < (1.0 - 1e-3) * length:
+            break
+        length = arc[-1]
+        targets = np.linspace(0.0, length, p.size)
+        p = np.interp(targets, arc, p.real) + 1j * np.interp(targets, arc, p.imag)
+    return p
 
 
 def _energy(metric: MetricDensity, p: np.ndarray) -> float:
-    """Discrete energy sum lambda(midpoint)^2 |segment|^2 of the polyline p."""
-    return float(np.sum((eval_many(metric, 0.5 * (p[1:] + p[:-1])) * np.abs(np.diff(p))) ** 2))
+    """Discrete energy sum L_k^2 of the polyline p, L_k the Simpson lengths
+    of its segments, whose sum is the length returned."""
+    return float(np.sum(_segment_lengths(metric, p) ** 2))
 
 
 def _energy_gradient(metric: MetricDensity, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Gradient of _energy in the interior points, as d/dx + i d/dy; the
-    gradient of lambda^2 comes from central differences of step h."""
+    gradient of lambda at the points and midpoints (_with_midpoints) comes
+    from central differences of step h."""
+    q = _with_midpoints(p)
+    lam = eval_many(metric, np.stack([q, q + h, q - h, q + 1j * h, q - 1j * h]))
+    grad = ((lam[1] - lam[2]) + 1j * (lam[3] - lam[4])) / (2.0 * h)
     seg = np.diff(p)
-    mid = 0.5 * (p[1:] + p[:-1])
-    w = eval_many(metric, np.stack([mid, mid + h, mid - h, mid + 1j * h, mid - 1j * h])) ** 2
-    grad_w = ((w[1] - w[2]) + 1j * (w[3] - w[4])) / (2.0 * h)
-    pull = 2.0 * w[0] * seg  # from |segment|^2, with opposite signs at its two ends
-    push = 0.5 * np.abs(seg) ** 2 * grad_w  # from lambda(midpoint)^2, the same at both ends
-    return pull[:-1] - pull[1:] + push[:-1] + push[1:]
+    mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0  # L_k = mean_k |seg_k|
+    pull = 2.0 * mean ** 2 * seg  # from |seg_k|, with opposite signs at its two ends
+    push = np.abs(seg) ** 2 * mean / 3.0  # times the Simpson weights of grad lambda
+    at_start = push * (grad[:-2:2] + 2.0 * grad[1::2]) - pull
+    at_end = push * (grad[2::2] + 2.0 * grad[1::2]) + pull
+    return at_end[:-1] + at_start[1:]
 
 
 def _banded_hessian(metric: MetricDensity, p: np.ndarray, grad: np.ndarray, h: np.ndarray):
@@ -162,16 +113,27 @@ def _banded_hessian(metric: MetricDensity, p: np.ndarray, grad: np.ndarray, h: n
     return ab
 
 
-def _geodesic_length(metric: MetricDensity, pts: np.ndarray) -> float:
-    """Minimize _energy from pts by Levenberg-Marquardt damped Newton steps;
-    return the Simpson length of the minimizer."""
-    from scipy.linalg import solve_banded
+def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -> np.ndarray:
+    """Solve (H + damping |diag H|) step = -grad, H the banded Hessian ab;
+    GeodesicSolveFailed when the system is singular."""
+    from scipy.linalg import LinAlgError, solve_banded
 
+    damped = ab.copy()
+    damped[_BAND] += damping * np.abs(ab[_BAND])
+    try:
+        return solve_banded((_BAND, _BAND), damped, -grad.view(np.float64),
+                            check_finite=False).view(np.complex128)
+    except LinAlgError:  # points too close for the difference steps
+        raise GeodesicSolveFailed(f"singular energy Hessian in {label}") from None
+
+
+def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
+    """Minimize _energy from the polyline p, ends fixed, by Levenberg-Marquardt
+    damped Newton steps; return the Simpson length of the minimizer."""
     dom = metric.domain
-    p = _resample(metric, pts, 129)
     damping = 0.0
     for _ in range(100):
-        h = _DIFF_STEP * np.abs(np.diff(p))
+        h = _DIFF_STEP * np.abs(np.gradient(_with_midpoints(p)))
         with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
             grad = _energy_gradient(metric, p, h)
             ab = _banded_hessian(metric, p, grad, h)
@@ -179,10 +141,7 @@ def _geodesic_length(metric: MetricDensity, pts: np.ndarray) -> float:
             raise GeodesicSolveFailed(f"non-finite energy gradient in {dom.label()}")
         energy, spacing = _energy(metric, p), np.abs(p[2:] - p[:-2])
         for _ in range(40):
-            damped = ab.copy()
-            damped[_BAND] += damping * np.abs(ab[_BAND])
-            step = solve_banded((_BAND, _BAND), damped, -grad.view(np.float64),
-                                check_finite=False).view(np.complex128)
+            step = _newton_step(ab, grad, damping, dom.label())
             new = p.copy()
             new[1:-1] += step
             if (dom.contains(new).all() and dom.contains(0.5 * (new[1:] + new[:-1])).all()
@@ -191,8 +150,11 @@ def _geodesic_length(metric: MetricDensity, pts: np.ndarray) -> float:
             damping = max(1e-3, 10.0 * damping)
         else:
             raise GeodesicSolveFailed(f"geodesic solve cannot lower the energy in {dom.label()}")
-        if np.max(np.abs(step) / spacing) < _STEP_TOL:  # rounding may force damping here
-            return float(_segment_lengths(metric, new[:-1], new[1:]).sum())
+        # Rounding may force damping at the minimum; a step that damping made
+        # small shows convergence only when the full Newton step is small too.
+        if (np.max(np.abs(step) / spacing) < _STEP_TOL and np.max(
+                np.abs(_newton_step(ab, grad, 0.0, dom.label())) / spacing) < _FULL_STEP_TOL):
+            return float(_segment_lengths(metric, new).sum())
         p = new
         damping = 0.0 if damping <= 1e-3 else 0.1 * damping
     raise GeodesicSolveFailed(f"geodesic solve did not converge in {dom.label()}")
@@ -200,13 +162,14 @@ def _geodesic_length(metric: MetricDensity, pts: np.ndarray) -> float:
 
 def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
                     refine: bool = True) -> DistanceResult:
-    """Grid-graph estimate of the hyperbolic distance between z1 and z2.
+    """Discrete-geodesic estimate of the hyperbolic distance between z1 and z2.
 
-    grid_n is the grid resolution per axis (>= 100). Returns the discrete
-    geodesic's length, or with refine=False the raw graph length (an upper
-    bound up to the 8-neighbor bias); for the punctured disks and the annulus
-    the smaller of the two cut grids' values. GeodesicSolveFailed is raised
-    when the solve turns non-finite, cannot lower the energy or stalls.
+    grid_n is the number of path points (>= 100). Each straight seed (see
+    _seeds) is spaced evenly in metric length and relaxed onto a discrete
+    geodesic; the smaller Simpson length is returned, or with refine=False
+    that of the seeds themselves (an upper bound up to quadrature error).
+    GeodesicSolveFailed is raised when the solve turns non-finite or
+    singular, cannot lower the energy or stalls.
     """
     if grid_n < 100:
         raise BadParameter(f"grid_n must be >= 100, got {grid_n}")
@@ -218,11 +181,7 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
         return DistanceResult(0.0, DistanceMethod.GRID_ORACLE)
 
     metric = domain_metric(domain)
-    if domain.doubly_connected:
-        cut = 0.5 * (cmath.phase(z1) + cmath.phase(z2))  # between z1 and z2, one way round
-        grids = [_polar_nodes(domain, z1, z2, grid_n, c) for c in (cut, cut + math.pi)]
-    else:
-        grids = [_cartesian_nodes(domain, z1, z2, grid_n)]
-    paths = [_grid_path(metric, nodes, z1, z2) for nodes in grids]
-    lengths = [_geodesic_length(metric, pts) if refine else raw for raw, pts in paths]
-    return DistanceResult(min(lengths), DistanceMethod.GRID_ORACLE)
+    seeds = [_respaced(metric, seed) for seed in _seeds(domain, z1, z2, grid_n)]
+    lengths = [_geodesic_length(metric, p) if refine else _segment_lengths(metric, p).sum()
+               for p in seeds]
+    return DistanceResult(float(min(lengths)), DistanceMethod.GRID_ORACLE)

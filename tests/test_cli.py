@@ -119,6 +119,15 @@ def test_nonfinite_parameter_is_an_error(capsys, argv, exit_code):
     assert out == ""
 
 
+
+def test_oracle_failure_is_an_error(capsys):
+    # points 1e-13 apart: the oracle's difference steps round away
+    code, out, err = run(capsys, "distance", "--domain", "disk", "--z1", "0.3,0",
+                         "--z2", "0.3,1e-13", "--oracle-grid", "100")
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "decay-ratio")
     assert code == 0

@@ -1,9 +1,11 @@
 """Hyperbolic distances: closed forms, lifts, deck minimization, constants."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   covering_decay_ratio, dist_annulus,
@@ -120,16 +122,16 @@ def _wide_scan(value_at_k):
 def test_deck_minimum_matches_wide_scan():
     two_pi = 2.0 * math.pi
     for z1, z2 in _hard_pairs((1e-6, 0.05, 0.3, 0.9)):
-        w1, w2 = distances._lift(z1), distances._lift(z2)
+        dw, j, y1, y2 = distances._lifts(z1, z2)
         res = dist_punctured_disk(z1, z2)
-        want = _wide_scan(lambda k: distances._halfplane_value(w1, w2 + two_pi * k))
+        want = _wide_scan(lambda k: distances._halfplane_value(dw + two_pi * (j + k), y1, y2))
         assert (res.value, res.deck_index) == want, (z1, z2)
     r = 0.5
     s = math.log(1.0 / r)
     for z1, z2 in _hard_pairs((0.51, 0.7, 0.99)):
-        w1, w2 = distances._lift(z1), distances._lift(z2)
+        dw, j, y1, y2 = distances._lifts(z1, z2)
         res = dist_annulus(z1, z2, r)
-        want = _wide_scan(lambda k: distances._strip_value(w1, w2 + two_pi * k, s))
+        want = _wide_scan(lambda k: distances._strip_value(dw + two_pi * (j + k), y1, y2, s))
         assert (res.value, res.deck_index) == want, (z1, z2)
 
 
@@ -254,3 +256,38 @@ def test_short_distance_is_density_times_length(spec, u, v, phi):
 def test_nearly_coincident_points_keep_their_distance(call, expected):
     assert call().value == pytest.approx(expected, rel=1e-6)
 
+
+
+def _lifted_distance_mp(z1: complex, z2: complex, r=None):
+    """Punctured-disk (r None) or annulus distance of the exact float points
+    z1, z2, from their 50-digit lifts."""
+    with mp.workdps(50):
+        w1, w2 = mp.mpc(z1.real, z1.imag), mp.mpc(z2.real, z2.imag)
+        y1, y2 = -mp.log(abs(w1)), -mp.log(abs(w2))
+        values = []
+        for k in (-1, 0, 1):
+            x = mp.arg(w2) - mp.arg(w1) + 2 * mp.pi * k
+            if r is None:
+                q = (x ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+            else:
+                s = -mp.log(r)
+                q = 2 * (mp.sinh(mp.pi * x / (2 * s)) ** 2
+                         + mp.sin(mp.pi * (y1 - y2) / (2 * s)) ** 2) / (
+                    mp.sin(mp.pi * y1 / s) * mp.sin(mp.pi * y2 / s))
+            values.append(mp.asinh(mp.sqrt(q / 2)))
+        return min(values)
+
+
+@pytest.mark.parametrize("r,radius", [(None, 0.999), (0.5, 0.999), (0.5, 0.5005)],
+                         ids=["pdisk-0.999", "annulus-0.999", "annulus-0.5005"])
+def test_lift_distances_at_tiny_separations_match_mpmath(r, radius):
+    # each lift on its own rounds arg z by ~ulp(pi): off by up to 2.7e-4 here
+    worst = 0.0
+    for theta in (0.3, 2.0, -3.1, math.pi):
+        z1 = radius * cmath.exp(1j * theta)
+        for eps in (1e-8, 1e-10, 1e-11, 1e-12):
+            for direction in (1.0, 1j, cmath.exp(0.25j * math.pi), -1j):
+                z2 = z1 + eps * direction * cmath.exp(1j * theta)
+                got = (dist_punctured_disk(z1, z2) if r is None else dist_annulus(z1, z2, r)).value
+                worst = max(worst, float(abs(got / _lifted_distance_mp(z1, z2, r) - 1)))
+    assert worst <= 1e-12

@@ -1,4 +1,4 @@
-"""Grid oracle against the closed-form distances."""
+"""Geodesic oracle against the closed-form and lifted distances."""
 import math
 import os
 import subprocess
@@ -36,11 +36,11 @@ def test_coincident_points():
     assert geodesic_oracle(DomainModel.disk(), 0.2j, 0.2j).value == 0.0
 
 
-def test_raw_graph_value_upper_bounds_refined():
+def test_seed_length_upper_bounds_refined():
     dom = DomainModel.disk()
-    raw = geodesic_oracle(dom, 0.6, -0.5 + 0.3j, grid_n=220, refine=False).value
+    seed = geodesic_oracle(dom, 0.6, -0.5 + 0.3j, grid_n=220, refine=False).value
     refined = geodesic_oracle(dom, 0.6, -0.5 + 0.3j, grid_n=220).value
-    assert raw >= refined - 1e-9
+    assert seed >= refined - 1e-9
 
 
 @pytest.mark.parametrize("dom,z1,z2,exact", [
@@ -67,8 +67,9 @@ def test_oracle_validates_input():
         geodesic_oracle(DomainModel.disk(), 0.0, 1.5)
 
 
-# Near-antipodal pairs whose Dijkstra path on a periodic polar grid went the
-# long way round the puncture (errors 0.098, 0.118 and 0.024 there).
+# Near-antipodal pairs, where the two ways round the puncture are nearly
+# equally long (a graph path on a periodic polar grid once took the longer
+# one, with errors 0.098, 0.118 and 0.024).
 @pytest.mark.parametrize("dom,points,i,j", [
     (DomainModel.annulus(0.5), sample_annular(669, 16, 0.56, 0.94), 3, 11),
     (DomainModel.annulus(0.5), sample_annular(752, 16, 0.56, 0.94), 5, 13),
@@ -107,8 +108,8 @@ def test_oracle_matches_lifts_on_every_kind(spec):
     assert worst <= 1e-3
 
 
-# Far apart, or near the edge or the puncture, where the Dijkstra path is a
-# rough start and full Newton steps overshoot.
+# Far apart, or near the edge or the puncture, where the straight seed is far
+# from the geodesic and full Newton steps overshoot.
 @pytest.mark.parametrize("spec,z1,z2", [
     ("halfplane", 1j, 1000 + 1j),
     ("disk", 0.999, -0.999j),
@@ -119,6 +120,41 @@ def test_oracle_on_hard_pairs(spec, z1, z2):
     dom = parse_domain(spec)
     value = geodesic_oracle(dom, z1, z2, 100).value
     assert abs(value - domain_distance(dom, z1, z2).value) <= 1e-3
+
+
+# Near the edge, and at height ratios up to e^16 across up to 1e3: energies
+# weighting each segment by lambda(midpoint) alone settled here on long
+# chords that skip the large density, and returned lengths wrong by orders
+# of magnitude.
+_NEAR_EDGE = [("disk", 0.99999, -0.99999), ("strip:1", 1e-6j, 5 + 0.5j),
+              ("strip:1", 1e-4j, 30 + 1e-4j), ("halfplane", 1e-6j, 1000j)] + [
+    ("halfplane", 1j, complex(x, math.exp(t)))
+    for x in (-1e3, -10.0, 0.0, 10.0, 1e3) for t in np.linspace(-8.0, 8.0, 13)
+    if complex(x, math.exp(t)) != 1j]
+
+
+@pytest.mark.parametrize("spec,z1,z2", _NEAR_EDGE)
+def test_oracle_near_the_edge(spec, z1, z2):
+    dom = parse_domain(spec)
+    value = geodesic_oracle(dom, z1, z2, 220).value
+    assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
+
+
+# A right value or a typed error: points 1e-13 apart, where the difference
+# steps round away, and scale ranges the path cannot resolve, where the solve
+# stalls under heavy damping (which must not pass for convergence).
+@pytest.mark.parametrize("spec,z1,z2,m", [
+    (spec, z, z + 1e-13j, 100) for spec, z in [
+        ("disk", 0.3), ("halfplane", 1j), ("pdisk", 0.3), ("pdiskR:2", 1.2),
+        ("annulus:0.5", 0.7), ("strip:1", 0.5j)]] + [
+    ("halfplane", 1e-9j, 1e6 + 1j, 100), ("halfplane", 1e-12j, 1e12 + 1j, 220)])
+def test_oracle_gives_a_value_or_a_typed_error(spec, z1, z2, m):
+    dom = parse_domain(spec)
+    try:
+        value = geodesic_oracle(dom, z1, z2, m).value
+    except GeodesicSolveFailed:
+        return
+    assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
 
 
 def test_geodesic_solve_failures_are_typed():
@@ -132,12 +168,18 @@ def test_geodesic_solve_failures_are_typed():
         oracle._geodesic_length(MetricDensity(nowhere, disk_metric().eval, "disk"), path)
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package,code", [
+    ("scipy", "import hypmetrics"),
+    # the oracle needs scipy.linalg alone
+    ("scipy.sparse", "import hypmetrics; "
+                     "hypmetrics.geodesic_oracle(hypmetrics.DomainModel.disk(), 0.1, 0.5j, 100)"),
+], ids=["import", "oracle-call"])
+def test_import_loads_no_scipy(package, code):
     src = str(Path(hypmetrics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, hypmetrics; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", f"import sys; {code}; "
+         f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
