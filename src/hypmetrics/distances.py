@@ -10,6 +10,10 @@ Closed forms:
     half-plane  d(w1,w2) = (1/2) arccosh(1 + |w1-w2|^2/(2 Im w1 Im w2))
 
 arccosh(1 + q) is evaluated as 2 asinh(sqrt(q/2)), exact for small q.
+sqrt(q/2) is formed without squares, so that it neither overflows nor
+underflows: |w1-w2| / (2 sqrt(Im w1) sqrt(Im w2)) in the half-plane, and
+|z1-z2| / sqrt((1-|z1|^2)(1-|z2|^2)) in the disk, where rho would round to
+1 near the edge.
 
 The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
@@ -62,14 +66,15 @@ def dist_disk(z1, z2) -> DistanceResult:
     z1, z2 = complex(z1), complex(z2)
     if not (_DISK.contains(z1) and _DISK.contains(z2)):
         raise OutsideDomain(f"disk distance needs |z| < 1, got {z1}, {z2}")
-    rho = abs((z1 - z2) / (1.0 - z1.conjugate() * z2))
-    return DistanceResult(HALF * 2.0 * math.atanh(rho), DistanceMethod.CLOSED_FORM)
+    r1, r2 = abs(z1), abs(z2)
+    scale = math.sqrt((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
+    return DistanceResult(HALF * 2.0 * math.asinh(abs(z1 - z2) / scale),
+                          DistanceMethod.CLOSED_FORM)
 
 
 def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
     """Distance between half-plane points at heights y1, y2 that differ by dw."""
-    q = abs(dw) ** 2 / (2.0 * y1 * y2)
-    return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
+    return HALF * 2.0 * math.asinh(abs(dw) / (2.0 * math.sqrt(y1) * math.sqrt(y2)))
 
 
 def dist_halfplane(w1, w2) -> DistanceResult:

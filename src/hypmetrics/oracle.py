@@ -9,6 +9,11 @@ Simpson length of the result is returned; of the two seeds round a
 puncture, the shorter wins. Simpson weights make a segment pay for the
 density at its ends as well as at its midpoint, so no long chord can skip
 a region where the density is large.
+
+Each Newton iteration makes one density call, on a 9-point stencil round
+every point and midpoint of the path. It gives the energy, its gradient and
+its Hessian. The Hessian is exact up to that stencil: L_k depends on the two
+ends of segment k alone, so it is a sum of one 4x4 block per segment, banded.
 """
 import cmath
 import math
@@ -21,7 +26,9 @@ from .errors import BadParameter, GeodesicSolveFailed, OutsideDomain
 from .metrics import MetricDensity, eval_many
 from .specparse import domain_metric
 
-_BAND = 3  # a gradient component depends on the unknowns at most 3 away
+_BAND = 3  # a segment's 4x4 Hessian block couples unknowns at most 3 apart
+# Centre, +-h, +-ih and the diagonals: lambda's gradient and Hessian in one call.
+_STENCIL = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 # Difference and stopping steps, relative to the point spacing (which shrinks
 # near the boundary). Gradient rounding moves points by ~1e-9 of the spacing;
 # at a minimum the undamped Newton step stays below ~3e-2 of it (1e-9 from
@@ -79,38 +86,55 @@ def _energy(metric: MetricDensity, p: np.ndarray) -> float:
     return float(np.sum(_segment_lengths(metric, p) ** 2))
 
 
-def _energy_gradient(metric: MetricDensity, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gradient of _energy in the interior points, as d/dx + i d/dy; the
-    gradient of lambda at the points and midpoints (_with_midpoints) comes
-    from central differences of step h."""
-    q = _with_midpoints(p)
-    lam = eval_many(metric, np.stack([q, q + h, q - h, q + 1j * h, q - 1j * h]))
-    grad = ((lam[1] - lam[2]) + 1j * (lam[3] - lam[4])) / (2.0 * h)
+def _energy_derivatives(metric: MetricDensity, p: np.ndarray, h: np.ndarray):
+    """_energy at p, its gradient in the interior points as d/dx + i d/dy, and
+    its exact Hessian in solve_banded's storage, unknowns in (Re, Im) order.
+
+    L_k = M_k s_k, M_k = (lambda_a + 4 lambda_c + lambda_b) / 6 and s_k = |b - a|,
+    depends on the two ends a, b of segment k (c its midpoint) alone, so
+    Hess(L_k^2) = 2 grad L grad L^T + 2 L Hess L is one 4x4 block, with
+    Hess L = s Hess M + grad M grad s^T + grad s grad M^T + M Hess s. The
+    gradient and Hessian of lambda at the points and midpoints (_with_midpoints)
+    come from one 9-point stencil of step h.
+    """
+    lam = eval_many(metric, _with_midpoints(p) + h * _STENCIL[:, None])
+    h2 = h ** 2
+    g = np.stack([lam[1] - lam[2], lam[3] - lam[4]], axis=-1) / (2.0 * h[:, None])
+    hxx = (lam[1] - 2.0 * lam[0] + lam[2]) / h2
+    hyy = (lam[3] - 2.0 * lam[0] + lam[4]) / h2
+    hxy = (lam[5] - lam[6] - lam[7] + lam[8]) / (4.0 * h2)
+    hess = np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2)
+
+    # Per segment, with the four coordinates of (a, b) as the last axes.
+    n_seg = p.size - 1
+    mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0
     seg = np.diff(p)
-    mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0  # L_k = mean_k |seg_k|
-    pull = 2.0 * mean ** 2 * seg  # from |seg_k|, with opposite signs at its two ends
-    push = np.abs(seg) ** 2 * mean / 3.0  # times the Simpson weights of grad lambda
-    at_start = push * (grad[:-2:2] + 2.0 * grad[1::2]) - pull
-    at_end = push * (grad[2::2] + 2.0 * grad[1::2]) + pull
-    return at_end[:-1] + at_start[1:]
+    s = np.abs(seg)
+    u = np.stack([seg.real, seg.imag], axis=-1) / s[:, None]
+    g_a, g_c, g_b = g[:-2:2], g[1::2], g[2::2]
+    d_mean = np.concatenate([g_a + 2.0 * g_c, g_b + 2.0 * g_c], axis=1) / 6.0
+    d_s = np.concatenate([-u, u], axis=1)
+    h_a, h_c, h_b = hess[:-2:2], hess[1::2], hess[2::2]
+    h_mean = np.block([[h_a + h_c, h_c], [h_c, h_b + h_c]]) / 6.0
+    proj = np.eye(2) - u[:, :, None] * u[:, None, :]
+    h_s = np.block([[proj, -proj], [-proj, proj]]) / s[:, None, None]
+    length = mean * s
+    d_len = s[:, None] * d_mean + mean[:, None] * d_s
+    cross = d_mean[:, :, None] * d_s[:, None, :]
+    h_len = (s[:, None, None] * h_mean + cross + cross.transpose(0, 2, 1)
+             + mean[:, None, None] * h_s)
+    blocks = 2.0 * (d_len[:, :, None] * d_len[:, None, :] + length[:, None, None] * h_len)
 
-
-def _banded_hessian(metric: MetricDensity, p: np.ndarray, grad: np.ndarray, h: np.ndarray):
-    """Hessian of _energy in solve_banded's storage, unknowns in (Re, Im) order.
-    Unknowns 7 apart touch disjoint rows: one gradient gives 1 column in 7."""
-    width = 2 * _BAND + 1
-    n = 2 * (p.size - 2)
-    rows = np.arange(n)
-    delta = _DIFF_STEP * np.repeat(np.abs(p[2:] - p[:-2]), 2)
-    ab = np.zeros((width, n))
-    for first in range(width):
-        shifted = p.copy()
-        shifted[1:-1].view(np.float64)[first::width] += delta[first::width]
-        dg = (_energy_gradient(metric, shifted, h) - grad).view(np.float64)
-        cols = rows - _BAND + (first - rows + _BAND) % width  # the one within reach of each row
-        ok = (cols >= 0) & (cols < n)
-        ab[_BAND + rows[ok] - cols[ok], cols[ok]] = dg[ok] / delta[cols[ok]]
-    return ab
+    d_energy = (2.0 * length[:, None] * d_len).view(np.complex128)  # d/da, d/db per segment
+    grad = d_energy[:-1, 1] + d_energy[1:, 0]
+    # Segment k's block sits on unknowns 2k - 2 .. 2k + 1. The columns of ab
+    # start 2 early and are trimmed on return: the fixed ends' entries land in
+    # the trimmed columns or in band corners that solve_banded never reads.
+    ab = np.zeros((2 * _BAND + 1, 2 * n_seg + 2))
+    for i in range(4):
+        for j in range(4):
+            ab[_BAND + i - j, j:j + 2 * n_seg:2] += blocks[:, i, j]
+    return float(np.sum(length ** 2)), grad, ab[:, 2:-2]
 
 
 def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -> np.ndarray:
@@ -123,7 +147,7 @@ def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -
     try:
         return solve_banded((_BAND, _BAND), damped, -grad.view(np.float64),
                             check_finite=False).view(np.complex128)
-    except LinAlgError:  # points too close for the difference steps
+    except LinAlgError:  # e.g. a path that no longer spans its ends
         raise GeodesicSolveFailed(f"singular energy Hessian in {label}") from None
 
 
@@ -135,11 +159,10 @@ def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
     for _ in range(100):
         h = _DIFF_STEP * np.abs(np.gradient(_with_midpoints(p)))
         with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
-            grad = _energy_gradient(metric, p, h)
-            ab = _banded_hessian(metric, p, grad, h)
+            energy, grad, ab = _energy_derivatives(metric, p, h)
         if not (np.isfinite(grad).all() and np.isfinite(ab).all()):
             raise GeodesicSolveFailed(f"non-finite energy gradient in {dom.label()}")
-        energy, spacing = _energy(metric, p), np.abs(p[2:] - p[:-2])
+        spacing = np.abs(p[2:] - p[:-2])
         for _ in range(40):
             step = _newton_step(ab, grad, damping, dom.label())
             new = p.copy()

@@ -121,12 +121,33 @@ def test_nonfinite_parameter_is_an_error(capsys, argv, exit_code):
 
 
 def test_oracle_failure_is_an_error(capsys):
-    # points 1e-13 apart: the oracle's difference steps round away
-    code, out, err = run(capsys, "distance", "--domain", "disk", "--z1", "0.3,0",
-                         "--z2", "0.3,1e-13", "--oracle-grid", "100")
+    # heights 1e-9 and 1 across 1e6: the solve stalls under heavy damping
+    code, out, err = run(capsys, "distance", "--domain", "halfplane", "--z1", "0,1e-9",
+                         "--z2", "1e6,1", "--oracle-grid", "100")
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_oracle_on_nearly_coincident_points(capsys):
+    code, out, err = run(capsys, "distance", "--domain", "disk", "--z1", "0.3,0",
+                         "--z2", "0.3,1e-13", "--oracle-grid", "100")
+    assert code == 0 and err == ""
+    (_, exact, method, _), (_, oracle, _, _) = (row.split(",") for row in out.splitlines())
+    assert method == "closed_form"
+    assert float(oracle) == pytest.approx(float(exact), rel=1e-14)
+
+
+@pytest.mark.parametrize("domain,z1,z2,expected", [
+    ("disk", "0.999999999999,0", "0,0.999999999999", 27.97761682817283),
+    ("halfplane", "0,1e-300", "0,1e300", 300.0 * math.log(10.0)),
+], ids=["disk-edge", "halfplane-heights"])
+def test_extreme_closed_form_distances(capsys, domain, z1, z2, expected):
+    # rho rounds to 1 this near the edge, and |dw|^2 overflows at these heights
+    code, out, err = run(capsys, "distance", "--domain", domain, "--z1", z1, "--z2", z2)
+    assert code == 0 and err == ""
+    assert float(out.split(",")[1]) == pytest.approx(expected, rel=1e-14)
+
 
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "decay-ratio")

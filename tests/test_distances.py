@@ -44,6 +44,25 @@ def test_halfplane_values():
                                                              rel=1e-14)
 
 
+@pytest.mark.parametrize("z1,z2", [
+    (1 - 1e-9, -(1 - 1e-9) * 1j), (0.999999999999, 0.999999999999j),
+    (0.3 + 0.2j, -0.5j), (0.9, 0.0), (0.5, 0.5 + 1e-12j)])
+def test_disk_distance_matches_mpmath(z1, z2):
+    # near the edge rho = |(z1 - z2)/(1 - conj(z1) z2)| rounds to 1
+    w1, w2 = mp.mpc(complex(z1)), mp.mpc(complex(z2))
+    with mp.workdps(50):
+        exact = float(mp.atanh(abs((w1 - w2) / (1 - mp.conj(w1) * w2))))
+    assert dist_disk(z1, z2).value == pytest.approx(exact, rel=1e-15)
+
+
+def test_halfplane_extreme_heights():
+    # squaring |dw| or multiplying the heights would overflow or underflow
+    assert dist_halfplane(1e-300j, 1e300j).value == pytest.approx(300.0 * math.log(10.0),
+                                                                  rel=1e-14)
+    assert dist_halfplane(1e-300j, 2e-300j).value == pytest.approx(0.5 * math.log(2.0),
+                                                                   rel=1e-14)
+
+
 def test_punctured_disk_same_ray():
     # (1/2) |log(log|z| / log|q|)| for points on one ray
     res = dist_punctured_disk(0.01, 0.1)

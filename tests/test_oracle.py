@@ -18,7 +18,7 @@ from hypmetrics.errors import BadParameter, GeodesicSolveFailed, OutsideDomain
 from hypmetrics.metrics import MetricDensity, disk_metric
 from hypmetrics.oracle import geodesic_oracle
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
-from hypmetrics.specparse import domain_distance, parse_domain
+from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
 
 
 def test_disk_example_point():
@@ -140,9 +140,9 @@ def test_oracle_near_the_edge(spec, z1, z2):
     assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
 
 
-# A right value or a typed error: points 1e-13 apart, where the difference
-# steps round away, and scale ranges the path cannot resolve, where the solve
-# stalls under heavy damping (which must not pass for convergence).
+# A right value or a typed error: points 1e-13 apart (the half-plane and
+# strip solves stall there), and scale ranges the path cannot resolve, where
+# the solve stalls under heavy damping (which must not pass for convergence).
 @pytest.mark.parametrize("spec,z1,z2,m", [
     (spec, z, z + 1e-13j, 100) for spec, z in [
         ("disk", 0.3), ("halfplane", 1j), ("pdisk", 0.3), ("pdiskR:2", 1.2),
@@ -155,6 +155,60 @@ def test_oracle_gives_a_value_or_a_typed_error(spec, z1, z2, m):
     except GeodesicSolveFailed:
         return
     assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
+
+
+# Points 1e-13 apart: the segment-length part of the exact Hessian does not
+# difference anything, so the solve keeps the closed-form value.
+@pytest.mark.parametrize("spec,z", [("disk", 0.3), ("pdisk", 0.3), ("pdiskR:2", 1.2),
+                                    ("annulus:0.5", 0.7)])
+def test_nearly_coincident_points_give_the_closed_form(spec, z):
+    dom = parse_domain(spec)
+    value = geodesic_oracle(dom, z, z + 1e-13j, 100).value
+    assert value == pytest.approx(domain_distance(dom, z, z + 1e-13j).value, rel=1e-14)
+
+
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """The matrix that solve_banded reads from the band storage ab."""
+    n = ab.shape[1]
+    rows, cols = np.indices(ab.shape)
+    i = rows - oracle._BAND + cols
+    ok = (i >= 0) & (i < n)
+    dense = np.zeros((n, n))
+    dense[i[ok], cols[ok]] = ab[ok]
+    return dense
+
+
+@pytest.mark.parametrize("spec,z1,z2", [
+    ("disk", 0.6, -0.5 + 0.3j), ("pdisk", 0.3, 0.5j), ("pdiskR:2", 1.2, -0.4j),
+    ("annulus:0.5", 0.7, 0.8j), ("halfplane", 1j, 2 + 0.5j), ("strip:1", 0.2j, 2 + 0.7j)])
+def test_energy_derivatives_match_differences(spec, z1, z2):
+    # On a seed pushed off the geodesic: the closed-form Hessian against a
+    # central-difference Jacobian of its own gradient (h held fixed), and the
+    # gradient against central differences of _energy.
+    dom = parse_domain(spec)
+    metric = domain_metric(dom)
+    p = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 40)[0])
+    spacing = np.abs(np.gradient(p))
+    p[1:-1] += 0.05 * spacing[1:-1] * np.exp(2j * np.pi * rng_for(3).random(p.size - 2))
+    h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
+    energy, grad, ab = oracle._energy_derivatives(metric, p, h)
+    hess = _dense(ab)
+    assert energy == oracle._energy(metric, p)
+
+    delta = np.repeat(1e-3 * spacing[1:-1], 2)
+    jac, grad_fd = np.zeros_like(hess), np.zeros(hess.shape[0])
+    for col, step in enumerate(delta):
+        up, down = p.copy(), p.copy()
+        up[1:-1].view(np.float64)[col] += step
+        down[1:-1].view(np.float64)[col] -= step
+        dgrad = (oracle._energy_derivatives(metric, up, h)[1]
+                 - oracle._energy_derivatives(metric, down, h)[1])
+        jac[:, col] = dgrad.view(np.float64) / (2 * step)
+        grad_fd[col] = (oracle._energy(metric, up) - oracle._energy(metric, down)) / (2 * step)
+    scale = np.abs(hess).max()
+    assert np.abs(hess - jac).max() <= 1e-4 * scale
+    assert np.abs(hess - hess.T).max() <= 1e-12 * scale
+    assert np.abs(grad.view(np.float64) - grad_fd).max() <= 1e-5 * np.abs(grad).max()
 
 
 def test_geodesic_solve_failures_are_typed():
