@@ -1,9 +1,10 @@
 """`hypmetrics verify` output, byte for byte, against the golden copies in
-tests/golden/ (CSV, seeds 42 and 7, all 13 suites).
+tests/golden/ (CSV and JSON, seeds 42 and 7, all 13 suites).
 
-A change to any printed digit must regenerate the affected file and name the
-changed values; the `phi` suite exits 1 because its documented-target checks
-are red by design.
+The JSON copies also pin the check notes that the CSV drops. A change to any
+printed digit must regenerate the affected files and name the changed
+values; the `phi` suite exits 1 because its documented-target checks are red
+by design.
 """
 from pathlib import Path
 
@@ -17,11 +18,21 @@ SUITES = ["curvature", "ahlfors", "beardon-minda", "harnack", "harnack-conical",
           "annulus-sharpness:0.5"]
 
 
+def _check_golden(capsys, suite: str, seed: int, output: str) -> None:
+    code = main(["verify", suite, "--seed", str(seed), "--output", output])
+    out = capsys.readouterr().out
+    golden = GOLDEN / f"{suite.replace(':', '-')}.seed{seed}.{output}"
+    assert out == golden.read_text()
+    assert code == (1 if suite == "phi" else 0)
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("suite", SUITES)
 def test_verify_matches_golden(capsys, suite, seed):
-    code = main(["verify", suite, "--seed", str(seed)])
-    out = capsys.readouterr().out
-    golden = GOLDEN / f"{suite.replace(':', '-')}.seed{seed}.csv"
-    assert out == golden.read_text()
-    assert code == (1 if suite == "phi" else 0)
+    _check_golden(capsys, suite, seed, "csv")
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_json_matches_golden(capsys, suite, seed):
+    _check_golden(capsys, suite, seed, "json")
