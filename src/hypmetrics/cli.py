@@ -63,6 +63,12 @@ def _cmd_density(args) -> int:
         z = _parse_complex(args.z)
         rows = [(z.real, z.imag, density_at(metric, z), log_density_at(metric, z))]
     else:  # grid points off the domain are skipped
+        if args.grid_n < 1:
+            raise ParseError(f"--grid-n must be at least 1, got {args.grid_n}")
+        if not 0.0 < args.rmin < args.rmax:
+            raise ParseError(f"need 0 < --rmin < --rmax, got {args.rmin} and {args.rmax}")
+        if not args.half_width > 0.0:
+            raise ParseError(f"--half-width must be positive, got {args.half_width}")
         if args.grid == "polar":
             pts = polar_grid(args.grid_n, args.rmin, args.rmax)
         else:
@@ -175,6 +181,8 @@ def _cmd_rigidity(args) -> int:
     metric = parse_metric(args.metric)
     reference = parse_metric(args.reference)
     q = _parse_complex(args.q)
+    if args.kmin > args.kmax:
+        raise ParseError(f"need --kmin <= --kmax, got {args.kmin} and {args.kmax}")
     rows = ["re,im,ratio,distance"]
     for k in range(args.kmin, args.kmax + 1):
         z = complex(10.0 ** (-k), 0.0)
@@ -195,15 +203,8 @@ def _cmd_liouville(args) -> int:
                  for tup in zip(profile.t_grid, profile.w_values, lam, E)]
         _emit("\n".join(rows))
         return 0
-    # classify
-    kwargs = {}
-    if args.family in ("pdiskR",):
-        kwargs["R"] = args.R
-    if args.family in ("conical", "conical-scaled"):
-        kwargs["alpha"] = args.alpha
-    if args.family == "conical-scaled":
-        kwargs["c"] = args.c
-    profile = closed_form_family(args.family, **kwargs)
+    # classify; each family reads only its own parameters
+    profile = closed_form_family(args.family, R=args.R, alpha=args.alpha, c=args.c)
     prof = classify_singularity(profile)
     out = {"family": profile.derivation, "kind": prof.kind,
            "remainder_bound": prof.remainder_bound}

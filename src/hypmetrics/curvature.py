@@ -37,7 +37,7 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     defined only where the density is positive), and with
     StencilOutsideDomain when no admissible stencil fits.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise StencilOutsideDomain(f"stencil size must be positive, got h={h}")
     point = np.ndim(z) == 0
     # numpy scalars round powers differently from arrays, so a point goes

@@ -42,6 +42,7 @@ from .domains import DomainModel
 from .errors import OutsideDomain
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
+SWEEP_N = 720  # angles of the circle sweeps here and in inequalities, before refinement
 
 _DISK = DomainModel.disk()
 _PUNCTURED_DISK = DomainModel.punctured_disk()
@@ -200,17 +201,17 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]
     return x, f(x)
 
 
-def comparability_constants(q, R: float = 1.0, n_sweep: int = 720) -> tuple[float, float, float]:
+def comparability_constants(q) -> tuple[float, float, float]:
     """Comparability constants (c1, c2, gamma) for the punctured disk.
 
     gamma is the maximum over |w| = |q| of the punctured-disk distance from w
     to q, found by a dense circle sweep refined with golden-section search;
     then c1 = |log|q|| e^(-2 gamma) and c2 = |log|q|| + pi. These sandwich
-    log(1/|z|) e^(-2 d(z,q)) between c1 and c2 for all 0 < |z| <= R.
+    log(1/|z|) e^(-2 d(z,q)) between c1 and c2 for all 0 < |z| < 1.
     """
     q = complex(q)
-    if not 0.0 < abs(q) < R <= 1.0:
-        raise OutsideDomain(f"comparability constants need 0 < |q| < R <= 1, got q={q}, R={R}")
+    if not 0.0 < abs(q) < 1.0:
+        raise OutsideDomain(f"comparability constants need 0 < |q| < 1, got q={q}")
     aq = abs(q)
     base = math.atan2(q.imag, q.real)
 
@@ -218,10 +219,10 @@ def comparability_constants(q, R: float = 1.0, n_sweep: int = 720) -> tuple[floa
         w = aq * complex(math.cos(base + theta), math.sin(base + theta))
         return dist_punctured_disk(w, q).value
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_sweep, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_N, endpoint=False)
     vals = [d_at(t) for t in thetas]
     i = int(np.argmax(vals))
-    width = 2.0 * math.pi / n_sweep
+    width = 2.0 * math.pi / SWEEP_N
     _, gamma = _golden_max(d_at, thetas[i] - width, thetas[i] + width)
     gamma = max(gamma, vals[i])
     logq = abs(math.log(aq))

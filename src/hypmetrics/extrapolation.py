@@ -14,7 +14,7 @@ extrapolate() picks between the two from the observed difference ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ import numpy as np
 def aitken(values: Sequence[float]) -> float:
     """Aitken delta-squared acceleration using the last three values."""
     v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        return float(v[-1])
     v0, v1, v2 = v[-3], v[-2], v[-1]
     denom = v2 - 2.0 * v1 + v0
     if denom == 0.0:
@@ -42,14 +40,10 @@ def neville(xs: Sequence[float], ys: Sequence[float], x0: float = 0.0) -> float:
     return t[0]
 
 
-def diffs_shrinking(values: Sequence[float], factor: float = 1.0) -> bool:
-    """True when the last consecutive differences shrink by >= factor."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        return False
-    d = np.abs(np.diff(v))
-    tail = d[-3:] if d.size >= 3 else d
-    return bool(np.all(tail[1:] * factor <= tail[:-1] + 1e-300))
+def diffs_shrinking(values: Sequence[float]) -> bool:
+    """True when the last three consecutive differences do not grow."""
+    tail = np.abs(np.diff(np.asarray(values, dtype=float)))[-3:]
+    return bool(np.all(tail[1:] <= tail[:-1] + 1e-300))
 
 
 @dataclass(frozen=True)
@@ -60,12 +54,11 @@ class LimitEstimate:
     raw_last: float
 
 
-def extrapolate(values: Sequence[float],
-                xs: Optional[Sequence[float]] = None) -> LimitEstimate:
+def extrapolate(values: Sequence[float], xs: Sequence[float]) -> LimitEstimate:
     """Estimate the limit of a sample sequence.
 
-    xs, when given, is the natural small variable of each sample (tending to
-    0), used for Richardson extrapolation when the differences do not shrink
+    xs is the natural small variable of each sample (tending to 0), used for
+    Richardson extrapolation when the differences do not shrink
     geometrically.
     """
     v = np.asarray(values, dtype=float)
@@ -76,12 +69,8 @@ def extrapolate(values: Sequence[float],
         return LimitEstimate(float(finite[-1]), "last", False, float(finite[-1]))
     trend = diffs_shrinking(finite)
     d = np.abs(np.diff(finite))
-    geometric = d.size >= 2 and d[-2] > 0 and (d[-1] / d[-2]) <= 0.55
+    geometric = d[-2] > 0 and (d[-1] / d[-2]) <= 0.55
     if geometric:
         return LimitEstimate(aitken(finite), "aitken", trend, float(finite[-1]))
-    if xs is not None:
-        x = np.asarray(xs, dtype=float)[np.isfinite(v)]
-        k = min(3, finite.size)
-        value = neville(x[-k:], finite[-k:])
-        return LimitEstimate(value, "richardson", trend, float(finite[-1]))
-    return LimitEstimate(float(finite[-1]), "last", trend, float(finite[-1]))
+    x = np.asarray(xs, dtype=float)[np.isfinite(v)]
+    return LimitEstimate(neville(x[-3:], finite[-3:]), "richardson", trend, float(finite[-1]))

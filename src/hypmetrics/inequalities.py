@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import laplacian
-from .distances import _golden_max
+from .distances import SWEEP_N, _golden_max
 from .errors import BadParameter, NonpositiveDensity, OutsideDomain
 from .metrics import MetricDensity, conical_metric, eval_many, punctured_disk_metric
 from .reports import Check, VerificationReport
@@ -87,13 +87,13 @@ class HarnackBoundSpec:
 
 
 def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
-                       r: float, n_sweep: int = 720) -> float:
+                       r: float) -> float:
     """max over |xi| = r of lambda(xi)/lambda_ref(xi).
 
     Dense circle sampling refined by golden-section search; ties broken by
     the smallest argument (first maximizer in sweep order).
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_sweep, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_N, endpoint=False)
     xi = r * np.exp(1j * thetas)
     ratios = eval_many(metric, xi) / eval_many(reference, xi)
     i = int(np.argmax(ratios))
@@ -102,7 +102,7 @@ def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
         w = r * complex(math.cos(theta), math.sin(theta))
         return float(metric.eval(w) / reference.eval(w))
 
-    width = 2.0 * math.pi / n_sweep
+    width = 2.0 * math.pi / SWEEP_N
     _, refined = _golden_max(ratio_at, thetas[i] - width, thetas[i] + width)
     return max(float(ratios[i]), refined)
 
@@ -176,7 +176,7 @@ def aux_v(z) -> float:
 
 # --- radial solution space ------------------------------------------------
 
-def radial_solution_space_check(h: float = 1e-4, n_radii: int = 100) -> VerificationReport:
+def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
     """Verify the radial solution space of Dv = 8 lambda_pdisk^2 v.
 
     Both 1/log(1/|z|) and (log(1/|z|))^2 must satisfy the PDE up to the
@@ -188,7 +188,7 @@ def radial_solution_space_check(h: float = 1e-4, n_radii: int = 100) -> Verifica
     if h <= 0.0:
         raise BadParameter(f"stencil size must be positive, got {h}")
     pd = punctured_disk_metric()
-    radii = np.geomspace(0.25, 0.8, n_radii)
+    radii = np.geomspace(0.25, 0.8, 100)
 
     def residual(f, z: np.ndarray, step: float) -> np.ndarray:
         lam = pd.eval(z)

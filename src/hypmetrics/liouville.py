@@ -22,7 +22,7 @@ w(t) - (1-alpha) t stays bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ OVERFLOW_GUARD = 300.0
 LOGARITHMIC = "logarithmic"
 CONICAL = "conical"
 UNCLASSIFIED = "unclassified"
+TV_TOL = 1e-3  # total variation below which a remainder counts as constant
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class RadialProfile:
     w_func: Optional[Callable] = None
     dw_func: Optional[Callable] = None
     ddw_func: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
     def lambda_values(self) -> np.ndarray:
         """Density lambda = e^(w - t) on the grid."""
@@ -60,20 +60,16 @@ class RadialProfile:
             raise BadParameter("profile carries no derivative values")
         return self.dw_values ** 2 - 4.0 * np.exp(2.0 * self.w_values)
 
-    def ode_residual(self, h: float = 1e-4) -> np.ndarray:
+    def ode_residual(self) -> np.ndarray:
         """|w'' - 4 e^(2w)| on the grid.
 
         Closed-form profiles carry the exact second derivative, so the
-        residual is a floating-point identity; otherwise w'' comes from
-        central differences (step h for exact w, grid spacing for sampled w).
+        residual is a floating-point identity; for integrated profiles w''
+        comes from central differences on the grid.
         """
         if self.ddw_func is not None:
             return np.abs(self.ddw_func(self.t_grid)
                           - 4.0 * np.exp(2.0 * self.w_values))
-        if self.w_func is not None:
-            t = self.t_grid
-            wpp = (self.w_func(t + h) - 2.0 * self.w_func(t) + self.w_func(t - h)) / h ** 2
-            return np.abs(wpp - 4.0 * np.exp(2.0 * self.w_func(t)))
         t, w = self.t_grid, self.w_values
         wpp = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / np.diff(t)[:-1] ** 2
         return np.abs(wpp - 4.0 * np.exp(2.0 * w[1:-1]))
@@ -141,8 +137,7 @@ def integrate_radial(w0: float, dw0: float, t0: float, t1: float, steps: int,
     dw_arr = np.asarray(dws)
     if t[0] > t[-1]:  # keep t_grid strictly increasing
         t, w_arr, dw_arr = t[::-1], w_arr[::-1], dw_arr[::-1]
-    return RadialProfile(t, w_arr, "integrated", dw_arr,
-                         params={"w0": w0, "dw0": dw0, "t0": t0, "t1": t1, "steps": steps})
+    return RadialProfile(t, w_arr, "integrated", dw_arr)
 
 
 def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float = 1.0,
@@ -164,7 +159,6 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         dw_func = lambda t: 1.0 / (logR - t)
         ddw_func = lambda t: 1.0 / (logR - t) ** 2
         label = "pdisk" if R == 1.0 else f"pdiskR:{R}"
-        params = {"R": R}
     elif name == "conical-scaled":
         check_conical_order(alpha)
         if not 0.0 < c <= 1.0:
@@ -177,21 +171,19 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         ddw_func = lambda t: (4.0 * s * s * c2 * np.exp(2.0 * s * t)
                               / (1.0 - c2 * np.exp(2.0 * s * t)) ** 2)
         label = f"conical:{alpha}" if c == 1.0 else f"conical-scaled:{alpha},{c}"
-        params = {"alpha": alpha, "c": c}
     else:
         raise BadParameter(f"unknown closed-form family {name!r}")
     if not t_min < t_max < 0.0:
         raise BadParameter(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
     t = np.linspace(t_min, t_max, n)
-    return RadialProfile(t, w_func(t), label, dw_func(t), w_func, dw_func,
-                         ddw_func, params)
+    return RadialProfile(t, w_func(t), label, dw_func(t), w_func, dw_func, ddw_func)
 
 
-def classify_singularity(profile: RadialProfile, tv_tol: float = 1e-3) -> SingularityProfile:
+def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     """Classify the singularity type of a radial profile at rho -> 0.
 
     Tests the quarter of the grid deepest into the singularity (most
-    negative t). Logarithmic when w + log(-2t) has total variation <= tv_tol
+    negative t). Logarithmic when w + log(-2t) has total variation <= TV_TOL
     there; otherwise conical of order alpha = 1 - slope when the remainder
     w - slope * t passes the same constancy test.
     """
@@ -203,7 +195,7 @@ def classify_singularity(profile: RadialProfile, tv_tol: float = 1e-3) -> Singul
 
     rem_log = wq + np.log(-2.0 * tq)
     tv_log = float(np.abs(np.diff(rem_log)).sum())
-    if tv_log <= tv_tol:
+    if tv_log <= TV_TOL:
         return SingularityProfile(LOGARITHMIC,
                                   remainder_bound=float(np.abs(rem_log).max()))
 
@@ -212,7 +204,7 @@ def classify_singularity(profile: RadialProfile, tv_tol: float = 1e-3) -> Singul
     rem_con = wq - slope * tq
     tv_con = float(np.abs(np.diff(rem_con)).sum())
     alpha = 1.0 - slope
-    if tv_con <= tv_tol and alpha < 1.0:
+    if tv_con <= TV_TOL and alpha < 1.0:
         return SingularityProfile(CONICAL, alpha=alpha,
                                   remainder_bound=float(np.abs(rem_con - rem_con.mean()).max()))
     return SingularityProfile(UNCLASSIFIED,

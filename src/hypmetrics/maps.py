@@ -116,13 +116,3 @@ MAPS = {
     "example1": BuiltinMap(example1_map, DomainModel.punctured_disk()),
     "mobius": BuiltinMap(mobius_map, DomainModel.disk(), True),
 }
-
-
-def builtin_map(name: str, a: complex | None = None) -> tuple[HolomorphicMap, DomainModel]:
-    """Look up a builtin map and its canonical source domain."""
-    if name not in MAPS:
-        raise BadParameter(f"unknown builtin map {name!r}")
-    make, source, takes_param = MAPS[name]
-    if takes_param and a is None:
-        raise BadParameter(f"{name} map requires a parameter")
-    return (make(a) if takes_param else make()), source

@@ -26,7 +26,7 @@ return real arrays of the same shape; no grids are stored here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,10 +137,10 @@ def check_conical_order(alpha: float) -> None:
 
 def conical_metric(alpha: float) -> MetricDensity:
     """The order-alpha conical model density lambda_alpha, alpha < 1."""
-    return conical_scaled_metric(alpha, 1.0, _label=f"conical:{alpha}")
+    return replace(conical_scaled_metric(alpha, 1.0), label=f"conical:{alpha}")
 
 
-def conical_scaled_metric(alpha: float, c: float, _label: str | None = None) -> MetricDensity:
+def conical_scaled_metric(alpha: float, c: float) -> MetricDensity:
     """The scaled conical family lambda_{alpha,c}; c = 1 recovers lambda_alpha."""
     check_conical_order(alpha)
     if not 0.0 < c <= 1.0:
@@ -157,8 +157,7 @@ def conical_scaled_metric(alpha: float, c: float, _label: str | None = None) -> 
         return (np.log(s) + np.log(c) - alpha * la
                 - np.log(-np.expm1(2.0 * s * la + 2.0 * np.log(c))))
 
-    label = _label if _label is not None else f"conical-scaled:{alpha},{c}"
-    return MetricDensity(DomainModel.punctured_disk(), ev, label, logev)
+    return MetricDensity(DomainModel.punctured_disk(), ev, f"conical-scaled:{alpha},{c}", logev)
 
 
 def half_plane_metric() -> MetricDensity:

@@ -33,7 +33,10 @@ _STENCIL = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 # near the boundary). Gradient rounding moves points by ~1e-9 of the spacing;
 # at a minimum the undamped Newton step stays below ~3e-2 of it (1e-9 from
 # the disk's edge), while a solve stalled by damping asks for steps of ~1.
+# A step also counts as small below _ROUNDING |p|, a few ulp of the point's
+# coordinates: points far from 0 and nearly coincident cannot move by less.
 _DIFF_STEP, _STEP_TOL, _FULL_STEP_TOL = 1e-5, 1e-7, 0.1
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _seeds(domain: DomainModel, z1: complex, z2: complex, m: int) -> list:
@@ -175,7 +178,9 @@ def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
             raise GeodesicSolveFailed(f"geodesic solve cannot lower the energy in {dom.label()}")
         # Rounding may force damping at the minimum; a step that damping made
         # small shows convergence only when the full Newton step is small too.
-        if (np.max(np.abs(step) / spacing) < _STEP_TOL and np.max(
+        size = np.abs(step)
+        small = (size / spacing < _STEP_TOL) | (size < _ROUNDING * np.abs(p[1:-1]))
+        if (small.all() and np.max(
                 np.abs(_newton_step(ab, grad, 0.0, dom.label())) / spacing) < _FULL_STEP_TOL):
             return float(_segment_lengths(metric, new).sum())
         p = new

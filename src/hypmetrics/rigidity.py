@@ -10,7 +10,7 @@ Little-o conditions are undecidable from finitely many samples, so the
 classifier reports threshold-relative evidence: a least-squares fit of
 log(1 - ratio) against the distance (or log-radius), compared to the
 threshold with an explicit margin. RigidityForced additionally requires
-r^2 >= 0.99. Ratios exactly equal to 1 short-circuit through the interior
+r^2 >= R2_MIN. Ratios exactly equal to 1 short-circuit through the interior
 equality case instead (equality at one point forces equality everywhere).
 """
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .metrics import MetricDensity, check_conical_order, eval_many, punctured_di
 from .reports import Check, VerificationReport
 
 RATIO_EQUALITY_TOL = 1e-12
+R2_MIN = 0.99  # fit quality that RigidityForced requires
+TRIGGER_TOL = 1e-3  # |limit| below which the dichotomy's part (b) fires
 
 GENERAL = "general"
 PUNCTURE = "puncture"
@@ -152,16 +154,15 @@ def decay_exponent_fit(sample: BoundarySequenceSample,
 
 
 def classify_boundary_condition(estimate: DecayEstimate, setting: Setting,
-                                margin: float = 0.1,
-                                r2_min: float = 0.99) -> Classification:
+                                margin: float = 0.1) -> Classification:
     """Compare a fitted decay exponent against the rigidity threshold.
 
-    RigidityForced requires beta > threshold with fit quality r2 >= r2_min;
+    RigidityForced requires beta > threshold with fit quality r2 >= R2_MIN;
     StrictlyBelow requires beta < threshold - margin; anything else is
     Inconclusive. This is threshold-relative evidence, never a proof.
     """
     thr = setting.threshold
-    if estimate.beta > thr and estimate.r2 >= r2_min:
+    if estimate.beta > thr and estimate.r2 >= R2_MIN:
         return Classification.RIGIDITY_FORCED
     if estimate.beta < thr - margin:
         return Classification.STRICTLY_BELOW
@@ -169,10 +170,10 @@ def classify_boundary_condition(estimate: DecayEstimate, setting: Setting,
 
 
 def classify_sample(sample: BoundarySequenceSample, setting: Setting,
-                    margin: float = 0.1, r2_min: float = 0.99) -> DecayEstimate:
+                    margin: float = 0.1) -> DecayEstimate:
     """Fit and classify in one step, using the setting's natural regressor."""
     est = decay_exponent_fit(sample, regressor=setting.regressor)
-    cls = classify_boundary_condition(est, setting, margin, r2_min)
+    cls = classify_boundary_condition(est, setting, margin)
     return replace(est, classification=cls)
 
 
@@ -189,13 +190,11 @@ def euclidean_puncture_form(ratio: float, z) -> float:
     return (ratio - 1.0) * math.log(1.0 / az)
 
 
-def interior_equality_check(metric: MetricDensity, reference: MetricDensity,
-                            n: int = 10, seed: int = 42,
-                            rmin: float = 0.1, rmax: float = 0.8) -> bool:
-    """Spot-check ratio == 1 (within 1e-12) at seeded interior points."""
-    rng = np.random.default_rng(seed)
-    radii = rng.uniform(rmin, rmax, n)
-    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> bool:
+    """Spot-check ratio == 1 (within 1e-12) at 10 seeded points with 0.1 < |z| < 0.8."""
+    rng = np.random.default_rng(42)
+    radii = rng.uniform(0.1, 0.8, 10)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 10)
     pts = radii * np.exp(1j * angles)
     ratios = eval_many(metric, pts) / eval_many(reference, pts)
     return bool(np.all(np.abs(ratios - 1.0) <= RATIO_EQUALITY_TOL))
@@ -203,16 +202,14 @@ def interior_equality_check(metric: MetricDensity, reference: MetricDensity,
 
 # --- dichotomy report -------------------------------------------------------
 
-def _tail_slope(metric: MetricDensity, t_lo: float = -200.0, t_hi: float = -20.0,
-                n: int = 60) -> float:
-    """Least-squares slope of w(t) = log lambda(e^t) + t on a deep tail."""
-    t = np.linspace(t_lo, t_hi, n)
+def _tail_slope(metric: MetricDensity) -> float:
+    """Least-squares slope of w(t) = log lambda(e^t) + t on the deep tail -200 <= t <= -20."""
+    t = np.linspace(-200.0, -20.0, 60)
     w = metric.log_density(np.exp(t)) + t
     return float(np.polyfit(t, w, 1)[0])
 
 
-def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex],
-                     trigger_tol: float = 1e-3) -> VerificationReport:
+def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> VerificationReport:
     """Two-sided dichotomy check for a metric with a logarithmic singularity.
 
     Computes w(z_n) = log lambda(z_n) - log lambda_pdisk(z_n) along the
@@ -245,9 +242,9 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex],
                      expected=float("nan"), tol=float("nan"),
                      passed=bool(np.isfinite(bound)), provenance="paper",
                      note="assumption: curvature <= -4 (spot-checkable only)"))
-    triggered = est.trend_ok and abs(est.value) <= trigger_tol
+    triggered = est.trend_ok and abs(est.value) <= TRIGGER_TOL
     report.add(Check(name=f"part-b-trigger[{metric.label}]",
-                     value=est.value, expected=0.0, tol=trigger_tol,
+                     value=est.value, expected=0.0, tol=TRIGGER_TOL,
                      passed=triggered, provenance="paper",
                      note="trigger certifies lambda = lambda_pdisk when curvature <= -4"))
     return report

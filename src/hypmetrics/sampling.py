@@ -36,11 +36,8 @@ def cartesian_grid(n: int, half_width: float = 0.99) -> np.ndarray:
     return (xs[:, None] + 1j * xs[None, :]).ravel()
 
 
-def polar_grid(n: int, rmin: float, rmax: float, log_spaced: bool = True) -> np.ndarray:
-    """n x n polar grid (outer loop radius, inner loop angle)."""
-    if log_spaced:
-        radii = np.geomspace(rmin, rmax, n)
-    else:
-        radii = np.linspace(rmin, rmax, n)
+def polar_grid(n: int, rmin: float, rmax: float) -> np.ndarray:
+    """n x n polar grid, log-spaced radii (outer loop radius, inner loop angle)."""
+    radii = np.geomspace(rmin, rmax, n)
     angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()

@@ -23,7 +23,7 @@ from .distances import (DistanceResult, dist_annulus, dist_disk, dist_halfplane,
                         dist_punctured_disk, dist_strip)
 from .domains import KINDS, DomainModel
 from .errors import BadParameter, ParseError
-from .maps import MAPS, HolomorphicMap, builtin_map
+from .maps import MAPS, HolomorphicMap
 from .metrics import (MetricDensity, annulus_metric, conical_metric,
                       disk_metric, half_plane_metric, pullback,
                       punctured_disk_metric, punctured_disk_metric_r,
@@ -81,17 +81,16 @@ def parse_map(spec: str) -> tuple[HolomorphicMap, DomainModel, str]:
     head, _, rest = spec.partition(":")
     if head not in MAPS:
         raise ParseError(f"unknown map {head!r}")
-    a = None
-    if MAPS[head].takes_param:
-        params, _, rest = rest.partition(":")
-        re_s, _, im_s = params.partition(",")
-        a = complex(parse_float(re_s, f"{head} parameter"),
-                    parse_float(im_s, f"{head} parameter"))
+    make, source, takes_param = MAPS[head]
+    if not takes_param:
+        return make(), source, rest
+    params, _, rest = rest.partition(":")
+    re_s, _, im_s = params.partition(",")
+    a = complex(parse_float(re_s, f"{head} parameter"), parse_float(im_s, f"{head} parameter"))
     try:
-        m, dom = builtin_map(head, a)
+        return make(a), source, rest
     except BadParameter as exc:
         raise ParseError(str(exc)) from exc
-    return m, dom, rest
 
 
 def _builtin(spec: str, what: str) -> tuple[Builtin, tuple]:

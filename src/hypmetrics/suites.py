@@ -45,7 +45,6 @@ class SuiteConfig:
     suite: str
     seed: int = 42
     tolerances: dict = field(default_factory=dict)
-    n_points: int = 100
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -143,14 +142,13 @@ def suite_beardon_minda(cfg: SuiteConfig) -> VerificationReport:
 
     slack_tol = cfg.tol("beardon-minda", 1e-10)
 
-    n = cfg.n_points
     cases = [
         ("phi on disk", _pull_disk(phi_map()), disk_metric(), dist_disk,
-         sample_annular(cfg.seed + 11, n, 0.02, 0.9),
-         sample_annular(cfg.seed + 12, n, 0.02, 0.9)),
+         sample_annular(cfg.seed + 11, 100, 0.02, 0.9),
+         sample_annular(cfg.seed + 12, 100, 0.02, 0.9)),
         ("example1 on pdisk", _pull_example1(), punctured_disk_metric(), dist_punctured_disk,
-         sample_log_annular(cfg.seed + 13, n, 1e-3, 0.8),
-         sample_log_annular(cfg.seed + 14, n, 0.05, 0.8)),
+         sample_log_annular(cfg.seed + 13, 100, 1e-3, 0.8),
+         sample_log_annular(cfg.seed + 14, 100, 0.05, 0.8)),
     ]
     for label, metric, reference, dist, zs, qs in cases:
         # distortions lambda/lambda_ref at the sample points z and the base points q

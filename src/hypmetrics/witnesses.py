@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .distances import dist_annulus, dist_disk
 from .errors import BadParameter, OutsideDomain
-from .extrapolation import LimitEstimate, diffs_shrinking, extrapolate
+from .extrapolation import LimitEstimate, extrapolate
 from .maps import example1_map, phi_map  # noqa: F401  (re-exported witnesses)
 
 PHI_EXPANSION_TARGET = -1.0 / 12.0   # documented target; direct evaluation gives -1/6
@@ -44,12 +44,10 @@ _DISK_NOTE = ("documented limit -1/3 is inconsistent with direct evaluation, "
 
 @dataclass(frozen=True)
 class WitnessLimit:
-    name: str
     sample_points: tuple
     functional_values: tuple
     extrapolated_limit: float
     expected: float
-    provenance: str
     trend_ok: bool
     note: str = ""
 
@@ -75,34 +73,29 @@ def _phi_ratio(x: float) -> float:
     return u * (2.0 - u) * dphi / (one_minus_phi * one_plus_phi)
 
 
-def default_phi_points() -> list[float]:
-    # stop at 1 - 1e-4: the functional's signal is O((1-x)^2) and drowns in
-    # double-precision cancellation noise much past that
-    return [1.0 - 10.0 ** (-k) for k in range(1, 5)]
+# x = 1 - 10^-k, k = 1..4. Stop at 1 - 1e-4: the functional's signal is
+# O((1-x)^2) and drowns in double-precision cancellation noise much past that.
+_PHI_POINTS = (0.9, 0.99, 0.999, 0.9999)
 
 
-def phi_expansion_check(x_values: Sequence[float] | None = None) -> WitnessLimit:
+def phi_expansion_check() -> WitnessLimit:
     """Quadratic coefficient functional ((1-x^2) phi*lambda_D(x) - 1)/(1-x)^2."""
-    xs = list(x_values) if x_values is not None else default_phi_points()
-    if any(not 0.0 < x < 1.0 for x in xs):
-        raise BadParameter("x values must lie in (0, 1)")
-    values = [(_phi_ratio(x) - 1.0) / (1.0 - x) ** 2 for x in xs]
-    est = extrapolate(values, xs=[1.0 - x for x in xs])
-    return WitnessLimit("phi-expansion", tuple(xs), tuple(values), est.value,
-                        PHI_EXPANSION_TARGET, "paper", est.trend_ok, _EXPANSION_NOTE)
+    values = [(_phi_ratio(x) - 1.0) / (1.0 - x) ** 2 for x in _PHI_POINTS]
+    est = extrapolate(values, xs=[1.0 - x for x in _PHI_POINTS])
+    return WitnessLimit(_PHI_POINTS, tuple(values), est.value, PHI_EXPANSION_TARGET,
+                        est.trend_ok, _EXPANSION_NOTE)
 
 
-def disk_sharpness_functional(x_values: Sequence[float] | None = None) -> WitnessLimit:
+def disk_sharpness_functional() -> WitnessLimit:
     """The unit-disk functional (phi*lambda_D/lambda_D - 1) e^(4 d_D(x,0))."""
-    xs = list(x_values) if x_values is not None else default_phi_points()
     values = []
-    for x in xs:
+    for x in _PHI_POINTS:
         ratio = _phi_ratio(x)  # equals phi*lambda_D / lambda_D at real x
         e4d = math.exp(4.0 * dist_disk(x, 0.0).value)
         values.append((ratio - 1.0) * e4d)
-    est = extrapolate(values, xs=[1.0 - x for x in xs])
-    return WitnessLimit("disk-functional", tuple(xs), tuple(values), est.value,
-                        DISK_FUNCTIONAL_TARGET, "paper", est.trend_ok, _DISK_NOTE)
+    est = extrapolate(values, xs=[1.0 - x for x in _PHI_POINTS])
+    return WitnessLimit(_PHI_POINTS, tuple(values), est.value, DISK_FUNCTIONAL_TARGET,
+                        est.trend_ok, _DISK_NOTE)
 
 
 def example1_ratio(z: complex) -> float:
@@ -117,19 +110,15 @@ def example1_ratio(z: complex) -> float:
     return A * L / (L + B)
 
 
-def default_example1_points() -> list[complex]:
-    return [complex(10.0 ** (-k), 0.0) for k in range(2, 9)]
-
-
 def example1_limit(z_values: Sequence[complex] | None = None) -> WitnessLimit:
-    """The punctured-disk functional (ratio - 1) log(1/|z|) for example1."""
-    zs = [complex(z) for z in (z_values if z_values is not None else default_example1_points())]
+    """The punctured-disk functional (ratio - 1) log(1/|z|) for example1, by
+    default at z = 10^-k, k = 2..8."""
+    zs = [complex(z) for z in z_values] if z_values is not None else \
+        [complex(10.0 ** (-k), 0.0) for k in range(2, 9)]
     values = [(example1_ratio(z) - 1.0) * math.log(1.0 / abs(z)) for z in zs]
     Ls = [math.log(1.0 / abs(z)) for z in zs]
     est = extrapolate(values, xs=[1.0 / L for L in Ls])
-    trend = diffs_shrinking(values)
-    return WitnessLimit("example1-limit", tuple(zs), tuple(values), est.value,
-                        -1.0, "paper", trend)
+    return WitnessLimit(tuple(zs), tuple(values), est.value, -1.0, est.trend_ok)
 
 
 def annulus_expected_limit(r: float) -> float:
@@ -138,22 +127,18 @@ def annulus_expected_limit(r: float) -> float:
     return -1.0 / 3.0 - math.pi ** 2 / (6.0 * s * s)
 
 
-def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None,
-                            x0: float | None = None) -> WitnessLimit:
+def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None) -> WitnessLimit:
     """Annulus functional (phi*lambda_D(x)/lambda_A_r(x) - 1) e^(4 d_norm(x)).
 
-    d_norm(x) = d_{A_r}(x, x0) - log(2s/pi)/2 pins the additive normalization
-    of the annulus distance against the strip-cover closed form (the base
-    point x0 defaults to the core-circle point sqrt(r)); with it the
-    documented limit constant is reproduced by the exact density formulas.
+    d_norm(x) = d_{A_r}(x, sqrt(r)) - log(2s/pi)/2, measured from the
+    core-circle point sqrt(r), pins the additive normalization of the annulus
+    distance against the strip-cover closed form; with it the documented
+    limit constant is reproduced by the exact density formulas.
     """
     if not 0.0 < r < 1.0:
         raise BadParameter(f"annulus requires 0 < r < 1, got {r}")
     s = math.log(1.0 / r)
-    if x0 is None:
-        x0 = math.sqrt(r)
-    if not r < x0 < 1.0:
-        raise OutsideDomain(f"base point {x0} is not in the annulus")
+    x0 = math.sqrt(r)
     xs = list(x_values) if x_values is not None else \
         [1.0 - 10.0 ** (-k) for k in range(2, 6)]
     if any(not r < x < 1.0 for x in xs):
@@ -171,6 +156,5 @@ def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None,
         d = dist_annulus(x, x0, r).value - calibration
         values.append((ratio - 1.0) * math.exp(4.0 * d))
     est: LimitEstimate = extrapolate(values, xs=[1.0 - x for x in xs])
-    return WitnessLimit(f"annulus-sharpness[r={r}]", tuple(xs), tuple(values),
-                        est.value, annulus_expected_limit(r), "paper", est.trend_ok,
-                        note="strip-cover normalization: d - log(2s/pi)/2")
+    return WitnessLimit(tuple(xs), tuple(values), est.value, annulus_expected_limit(r),
+                        est.trend_ok, note="strip-cover normalization: d - log(2s/pi)/2")

@@ -63,8 +63,7 @@ def test_criterion_2_ahlfors():
 
 
 def test_criterion_3_beardon_minda():
-    report = suite_beardon_minda(SuiteConfig("beardon-minda", seed=SEED,
-                                             n_points=100))
+    report = suite_beardon_minda(SuiteConfig("beardon-minda", seed=SEED))
     slacks = [c for c in report.checks if c.name.startswith("min-slack")]
     assert _line(3, "distortion bound holds at 100 seeded (z,q) pairs for phi "
                     "and example1 pullbacks, slack >= -1e-10",

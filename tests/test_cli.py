@@ -56,6 +56,13 @@ def test_curvature_command(capsys):
     assert kappa == pytest.approx(-4.0, abs=1e-4)
 
 
+def test_curvature_nan_stencil_is_an_error(capsys):
+    code, out, err = run(capsys, "curvature", "--metric", "disk", "--z", "0.3,0", "--h", "nan")
+    assert code == 1
+    assert out == ""
+    assert err == "error: stencil size must be positive, got h=nan\n"
+
+
 def test_distance_command_formats(capsys):
     code, out, _ = run(capsys, "distance", "--domain", "disk",
                        "--z1", "0,0", "--z2", "0.5,0")
@@ -256,19 +263,33 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["density", "--domain", "warp:9", "--z", "0,0"],
-    ["verify", "curvature", "--tol", "curvature=abc"],
-    ["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "conical:abc"],
-    ["rigidity", "fit", "--input", "{dir}/bad.csv"],
-    ["rigidity", "fit", "--input", "{dir}/missing.csv"],
-], ids=["spec", "tolerance", "setting", "csv-cell", "missing-csv"])
-def test_parse_error_exit_code(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,named", [
+    (["density", "--domain", "warp:9", "--z", "0,0"], "warp:9"),
+    (["verify", "curvature", "--tol", "curvature=abc"], "abc"),
+    (["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "conical:abc"], "abc"),
+    (["rigidity", "fit", "--input", "{dir}/bad.csv"], "abc"),
+    (["rigidity", "fit", "--input", "{dir}/missing.csv"], "missing.csv"),
+    (["density", "--domain", "disk", "--grid-n", "-1"], "--grid-n"),
+    (["density", "--domain", "disk", "--grid-n", "0"], "--grid-n"),
+    (["density", "--domain", "pdisk", "--grid", "polar", "--rmin", "0"], "--rmin"),
+    (["density", "--domain", "pdisk", "--rmin", "-1"], "--rmin"),
+    (["density", "--domain", "pdisk", "--grid", "polar", "--rmin", "0.5", "--rmax", "0.1"],
+     "--rmax"),
+    (["density", "--domain", "disk", "--half-width", "0"], "--half-width"),
+    (["density", "--domain", "disk", "--half-width", "nan"], "--half-width"),
+    (["rigidity", "sample", "--metric", "pdisk", "--reference", "pdisk", "--kmin", "5",
+      "--kmax", "2"], "--kmin"),
+], ids=["spec", "tolerance", "setting", "csv-cell", "missing-csv", "grid-n-negative",
+        "grid-n-zero", "rmin-zero", "rmin-negative", "rmin-above-rmax", "half-width-zero",
+        "half-width-nan", "kmin-above-kmax"])
+def test_parse_error_exit_code(tmp_path, capsys, argv, named):
     (tmp_path / "good.csv").write_text("re,im,ratio,distance\n0.1,0,0.5,1.0\n")
     (tmp_path / "bad.csv").write_text("re,im,ratio,distance\n0.1,0,abc,1.0\n")
-    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error:")
+    assert named in err
+    assert out == ""
 
 
 def test_witness_suite_emits_sample_series(capsys):

@@ -90,6 +90,9 @@ def test_refuses_outside_domain():
         curvature_at(disk_metric(), 1.2, 1e-3)
     with pytest.raises(StencilOutsideDomain):
         curvature_at(disk_metric(), 0.5, -1.0)
+    # a NaN stencil size is refused as such, not blamed on the domain
+    with pytest.raises(StencilOutsideDomain, match="stencil size must be positive"):
+        curvature_at(disk_metric(), 0.5, float("nan"))
 
 
 @pytest.mark.parametrize("metric, pts", [pytest.param(m, pts, id=m.label)

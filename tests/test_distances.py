@@ -267,6 +267,59 @@ def test_short_distance_is_density_times_length(spec, u, v, phi):
     assert abs(d / (density_at(domain_metric(dom), z) * abs(z2 - z)) - 1.0) <= 1e-3
 
 
+# Metric axioms and isometries, 0.1% to 99.9% of the way across each domain.
+# Transforming a point rounds it by an ulp or so, which moves a distance by
+# ~1e-13 at most here: hence the absolute floor under the 1e-9 relative bound.
+_SPECS = ["disk", "pdisk", "pdiskR:2.5", "annulus:0.5", "halfplane", "strip:2.0"]
+_U = st.floats(1e-3, 1.0 - 1e-3)
+_V = st.floats(-math.pi, math.pi)
+_ISOMETRY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _close(a: float, b: float) -> bool:
+    return a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+@_ISOMETRY
+@given(spec=st.sampled_from(_SPECS), u=st.tuples(_U, _U, _U), v=st.tuples(_V, _V, _V))
+def test_distance_is_symmetric_and_satisfies_the_triangle_inequality(spec, u, v):
+    dom = parse_domain(spec)
+    a, b, c = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
+    d = lambda z1, z2: domain_distance(dom, z1, z2).value
+    assert _close(d(a, b), d(b, a))
+    assert d(a, c) <= (1.0 + 1e-9) * (d(a, b) + d(b, c)) + 1e-12
+
+
+@_ISOMETRY
+@given(spec=st.sampled_from(["pdisk", "pdiskR:2.5", "annulus:0.5"]),
+       u=st.tuples(_U, _U), v=st.tuples(_V, _V), theta=_V)
+def test_distance_is_invariant_under_rotation(spec, u, v, theta):
+    dom = parse_domain(spec)
+    a, b = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
+    turn = complex(math.cos(theta), math.sin(theta))
+    assert _close(domain_distance(dom, turn * a, turn * b).value,
+                  domain_distance(dom, a, b).value)
+
+
+@_ISOMETRY
+@given(spec=st.sampled_from(["halfplane", "strip:2.0"]), u=st.tuples(_U, _U),
+       v=st.tuples(_V, _V), shift=st.floats(-100.0, 100.0))
+def test_distance_is_invariant_under_real_translation(spec, u, v, shift):
+    dom = parse_domain(spec)
+    a, b = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
+    assert _close(domain_distance(dom, a + shift, b + shift).value,
+                  domain_distance(dom, a, b).value)
+
+
+@_ISOMETRY
+@given(u=st.tuples(_U, _U, _U), v=st.tuples(_V, _V, _V))
+def test_disk_distance_is_invariant_under_mobius_maps(u, v):
+    dom = parse_domain("disk")
+    a, b, c = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
+    f = mobius_map(c)
+    assert _close(dist_disk(complex(f(a)), complex(f(b))).value, dist_disk(a, b).value)
+
+
 @pytest.mark.parametrize("call, expected", [
     (lambda: dist_halfplane(1j, 1j + 1e-8), 5e-9),
     (lambda: dist_strip(0.5j, 0.5j + 1e-9j, 1.0), 0.5e-9 * math.pi),

@@ -140,9 +140,9 @@ def test_oracle_near_the_edge(spec, z1, z2):
     assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
 
 
-# A right value or a typed error: points 1e-13 apart (the half-plane and
-# strip solves stall there), and scale ranges the path cannot resolve, where
-# the solve stalls under heavy damping (which must not pass for convergence).
+# A right value or a typed error: points 1e-13 apart, and scale ranges the
+# path cannot resolve, where the solve stalls under heavy damping (which must
+# not pass for convergence).
 @pytest.mark.parametrize("spec,z1,z2,m", [
     (spec, z, z + 1e-13j, 100) for spec, z in [
         ("disk", 0.3), ("halfplane", 1j), ("pdisk", 0.3), ("pdiskR:2", 1.2),
@@ -157,14 +157,21 @@ def test_oracle_gives_a_value_or_a_typed_error(spec, z1, z2, m):
     assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-3)
 
 
-# Points 1e-13 apart: the segment-length part of the exact Hessian does not
-# difference anything, so the solve keeps the closed-form value.
-@pytest.mark.parametrize("spec,z", [("disk", 0.3), ("pdisk", 0.3), ("pdiskR:2", 1.2),
-                                    ("annulus:0.5", 0.7)])
-def test_nearly_coincident_points_give_the_closed_form(spec, z):
+# Nearly coincident points: the segment-length part of the exact Hessian does
+# not difference anything, so the solve keeps the closed-form value. Where the
+# path runs along a coordinate far from 0, the points cannot move by less than
+# its rounding, and the step test must accept that floor.
+@pytest.mark.parametrize("spec,z,dz", [
+    pytest.param("disk", 0.3, 1e-13j, id="disk-0.3"),
+    pytest.param("pdisk", 0.3, 1e-13j, id="pdisk-0.3"),
+    pytest.param("pdiskR:2", 1.2, 1e-13j, id="pdiskR:2-1.2"),
+    pytest.param("annulus:0.5", 0.7, 1e-13j, id="annulus:0.5-0.7"),
+    ("disk", 0.3, 1e-13), ("disk", 0.3, 1e-8), ("disk", 0.3j, 1e-13j),
+    ("halfplane", 1j, 1e-8j), ("strip:1", 0.5j, 1e-8j), ("annulus:0.5", 0.7, 1e-8j)])
+def test_nearly_coincident_points_give_the_closed_form(spec, z, dz):
     dom = parse_domain(spec)
-    value = geodesic_oracle(dom, z, z + 1e-13j, 100).value
-    assert value == pytest.approx(domain_distance(dom, z, z + 1e-13j).value, rel=1e-14)
+    value = geodesic_oracle(dom, z, z + dz, 100).value
+    assert value == pytest.approx(domain_distance(dom, z, z + dz).value, rel=1e-14)
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:
