@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .curvature import curvature_at
@@ -30,7 +31,7 @@ from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
                        decay_exponent_fit)
 from .sampling import cartesian_grid, polar_grid
 from .specparse import domain_distance, parse_domain, parse_float, parse_metric
-from .suites import SuiteConfig, run_suite
+from .suites import TOLERANCES, SuiteConfig, run_suite
 
 
 def _parse_complex(text: str) -> complex:
@@ -41,13 +42,23 @@ def _parse_complex(text: str) -> complex:
         raise ParseError(f"bad point {text!r}, expected <re>,<im>") from exc
 
 
-def _parse_tols(items) -> dict:
+def _parse_tols(items, suite: str) -> dict:
+    """--tol NAME=VALUE overrides: names the suite reads, finite values >= 0."""
+    known = TOLERANCES.get(suite.partition(":")[0])
+    if known is None:
+        return {}  # run_suite names the unknown suite
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         if not value:
-            raise ParseError(f"bad tolerance override {item!r}, expected name=value")
-        out[name] = parse_float(value, f"tolerance for {name!r}")
+            raise ParseError(f"bad --tol override {item!r}, expected name=value")
+        if name not in known:
+            raise ParseError(f"--tol {name!r}: suite {suite!r} reads "
+                             + (", ".join(map(repr, known)) or "no tolerance"))
+        tol = parse_float(value, f"--tol value for {name!r}")
+        if not 0.0 <= tol < math.inf:
+            raise ParseError(f"--tol {name!r} must be finite and >= 0, got {value!r}")
+        out[name] = tol
     return out
 
 
@@ -120,7 +131,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = SuiteConfig(suite=args.suite, seed=args.seed,
-                         tolerances=_parse_tols(args.tol))
+                         tolerances=_parse_tols(args.tol, args.suite))
     report = run_suite(config)
     _emit(report.to_json() if args.output == "json" else report.to_csv())
     return 0 if report.passed else 1

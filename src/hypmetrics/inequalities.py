@@ -185,7 +185,7 @@ def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
     scaling check between h and 10h); log(1/|z|) is harmonic and serves as
     a negative control with residual bounded away from zero.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise BadParameter(f"stencil size must be positive, got {h}")
     pd = punctured_disk_metric()
     radii = np.geomspace(0.25, 0.8, 100)

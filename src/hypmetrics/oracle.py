@@ -14,6 +14,10 @@ Each Newton iteration makes one density call, on a 9-point stencil round
 every point and midpoint of the path. It gives the energy, its gradient and
 its Hessian. The Hessian is exact up to that stencil: L_k depends on the two
 ends of segment k alone, so it is a sum of one 4x4 block per segment, banded.
+The blocks are built as arrays over all segments at once, and each step is
+one call of LAPACK's band solver gbsv. When the accepted step was undamped,
+it is the full Newton step that the convergence test asks for, so that test
+solves nothing more.
 """
 import cmath
 import math
@@ -91,7 +95,8 @@ def _energy(metric: MetricDensity, p: np.ndarray) -> float:
 
 def _energy_derivatives(metric: MetricDensity, p: np.ndarray, h: np.ndarray):
     """_energy at p, its gradient in the interior points as d/dx + i d/dy, and
-    its exact Hessian in solve_banded's storage, unknowns in (Re, Im) order.
+    its exact Hessian in LAPACK band storage (solve_banded's layout, 2 _BAND + 1
+    rows), unknowns in (Re, Im) order.
 
     L_k = M_k s_k, M_k = (lambda_a + 4 lambda_c + lambda_b) / 6 and s_k = |b - a|,
     depends on the two ends a, b of segment k (c its midpoint) alone, so
@@ -102,56 +107,73 @@ def _energy_derivatives(metric: MetricDensity, p: np.ndarray, h: np.ndarray):
     """
     lam = eval_many(metric, _with_midpoints(p) + h * _STENCIL[:, None])
     h2 = h ** 2
-    g = np.stack([lam[1] - lam[2], lam[3] - lam[4]], axis=-1) / (2.0 * h[:, None])
-    hxx = (lam[1] - 2.0 * lam[0] + lam[2]) / h2
-    hyy = (lam[3] - 2.0 * lam[0] + lam[4]) / h2
-    hxy = (lam[5] - lam[6] - lam[7] + lam[8]) / (4.0 * h2)
-    hess = np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2)
+    g = np.empty((2, lam.shape[1]))  # d/dx, d/dy of lambda
+    g[0], g[1] = lam[1] - lam[2], lam[3] - lam[4]
+    g /= 2.0 * h
+    hess = np.empty((2, 2, lam.shape[1]))
+    hess[0, 0] = (lam[1] - 2.0 * lam[0] + lam[2]) / h2
+    hess[1, 1] = (lam[3] - 2.0 * lam[0] + lam[4]) / h2
+    hess[0, 1] = hess[1, 0] = (lam[5] - lam[6] - lam[7] + lam[8]) / (4.0 * h2)
 
-    # Per segment, with the four coordinates of (a, b) as the last axes.
+    # Per segment, with the four coordinates of (a, b) as the leading axes.
     n_seg = p.size - 1
     mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0
-    seg = np.diff(p)
+    seg = p[1:] - p[:-1]
     s = np.abs(seg)
-    u = np.stack([seg.real, seg.imag], axis=-1) / s[:, None]
-    g_a, g_c, g_b = g[:-2:2], g[1::2], g[2::2]
-    d_mean = np.concatenate([g_a + 2.0 * g_c, g_b + 2.0 * g_c], axis=1) / 6.0
-    d_s = np.concatenate([-u, u], axis=1)
-    h_a, h_c, h_b = hess[:-2:2], hess[1::2], hess[2::2]
-    h_mean = np.block([[h_a + h_c, h_c], [h_c, h_b + h_c]]) / 6.0
-    proj = np.eye(2) - u[:, :, None] * u[:, None, :]
-    h_s = np.block([[proj, -proj], [-proj, proj]]) / s[:, None, None]
+    u = seg.view(np.float64).reshape(-1, 2).T / s
+    d_mean = np.empty((4, n_seg))
+    d_mean[:2] = g[:, :-2:2] + 2.0 * g[:, 1::2]
+    d_mean[2:] = g[:, 2::2] + 2.0 * g[:, 1::2]
+    d_mean /= 6.0
+    d_s = np.empty((4, n_seg))
+    d_s[:2], d_s[2:] = -u, u
+    h_c = hess[:, :, 1::2]
+    h_mean = np.empty((4, 4, n_seg))
+    h_mean[:2, :2] = hess[:, :, :-2:2] + h_c
+    h_mean[:2, 2:] = h_mean[2:, :2] = h_c
+    h_mean[2:, 2:] = hess[:, :, 2::2] + h_c
+    h_mean /= 6.0
+    proj = (np.eye(2)[:, :, None] - u[:, None] * u[None, :]) / s
+    h_s = np.empty((4, 4, n_seg))
+    h_s[:2, :2] = h_s[2:, 2:] = proj
+    h_s[:2, 2:] = h_s[2:, :2] = -proj
     length = mean * s
-    d_len = s[:, None] * d_mean + mean[:, None] * d_s
-    cross = d_mean[:, :, None] * d_s[:, None, :]
-    h_len = (s[:, None, None] * h_mean + cross + cross.transpose(0, 2, 1)
-             + mean[:, None, None] * h_s)
-    blocks = 2.0 * (d_len[:, :, None] * d_len[:, None, :] + length[:, None, None] * h_len)
+    d_len = s * d_mean + mean * d_s
+    cross = d_mean[:, None] * d_s[None, :]
+    h_len = s * h_mean + cross + cross.transpose(1, 0, 2) + mean * h_s
+    blocks = 2.0 * (d_len[:, None] * d_len[None, :] + length * h_len)
 
-    d_energy = (2.0 * length[:, None] * d_len).view(np.complex128)  # d/da, d/db per segment
-    grad = d_energy[:-1, 1] + d_energy[1:, 0]
-    # Segment k's block sits on unknowns 2k - 2 .. 2k + 1. The columns of ab
-    # start 2 early and are trimmed on return: the fixed ends' entries land in
-    # the trimmed columns or in band corners that solve_banded never reads.
-    ab = np.zeros((2 * _BAND + 1, 2 * n_seg + 2))
-    for i in range(4):
-        for j in range(4):
-            ab[_BAND + i - j, j:j + 2 * n_seg:2] += blocks[:, i, j]
+    d_energy = 2.0 * length * d_len  # d/da, d/db per segment
+    grad = np.empty(n_seg - 1, dtype=complex)
+    grad.real = d_energy[2, :-1] + d_energy[0, 1:]
+    grad.imag = d_energy[3, :-1] + d_energy[1, 1:]
+    # Segment k's block sits on unknowns 2k - 2 .. 2k + 1: its column j on
+    # coordinate j % 2 of point k + j // 2, gathered here per coordinate. The
+    # columns of ab start 2 early and are trimmed on return: the fixed ends'
+    # entries land in the trimmed columns or in band corners that the band
+    # solve never reads.
+    ab = np.zeros((2 * _BAND + 1, 2, n_seg + 1))
+    for j in range(4):
+        ab[_BAND - j:_BAND - j + 4, j % 2, j // 2:j // 2 + n_seg] += blocks[:, j]
+    ab = ab.transpose(0, 2, 1).reshape(2 * _BAND + 1, -1)
     return float(np.sum(length ** 2)), grad, ab[:, 2:-2]
 
 
 def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -> np.ndarray:
-    """Solve (H + damping |diag H|) step = -grad, H the banded Hessian ab;
-    GeodesicSolveFailed when the system is singular."""
-    from scipy.linalg import LinAlgError, solve_banded
+    """Solve (H + damping |diag H|) step = -grad, H the banded Hessian ab, by
+    LAPACK gbsv; GeodesicSolveFailed when the system is singular."""
+    from scipy.linalg.lapack import get_lapack_funcs
 
-    damped = ab.copy()
-    damped[_BAND] += damping * np.abs(ab[_BAND])
-    try:
-        return solve_banded((_BAND, _BAND), damped, -grad.view(np.float64),
-                            check_finite=False).view(np.complex128)
-    except LinAlgError:  # e.g. a path that no longer spans its ends
-        raise GeodesicSolveFailed(f"singular energy Hessian in {label}") from None
+    # gbsv's storage: _BAND more rows on top for the fill-in of its pivoting.
+    lu = np.zeros((3 * _BAND + 1, ab.shape[1]))
+    lu[_BAND:] = ab
+    lu[2 * _BAND] += damping * np.abs(ab[_BAND])
+    rhs = -grad.view(np.float64)
+    gbsv, = get_lapack_funcs(("gbsv",), (lu, rhs))
+    _, _, step, info = gbsv(_BAND, _BAND, lu, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:  # e.g. a path that no longer spans its ends
+        raise GeodesicSolveFailed(f"singular energy Hessian in {label}")
+    return step.view(np.complex128)
 
 
 def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
@@ -180,9 +202,10 @@ def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
         # small shows convergence only when the full Newton step is small too.
         size = np.abs(step)
         small = (size / spacing < _STEP_TOL) | (size < _ROUNDING * np.abs(p[1:-1]))
-        if (small.all() and np.max(
-                np.abs(_newton_step(ab, grad, 0.0, dom.label())) / spacing) < _FULL_STEP_TOL):
-            return float(_segment_lengths(metric, new).sum())
+        if small.all():
+            full = step if damping == 0.0 else _newton_step(ab, grad, 0.0, dom.label())
+            if np.max(np.abs(full) / spacing) < _FULL_STEP_TOL:
+                return float(_segment_lengths(metric, new).sum())
         p = new
         damping = 0.0 if damping <= 1e-3 else 0.1 * damping
     raise GeodesicSolveFailed(f"geodesic solve did not converge in {dom.label()}")

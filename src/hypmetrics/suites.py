@@ -40,13 +40,33 @@ from .witnesses import (annulus_sharpness_limit, disk_sharpness_functional,
 MOBIUS_A = complex(0.3, 0.2)
 
 
+# The tolerances each suite reads, by name, with their defaults: the names
+# SuiteConfig.tolerances (and `verify --tol NAME=VALUE`) may override.
+TOLERANCES = {
+    "curvature": {"curvature": 1e-4},
+    "ahlfors": {},
+    "beardon-minda": {"beardon-minda": 1e-10},
+    "harnack": {"harnack": 1e-9},
+    "harnack-conical": {"harnack-conical": 1e-9},
+    "hopf": {"hopf": 2e-2},
+    "hopf-conical": {},
+    "aux-solutions": {"aux-h": 1e-4},
+    "phi": {"phi-expansion": 1e-4, "disk-functional": 1e-3},
+    "example1": {"example1": 2e-2},
+    "lemma44": {},
+    "decay-ratio": {"decay-ratio": 1e-12},
+    "annulus-sharpness": {"annulus": 1e-2},
+}
+
+
 @dataclass
 class SuiteConfig:
     suite: str
     seed: int = 42
     tolerances: dict = field(default_factory=dict)
 
-    def tol(self, name: str, default: float) -> float:
+    def tol(self, name: str) -> float:
+        default = TOLERANCES[self.suite.partition(":")[0]][name]
         return float(self.tolerances.get(name, default))
 
 
@@ -82,7 +102,7 @@ def _curvature_cases(seed: int):
 
 def suite_curvature(cfg: SuiteConfig) -> VerificationReport:
     report = VerificationReport("curvature", seed=cfg.seed)
-    tol = cfg.tol("curvature", 1e-4)
+    tol = cfg.tol("curvature")
     for metric, pts in _curvature_cases(cfg.seed):
         err_fine = float(np.abs(curvature_at(metric, pts, 1e-3) + 4.0).max())
         err_coarse = float(np.abs(curvature_at(metric, pts, 1e-2) + 4.0).max())
@@ -140,7 +160,7 @@ def suite_beardon_minda(cfg: SuiteConfig) -> VerificationReport:
     report.add(Check.close("bound(0.5,inf)=1", beardon_minda_bound(0.5, 40.0), 1.0,
                            1e-12, "trivial"))
 
-    slack_tol = cfg.tol("beardon-minda", 1e-10)
+    slack_tol = cfg.tol("beardon-minda")
 
     cases = [
         ("phi on disk", _pull_disk(phi_map()), disk_metric(), dist_disk,
@@ -178,7 +198,7 @@ def suite_harnack(cfg: SuiteConfig) -> VerificationReport:
     lam = eval_many(metric, pts)
     bounds = np.array([harnack_bound(spec, pd, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
-    tol = cfg.tol("harnack", 1e-9)
+    tol = cfg.tol("harnack")
     report.add(Check(name="min-rel-slack[example1, r=0.1]", value=rel_slack,
                      expected=0.0, tol=tol, passed=rel_slack >= -tol,
                      provenance="paper",
@@ -196,7 +216,7 @@ def suite_harnack_conical(cfg: SuiteConfig) -> VerificationReport:
     lam = eval_many(metric, pts)
     bounds = np.array([harnack_conical_bound(alpha, r, M, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
-    tol = cfg.tol("harnack-conical", 1e-9)
+    tol = cfg.tol("harnack-conical")
     report.add(Check(name=f"min-rel-slack[scaled(alpha={alpha},c={c}), r={r}]",
                      value=rel_slack, expected=0.0, tol=tol,
                      passed=rel_slack >= -tol, provenance="paper",
@@ -229,7 +249,7 @@ def suite_hopf(cfg: SuiteConfig) -> VerificationReport:
     pd = punctured_disk_metric()
     report.add(Check.close("identity-functional", hopf_functional(pd, pd, 0.037), 0.0,
                            1e-14, "trivial"))
-    tol = cfg.tol("hopf", 2e-2)
+    tol = cfg.tol("hopf")
 
     fam = punctured_disk_metric_r(math.e)
     values, xs = _hopf_sequence(fam, pd, range(2, 9))
@@ -275,7 +295,7 @@ def suite_hopf_conical(cfg: SuiteConfig) -> VerificationReport:
 
 
 def suite_aux_solutions(cfg: SuiteConfig) -> VerificationReport:
-    report = radial_solution_space_check(h=cfg.tol("aux-h", 1e-4))
+    report = radial_solution_space_check(h=cfg.tol("aux-h"))
     report.seed = cfg.seed
     return report
 
@@ -298,13 +318,13 @@ def suite_phi(cfg: SuiteConfig) -> VerificationReport:
 
     exp_check = phi_expansion_check()
     report.add(Check.close("expansion-limit", exp_check.extrapolated_limit,
-                           exp_check.expected, cfg.tol("phi-expansion", 1e-4),
+                           exp_check.expected, cfg.tol("phi-expansion"),
                            "paper", note=exp_check.note))
     report.add_series("phi-expansion", exp_check.sample_points,
                       exp_check.functional_values)
     disk_check = disk_sharpness_functional()
     report.add(Check.close("disk-functional-limit", disk_check.extrapolated_limit,
-                           disk_check.expected, cfg.tol("disk-functional", 1e-3),
+                           disk_check.expected, cfg.tol("disk-functional"),
                            "paper", note=disk_check.note))
     report.add_series("disk-functional", disk_check.sample_points,
                       disk_check.functional_values)
@@ -324,7 +344,7 @@ def suite_example1(cfg: SuiteConfig) -> VerificationReport:
                      provenance="paper", note="spot check on a polar grid"))
     wl = example1_limit()
     report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
-                           cfg.tol("example1", 2e-2), "paper",
+                           cfg.tol("example1"), "paper",
                            note=f"raw at |z|=1e-8: {wl.functional_values[-1]:.6f}"))
     report.add(Check(name="trend", value=1.0 if wl.trend_ok else 0.0, expected=1.0,
                      tol=0.0, passed=wl.trend_ok, provenance="tool",
@@ -338,7 +358,7 @@ def suite_annulus_sharpness(cfg: SuiteConfig, r: float) -> VerificationReport:
     report = VerificationReport(f"annulus-sharpness:{r}", seed=cfg.seed)
     wl = annulus_sharpness_limit(r)
     report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
-                           cfg.tol("annulus", 1e-2), "paper", note=wl.note))
+                           cfg.tol("annulus"), "paper", note=wl.note))
     report.add(Check(name="trend", value=1.0 if wl.trend_ok else 0.0, expected=1.0,
                      tol=0.0, passed=wl.trend_ok, provenance="tool"))
     report.add_series("annulus-functional", wl.sample_points, wl.functional_values)
@@ -378,7 +398,7 @@ def suite_decay_ratio(cfg: SuiteConfig) -> VerificationReport:
     report.add(Check.close("ratio(0.9)=1/1.9", covering_decay_ratio(0.9), 1.0 / 1.9,
                            1e-12, "derived"))
     report.add(Check.close("ratio(0.999)=1/1.999", covering_decay_ratio(0.999),
-                           1.0 / 1.999, cfg.tol("decay-ratio", 1e-12), "derived"))
+                           1.0 / 1.999, cfg.tol("decay-ratio"), "derived"))
     seq = [covering_decay_ratio(1.0 - 10.0 ** (-k)) for k in (1, 2, 3)]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
     report.add(Check(name="monotone-to-half", value=seq[-1], expected=0.5, tol=5e-4,

@@ -7,6 +7,7 @@ import pytest
 from hypmetrics.cli import main
 from hypmetrics.errors import ParseError
 from hypmetrics.specparse import parse_domain, parse_map, parse_metric
+from hypmetrics.suites import TOLERANCES, SuiteConfig, run_suite, suite_names
 
 
 def run(capsys, *argv):
@@ -189,6 +190,22 @@ def test_verify_tolerance_override(capsys):
     assert code == 1
 
 
+def test_tolerance_table_lists_what_each_suite_reads():
+    # verify --tol accepts the names in TOLERANCES alone, so the table must
+    # list every suite and exactly the tolerances it reads
+    class Reads(dict):
+        def get(self, name, default=None):
+            self.setdefault(name, default)
+            return default
+
+    assert set(TOLERANCES) == {n.partition(":")[0] for n in suite_names()}
+    for suite, names in TOLERANCES.items():
+        reads = Reads()
+        run_suite(SuiteConfig(suite + ":0.5" if suite == "annulus-sharpness" else suite,
+                              tolerances=reads))
+        assert reads == names
+
+
 def test_phi_suite_reports_inconsistent_targets(capsys):
     code, out, _ = run(capsys, "--output", "json", "verify", "phi")
     assert code == 1
@@ -279,9 +296,16 @@ def test_usage_error_exit_code():
     (["density", "--domain", "disk", "--half-width", "nan"], "--half-width"),
     (["rigidity", "sample", "--metric", "pdisk", "--reference", "pdisk", "--kmin", "5",
       "--kmax", "2"], "--kmin"),
+    (["verify", "curvature", "--tol", "nonsense=1"], "--tol 'nonsense'"),
+    (["verify", "phi", "--tol", "hopf=1"], "--tol 'hopf'"),
+    (["verify", "lemma44", "--tol", "lemma44=1"], "--tol 'lemma44'"),
+    (["verify", "curvature", "--tol", "curvature=-1"], "--tol 'curvature'"),
+    (["verify", "curvature", "--tol", "curvature=nan"], "--tol 'curvature'"),
+    (["verify", "aux-solutions", "--tol", "aux-h=inf"], "--tol 'aux-h'"),
 ], ids=["spec", "tolerance", "setting", "csv-cell", "missing-csv", "grid-n-negative",
         "grid-n-zero", "rmin-zero", "rmin-negative", "rmin-above-rmax", "half-width-zero",
-        "half-width-nan", "kmin-above-kmax"])
+        "half-width-nan", "kmin-above-kmax", "tolerance-unknown", "tolerance-other-suite",
+        "tolerance-none-read", "tolerance-negative", "tolerance-nan", "tolerance-inf"])
 def test_parse_error_exit_code(tmp_path, capsys, argv, named):
     (tmp_path / "good.csv").write_text("re,im,ratio,distance\n0.1,0,0.5,1.0\n")
     (tmp_path / "bad.csv").write_text("re,im,ratio,distance\n0.1,0,abc,1.0\n")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from hypmetrics.distances import (DistanceMethod, comparability_constants,
@@ -12,9 +12,10 @@ from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   dist_disk, dist_halfplane,
                                   dist_punctured_disk, dist_strip)
 from hypmetrics import distances
-from hypmetrics.errors import OutsideDomain
+from hypmetrics.errors import HypMetricsError, OutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import annulus_metric, density_at
+from hypmetrics.oracle import geodesic_oracle
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
 from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
 
@@ -318,6 +319,38 @@ def test_disk_distance_is_invariant_under_mobius_maps(u, v):
     a, b, c = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
     f = mobius_map(c)
     assert _close(dist_disk(complex(f(a)), complex(f(b))).value, dist_disk(a, b).value)
+
+
+# Each kind of _SPECS written out, so that the property below does not lean
+# on DomainModel.contains; points on an edge or not finite lie outside.
+_INSIDE = {
+    "disk": lambda z: abs(z) < 1.0,
+    "pdisk": lambda z: 0.0 < abs(z) < 1.0,
+    "pdiskR:2.5": lambda z: 0.0 < abs(z) < 2.5,
+    "annulus:0.5": lambda z: 0.5 < abs(z) < 1.0,
+    "halfplane": lambda z: 0.0 < z.imag,
+    "strip:2.0": lambda z: 0.0 < z.imag < 2.0,
+}
+_COORD = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, -1.0]))
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(_SPECS),
+       z=st.one_of(st.builds(complex, _NONFINITE, _COORD), st.builds(complex, _COORD, _NONFINITE),
+                   st.builds(complex, _COORD, _COORD)),
+       u=_U, v=_V)
+def test_points_outside_the_domain_raise_typed_errors(spec, z, u, v):
+    # never a NaN, an inf or a value: a HypMetricsError, before any solve
+    assume(not (cmath.isfinite(z) and _INSIDE[spec](z)))
+    dom = parse_domain(spec)
+    good = _point_in(dom, u, v)
+    for call in (lambda: domain_distance(dom, z, good), lambda: domain_distance(dom, good, z),
+                 lambda: density_at(domain_metric(dom), z),
+                 lambda: geodesic_oracle(dom, z, good, 100),
+                 lambda: geodesic_oracle(dom, good, z, 100)):
+        with pytest.raises(HypMetricsError):
+            call()
 
 
 @pytest.mark.parametrize("call, expected", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypmetrics.distances import dist_disk
-from hypmetrics.errors import NonpositiveDensity, OutsideDomain
+from hypmetrics.errors import BadParameter, NonpositiveDensity, OutsideDomain
 from hypmetrics.extrapolation import extrapolate
 from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      aux_v_alpha, beardon_minda_bound,
@@ -198,3 +198,9 @@ def test_radial_solution_space():
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert any("negative-control" in n for n in names)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan])
+def test_radial_solution_space_refuses_bad_stencil(h):
+    with pytest.raises(BadParameter, match="stencil size must be positive"):
+        radial_solution_space_check(h=h)

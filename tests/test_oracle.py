@@ -14,7 +14,7 @@ from hypmetrics import oracle
 from hypmetrics.distances import DistanceMethod
 from hypmetrics.domains import DomainModel
 from hypmetrics.errors import BadParameter, GeodesicSolveFailed, OutsideDomain
-from hypmetrics.metrics import MetricDensity, disk_metric
+from hypmetrics.metrics import MetricDensity, disk_metric, eval_many
 from hypmetrics.oracle import geodesic_oracle
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
 from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
@@ -216,6 +216,101 @@ def test_energy_derivatives_match_differences(spec, z1, z2):
     assert np.abs(hess - jac).max() <= 1e-4 * scale
     assert np.abs(hess - hess.T).max() <= 1e-12 * scale
     assert np.abs(grad.view(np.float64) - grad_fd).max() <= 1e-5 * np.abs(grad).max()
+
+
+# The oracle's values at 100 points, pinned: a rewrite of the Newton solve
+# that keeps its arithmetic keeps them. 1e-13 relative leaves room for the
+# rounding of other LAPACK builds, far below the oracle's own error.
+@pytest.mark.parametrize("spec,z1,z2,value", [
+    ("disk", 0.6, -0.5 + 0.3j, 1.3280413435843204),
+    ("pdisk", 0.3, 0.5j, 0.8118839257080885),
+    ("pdiskR:2", 1.2, -0.4j, 0.9211310233544627),
+    ("annulus:0.5", 0.7, 0.8j, 3.6429807503315086),
+    ("halfplane", 1j, 2 + 0.5j, 1.1711076054704712),
+    ("strip:1", 0.2j, 2 + 0.7j, 3.514197155077156),
+])
+def test_oracle_values_are_pinned(spec, z1, z2, value):
+    got = geodesic_oracle(parse_domain(spec), z1, z2, 100).value
+    assert got == pytest.approx(value, rel=1e-13)
+
+
+def test_both_relaxed_seeds_are_pinned():
+    # A near-antipodal annulus pair: the two ways round are both relaxed, and
+    # the shorter is returned.
+    dom = parse_domain("annulus:0.5")
+    z1, z2 = 0.1961910991772045 - 0.5822504249846683j, -0.2258646008444965 + 0.7213989910691383j
+    metric = domain_metric(dom)
+    lengths = [oracle._geodesic_length(metric, oracle._respaced(metric, seed))
+               for seed in oracle._seeds(dom, z1, z2, 100)]
+    assert lengths == pytest.approx([7.203302716921886, 7.3011288403114945], rel=1e-13)
+    assert geodesic_oracle(dom, z1, z2, 100).value == min(lengths)
+
+
+def test_singular_band_is_a_typed_error():
+    with pytest.raises(GeodesicSolveFailed, match="singular energy Hessian"):
+        oracle._newton_step(np.zeros((2 * oracle._BAND + 1, 4)), np.ones(2, dtype=complex),
+                            0.0, "disk")
+
+
+def _block_energy_derivatives(metric, p, h):
+    """_energy_derivatives as first written, with np.block and np.stack: the
+    reference that the flat kernel must equal bit for bit."""
+    lam = eval_many(metric, oracle._with_midpoints(p) + h * oracle._STENCIL[:, None])
+    h2 = h ** 2
+    g = np.stack([lam[1] - lam[2], lam[3] - lam[4]], axis=-1) / (2.0 * h[:, None])
+    hxx = (lam[1] - 2.0 * lam[0] + lam[2]) / h2
+    hyy = (lam[3] - 2.0 * lam[0] + lam[4]) / h2
+    hxy = (lam[5] - lam[6] - lam[7] + lam[8]) / (4.0 * h2)
+    hess = np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2)
+    n_seg = p.size - 1
+    mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0
+    seg = np.diff(p)
+    s = np.abs(seg)
+    u = np.stack([seg.real, seg.imag], axis=-1) / s[:, None]
+    g_a, g_c, g_b = g[:-2:2], g[1::2], g[2::2]
+    d_mean = np.concatenate([g_a + 2.0 * g_c, g_b + 2.0 * g_c], axis=1) / 6.0
+    d_s = np.concatenate([-u, u], axis=1)
+    h_a, h_c, h_b = hess[:-2:2], hess[1::2], hess[2::2]
+    h_mean = np.block([[h_a + h_c, h_c], [h_c, h_b + h_c]]) / 6.0
+    proj = np.eye(2) - u[:, :, None] * u[:, None, :]
+    h_s = np.block([[proj, -proj], [-proj, proj]]) / s[:, None, None]
+    length = mean * s
+    d_len = s[:, None] * d_mean + mean[:, None] * d_s
+    cross = d_mean[:, :, None] * d_s[:, None, :]
+    h_len = (s[:, None, None] * h_mean + cross + cross.transpose(0, 2, 1)
+             + mean[:, None, None] * h_s)
+    blocks = 2.0 * (d_len[:, :, None] * d_len[:, None, :] + length[:, None, None] * h_len)
+    d_energy = (2.0 * length[:, None] * d_len).view(np.complex128)
+    grad = d_energy[:-1, 1] + d_energy[1:, 0]
+    ab = np.zeros((2 * oracle._BAND + 1, 2 * n_seg + 2))
+    for i in range(4):
+        for j in range(4):
+            ab[oracle._BAND + i - j, j:j + 2 * n_seg:2] += blocks[:, i, j]
+    return float(np.sum(length ** 2)), grad, ab[:, 2:-2]
+
+
+@pytest.mark.parametrize("spec,z1,z2", [
+    ("disk", 0.6, -0.5 + 0.3j), ("pdisk", 0.3, 0.5j), ("annulus:0.5", 0.7, 0.8j),
+    ("halfplane", 1j, 2 + 0.5j), ("strip:1", 0.2j, 2 + 0.7j), ("disk", 0.3, 0.3 + 1e-8)])
+def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
+    # Elementwise IEEE arithmetic in the same order, and the same LAPACK gbsv:
+    # equal bit for bit (signs of zeros included) on any build.
+    from scipy.linalg import solve_banded
+
+    dom = parse_domain(spec)
+    metric = domain_metric(dom)
+    p = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
+    h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
+    energy, grad, ab = oracle._energy_derivatives(metric, p, h)
+    ref_energy, ref_grad, ref_ab = _block_energy_derivatives(metric, p, h)
+    assert energy.hex() == ref_energy.hex()
+    assert grad.tobytes() == ref_grad.tobytes() and ab.tobytes() == ref_ab.tobytes()
+    for damping in (0.0, 1e-3, 10.0):
+        damped = ab.copy()
+        damped[oracle._BAND] += damping * np.abs(ab[oracle._BAND])
+        ref_step = solve_banded((oracle._BAND, oracle._BAND), damped, -grad.view(np.float64))
+        step = oracle._newton_step(ab, grad, damping, dom.label())
+        assert step.tobytes() == ref_step.tobytes()
 
 
 def test_geodesic_solve_failures_are_typed():
