@@ -25,7 +25,7 @@ import numpy as np
 
 from .curvature import laplacian
 from .distances import SWEEP_N, _golden_max
-from .errors import BadParameter, NonpositiveDensity, OutsideDomain
+from .errors import BadParameter, NonpositiveDensity, OutsideDomain, StencilOutsideDomain
 from .metrics import MetricDensity, conical_metric, eval_many, punctured_disk_metric
 from .reports import Check, VerificationReport
 
@@ -184,6 +184,8 @@ def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
     derivatives on the radii window [0.25, 0.8], plus an explicit 100x
     scaling check between h and 10h); log(1/|z|) is harmonic and serves as
     a negative control with residual bounded away from zero.
+    StencilOutsideDomain when a stencil of step h or 10h leaves the
+    punctured disk (h >= 0.02 does).
     """
     if not h > 0.0:
         raise BadParameter(f"stencil size must be positive, got {h}")
@@ -191,8 +193,15 @@ def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
     radii = np.geomspace(0.25, 0.8, 100)
 
     def residual(f, z: np.ndarray, step: float) -> np.ndarray:
+        def inside(stencil):
+            ok = pd.domain.contains(stencil).all(axis=0)
+            if not ok.all():
+                raise StencilOutsideDomain(
+                    f"stencil of step {step} at z={z[~ok][0]} leaves {pd.domain.label()}")
+            return f(stencil)
+
         lam = pd.eval(z)
-        return np.abs(laplacian(f, z, step) - 8.0 * lam * lam * f(z))
+        return np.abs(laplacian(inside, z, step) - 8.0 * lam * lam * f(z))
 
     v1 = lambda z: 1.0 / np.log(1.0 / np.abs(z))
     v2 = lambda z: np.log(1.0 / np.abs(z)) ** 2

@@ -10,14 +10,17 @@ puncture, the shorter wins. Simpson weights make a segment pay for the
 density at its ends as well as at its midpoint, so no long chord can skip
 a region where the density is large.
 
-Each Newton iteration makes one density call, on a 9-point stencil round
-every point and midpoint of the path. It gives the energy, its gradient and
-its Hessian. The Hessian is exact up to that stencil: L_k depends on the two
-ends of segment k alone, so it is a sum of one 4x4 block per segment, banded.
-The blocks are built as arrays over all segments at once, and each step is
-one call of LAPACK's band solver gbsv. When the accepted step was undamped,
-it is the full Newton step that the convergence test asks for, so that test
-solves nothing more.
+Each Newton iteration evaluates the density once on a 9-point stencil round
+every point and midpoint of the path, which gives the energy, its gradient
+and its Hessian. The stencil's centre is the line-search trial that the
+last iteration accepted, so one call evaluates only the 8 points round it,
+and the length returned at convergence is that trial's. The Hessian is exact
+up to the stencil: L_k depends on the two ends of segment k alone, so it is
+a sum of one 4x4 block per segment, banded. The blocks are built as arrays
+over all segments at once and added straight into the band storage of
+LAPACK's band solver gbsv, which each step calls once. When the accepted
+step was undamped, it is the full Newton step that the convergence test
+asks for, so that test solves nothing more.
 """
 import cmath
 import math
@@ -31,8 +34,9 @@ from .metrics import MetricDensity, eval_many
 from .specparse import domain_metric
 
 _BAND = 3  # a segment's 4x4 Hessian block couples unknowns at most 3 apart
-# Centre, +-h, +-ih and the diagonals: lambda's gradient and Hessian in one call.
-_STENCIL = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+# +-h, +-ih and the diagonals round a centre: lambda's gradient and Hessian
+# in one call.
+_STENCIL = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 # Difference and stopping steps, relative to the point spacing (which shrinks
 # near the boundary). Gradient rounding moves points by ~1e-9 of the spacing;
 # at a minimum the undamped Newton step stays below ~3e-2 of it (1e-9 from
@@ -65,10 +69,15 @@ def _with_midpoints(p: np.ndarray) -> np.ndarray:
     return q
 
 
+def _simpson(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Simpson lengths of the segments of the polyline p, lam the density at
+    _with_midpoints(p)."""
+    return (lam[:-2:2] + 4.0 * lam[1::2] + lam[2::2]) / 6.0 * np.abs(np.diff(p))
+
+
 def _segment_lengths(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
     """Simpson quadrature of the metric length of each segment of the polyline p."""
-    lam = eval_many(metric, _with_midpoints(p))
-    return (lam[:-2:2] + 4.0 * lam[1::2] + lam[2::2]) / 6.0 * np.abs(np.diff(p))
+    return _simpson(eval_many(metric, _with_midpoints(p)), p)
 
 
 def _respaced(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
@@ -87,38 +96,44 @@ def _respaced(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _energy(metric: MetricDensity, p: np.ndarray) -> float:
-    """Discrete energy sum L_k^2 of the polyline p, L_k the Simpson lengths
-    of its segments, whose sum is the length returned."""
-    return float(np.sum(_segment_lengths(metric, p) ** 2))
+def _diff_steps(q: np.ndarray) -> np.ndarray:
+    """Stencil steps: _DIFF_STEP times |np.gradient(q)|, its differences
+    written out (the same bits)."""
+    d = np.empty_like(q)
+    d[0], d[-1] = q[1] - q[0], q[-1] - q[-2]
+    d[1:-1] = (q[2:] - q[:-2]) / 2.0
+    return _DIFF_STEP * np.abs(d)
 
 
-def _energy_derivatives(metric: MetricDensity, p: np.ndarray, h: np.ndarray):
-    """_energy at p, its gradient in the interior points as d/dx + i d/dy, and
-    its exact Hessian in LAPACK band storage (solve_banded's layout, 2 _BAND + 1
-    rows), unknowns in (Re, Im) order.
+def _energy_derivatives(metric: MetricDensity, q: np.ndarray, lam: np.ndarray,
+                        h: np.ndarray):
+    """The energy sum L_k^2 of the polyline q[::2] (q from _with_midpoints, lam
+    the density at q), its gradient in the interior points as d/dx + i d/dy,
+    and its exact Hessian in gbsv's band storage, unknowns in (Re, Im) order:
+    3 _BAND + 1 rows in Fortran order, the top _BAND of them zero (gbsv's
+    room for the fill-in of its pivoting).
 
     L_k = M_k s_k, M_k = (lambda_a + 4 lambda_c + lambda_b) / 6 and s_k = |b - a|,
     depends on the two ends a, b of segment k (c its midpoint) alone, so
     Hess(L_k^2) = 2 grad L grad L^T + 2 L Hess L is one 4x4 block, with
     Hess L = s Hess M + grad M grad s^T + grad s grad M^T + M Hess s. The
-    gradient and Hessian of lambda at the points and midpoints (_with_midpoints)
-    come from one 9-point stencil of step h.
+    gradient and Hessian of lambda at q come from a 9-point stencil of step h,
+    whose centre is lam.
     """
-    lam = eval_many(metric, _with_midpoints(p) + h * _STENCIL[:, None])
+    off = eval_many(metric, q + h * _STENCIL[:, None])  # the 8 points round q
     h2 = h ** 2
-    g = np.empty((2, lam.shape[1]))  # d/dx, d/dy of lambda
-    g[0], g[1] = lam[1] - lam[2], lam[3] - lam[4]
+    g = np.empty((2, q.size))  # d/dx, d/dy of lambda
+    g[0], g[1] = off[0] - off[1], off[2] - off[3]
     g /= 2.0 * h
-    hess = np.empty((2, 2, lam.shape[1]))
-    hess[0, 0] = (lam[1] - 2.0 * lam[0] + lam[2]) / h2
-    hess[1, 1] = (lam[3] - 2.0 * lam[0] + lam[4]) / h2
-    hess[0, 1] = hess[1, 0] = (lam[5] - lam[6] - lam[7] + lam[8]) / (4.0 * h2)
+    hess = np.empty((2, 2, q.size))
+    hess[0, 0] = (off[0] - 2.0 * lam + off[1]) / h2
+    hess[1, 1] = (off[2] - 2.0 * lam + off[3]) / h2
+    hess[0, 1] = hess[1, 0] = (off[4] - off[5] - off[6] + off[7]) / (4.0 * h2)
 
     # Per segment, with the four coordinates of (a, b) as the leading axes.
-    n_seg = p.size - 1
-    mean = (lam[0, :-2:2] + 4.0 * lam[0, 1::2] + lam[0, 2::2]) / 6.0
-    seg = p[1:] - p[:-1]
+    n_seg = q.size // 2
+    mean = (lam[:-2:2] + 4.0 * lam[1::2] + lam[2::2]) / 6.0
+    seg = q[2::2] - q[:-2:2]
     s = np.abs(seg)
     u = seg.view(np.float64).reshape(-1, 2).T / s
     d_mean = np.empty((4, n_seg))
@@ -148,43 +163,43 @@ def _energy_derivatives(metric: MetricDensity, p: np.ndarray, h: np.ndarray):
     grad.real = d_energy[2, :-1] + d_energy[0, 1:]
     grad.imag = d_energy[3, :-1] + d_energy[1, 1:]
     # Segment k's block sits on unknowns 2k - 2 .. 2k + 1: its column j on
-    # coordinate j % 2 of point k + j // 2, gathered here per coordinate. The
-    # columns of ab start 2 early and are trimmed on return: the fixed ends'
-    # entries land in the trimmed columns or in band corners that the band
-    # solve never reads.
-    ab = np.zeros((2 * _BAND + 1, 2, n_seg + 1))
+    # coordinate j % 2 of point k + j // 2, the second axis of ab here; in
+    # Fortran order that axis interleaves with the points. The columns of
+    # ab start 2 early and are trimmed on return: the fixed ends' entries
+    # land in the trimmed columns or in band corners that gbsv never reads.
+    ab = np.zeros((3 * _BAND + 1, 2, n_seg + 1), order="F")
     for j in range(4):
-        ab[_BAND - j:_BAND - j + 4, j % 2, j // 2:j // 2 + n_seg] += blocks[:, j]
-    ab = ab.transpose(0, 2, 1).reshape(2 * _BAND + 1, -1)
-    return float(np.sum(length ** 2)), grad, ab[:, 2:-2]
+        ab[2 * _BAND - j:2 * _BAND - j + 4, j % 2, j // 2:j // 2 + n_seg] += blocks[:, j]
+    return float(np.sum(length ** 2)), grad, ab.reshape(3 * _BAND + 1, -1, order="F")[:, 2:-2]
 
 
 def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -> np.ndarray:
-    """Solve (H + damping |diag H|) step = -grad, H the banded Hessian ab, by
-    LAPACK gbsv; GeodesicSolveFailed when the system is singular."""
-    from scipy.linalg.lapack import get_lapack_funcs
+    """Solve (H + damping |diag H|) step = -grad, H the banded Hessian in gbsv's
+    storage ab, by LAPACK dgbsv; GeodesicSolveFailed when the system is singular."""
+    from scipy.linalg.lapack import dgbsv
 
-    # gbsv's storage: _BAND more rows on top for the fill-in of its pivoting.
-    lu = np.zeros((3 * _BAND + 1, ab.shape[1]))
-    lu[_BAND:] = ab
-    lu[2 * _BAND] += damping * np.abs(ab[_BAND])
-    rhs = -grad.view(np.float64)
-    gbsv, = get_lapack_funcs(("gbsv",), (lu, rhs))
-    _, _, step, info = gbsv(_BAND, _BAND, lu, rhs, overwrite_ab=True, overwrite_b=True)
+    lu = ab.copy(order="F")  # dgbsv factors it in place
+    lu[2 * _BAND] += damping * np.abs(ab[2 * _BAND])
+    _, _, step, info = dgbsv(_BAND, _BAND, lu, -grad.view(np.float64),
+                             overwrite_ab=True, overwrite_b=True)
     if info > 0:  # e.g. a path that no longer spans its ends
         raise GeodesicSolveFailed(f"singular energy Hessian in {label}")
     return step.view(np.complex128)
 
 
 def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
-    """Minimize _energy from the polyline p, ends fixed, by Levenberg-Marquardt
-    damped Newton steps; return the Simpson length of the minimizer."""
+    """Minimize the energy sum L_k^2 from the polyline p, ends fixed, by
+    Levenberg-Marquardt damped Newton steps; return the Simpson length of
+    the minimizer. The accepted trial of each line search keeps its points
+    with midpoints q and the density lam there for the next iteration."""
     dom = metric.domain
     damping = 0.0
+    q = _with_midpoints(p)
+    with np.errstate(invalid="ignore", divide="ignore"):  # checked below
+        lam = eval_many(metric, q)
     for _ in range(100):
-        h = _DIFF_STEP * np.abs(np.gradient(_with_midpoints(p)))
         with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
-            energy, grad, ab = _energy_derivatives(metric, p, h)
+            energy, grad, ab = _energy_derivatives(metric, q, lam, _diff_steps(q))
         if not (np.isfinite(grad).all() and np.isfinite(ab).all()):
             raise GeodesicSolveFailed(f"non-finite energy gradient in {dom.label()}")
         spacing = np.abs(p[2:] - p[:-2])
@@ -192,9 +207,12 @@ def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
             step = _newton_step(ab, grad, damping, dom.label())
             new = p.copy()
             new[1:-1] += step
-            if (dom.contains(new).all() and dom.contains(0.5 * (new[1:] + new[:-1])).all()
-                    and _energy(metric, new) <= energy):
-                break
+            new_q = _with_midpoints(new)
+            if dom.contains(new_q).all():
+                new_lam = eval_many(metric, new_q)
+                lengths = _simpson(new_lam, new)
+                if float(np.sum(lengths ** 2)) <= energy:
+                    break
             damping = max(1e-3, 10.0 * damping)
         else:
             raise GeodesicSolveFailed(f"geodesic solve cannot lower the energy in {dom.label()}")
@@ -205,8 +223,8 @@ def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
         if small.all():
             full = step if damping == 0.0 else _newton_step(ab, grad, 0.0, dom.label())
             if np.max(np.abs(full) / spacing) < _FULL_STEP_TOL:
-                return float(_segment_lengths(metric, new).sum())
-        p = new
+                return float(lengths.sum())
+        p, q, lam = new, new_q, new_lam
         damping = 0.0 if damping <= 1e-3 else 0.1 * damping
     raise GeodesicSolveFailed(f"geodesic solve did not converge in {dom.label()}")
 

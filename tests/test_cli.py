@@ -137,6 +137,13 @@ def test_oracle_failure_is_an_error(capsys):
     assert out == ""
 
 
+def test_aux_solutions_stencil_outside_the_disk_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "aux-solutions", "--tol", "aux-h=0.5")
+    assert code == 1
+    assert err.startswith("error:") and "leaves pdisk" in err
+    assert out == ""
+
+
 def test_oracle_on_nearly_coincident_points(capsys):
     code, out, err = run(capsys, "distance", "--domain", "disk", "--z1", "0.3,0",
                          "--z2", "0.3,1e-13", "--oracle-grid", "100")

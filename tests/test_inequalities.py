@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypmetrics.distances import dist_disk
-from hypmetrics.errors import BadParameter, NonpositiveDensity, OutsideDomain
+from hypmetrics.errors import (BadParameter, NonpositiveDensity, OutsideDomain,
+                               StencilOutsideDomain)
 from hypmetrics.extrapolation import extrapolate
 from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      aux_v_alpha, beardon_minda_bound,
@@ -13,7 +15,8 @@ from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      harnack_conical_bound,
                                      hopf_conical_functional, hopf_functional,
                                      radial_solution_space_check)
-from hypmetrics.maps import example1_map, phi_map
+from hypmetrics.domains import DomainModel
+from hypmetrics.maps import MAPS, example1_map, phi_map
 from hypmetrics.metrics import (conical_metric, conical_scaled_metric,
                                 disk_metric, eval_many, pullback,
                                 punctured_disk_metric, punctured_disk_metric_r)
@@ -45,6 +48,27 @@ def test_ahlfors_example1_pullback_passes():
     metric, pd = _pulled_example1()
     rep = ahlfors_check(metric, pd, polar_grid(50, 1e-3, 0.95))
     assert rep.passed
+
+
+# Schwarz-Pick: a holomorphic self-map f of the disk pulls the disk density
+# back to lambda(f(z)) |f'(z)| <= lambda(z), with equality for the
+# automorphisms (identity, mobius). Points and mobius parameters lie up to
+# 0.999 of the way to the edge; the worst excess over these examples is
+# 5.8e-14 (mobius, a point 1e-3 from the edge), far inside the 1e-9 pullback
+# tolerance.
+_DISK_POINT = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                        st.floats(0.0, 0.999), st.floats(-math.pi, math.pi))
+_DISK_SELF_MAPS = sorted(name for name, m in MAPS.items() if m.source == DomainModel.disk())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(_DISK_SELF_MAPS), a=_DISK_POINT,
+       grid=st.lists(_DISK_POINT, min_size=1, max_size=40))
+def test_ahlfors_ratio_of_disk_self_map_pullbacks_is_at_most_one(name, a, grid):
+    make, source, takes_param = MAPS[name]
+    lam = disk_metric()
+    pulled = pullback(lam, make(a) if takes_param else make(), source)
+    assert ahlfors_check(pulled, lam, np.array(grid)).passed
 
 
 def test_beardon_minda_trivial_values():
@@ -204,3 +228,18 @@ def test_radial_solution_space():
 def test_radial_solution_space_refuses_bad_stencil(h):
     with pytest.raises(BadParameter, match="stencil size must be positive"):
         radial_solution_space_check(h=h)
+
+
+# The stencils of step h and 10h round radii 0.25-0.8 stay in the punctured
+# disk only for h < 0.02 (0.8 + 10h < 1 and 0.25 - 10h > 0).
+@pytest.mark.parametrize("h", [0.02, 0.03, 0.5, 1.0, math.inf])
+def test_radial_solution_space_refuses_stencils_outside_the_disk(h):
+    with np.errstate(all="raise"):  # refused before any stray evaluation
+        with pytest.raises(StencilOutsideDomain, match="leaves pdisk"):
+            radial_solution_space_check(h=h)
+
+
+def test_radial_solution_space_evaluates_stencils_just_inside_the_disk():
+    with np.errstate(all="raise"):
+        rep = radial_solution_space_check(h=0.0199)
+    assert all(np.isfinite(c.value) for c in rep.checks)
