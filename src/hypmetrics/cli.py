@@ -31,7 +31,7 @@ from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
                        decay_exponent_fit)
 from .sampling import cartesian_grid, polar_grid
 from .specparse import domain_distance, parse_domain, parse_float, parse_metric
-from .suites import TOLERANCES, SuiteConfig, run_suite
+from .suites import SuiteConfig, lookup, run_suite
 
 
 def _parse_complex(text: str) -> complex:
@@ -44,9 +44,7 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_tols(items, suite: str) -> dict:
     """--tol NAME=VALUE overrides: names the suite reads, finite values >= 0."""
-    known = TOLERANCES.get(suite.partition(":")[0])
-    if known is None:
-        return {}  # run_suite names the unknown suite
+    known = lookup(suite)[1]
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")

@@ -39,7 +39,8 @@ class WrongSingularityOrder(HypMetricsError):
 
 
 class NumericOverflow(HypMetricsError):
-    """A solution exceeded the overflow guard (blow-up reached)."""
+    """A value left the range of double precision: a radial solution past
+    the overflow guard (blow-up reached), or a curvature that is not finite."""
 
 
 class BadParameter(HypMetricsError):

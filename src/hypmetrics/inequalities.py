@@ -33,19 +33,17 @@ from .reports import Check, VerificationReport
 # --- Ahlfors --------------------------------------------------------------
 
 def ahlfors_check(metric: MetricDensity, reference: MetricDensity,
-                  grid: np.ndarray, kind: str = "pullback") -> VerificationReport:
+                  grid: np.ndarray, kind: str = "pullback") -> Check:
     """Verify lambda/lambda_ref <= 1 on a sample grid.
 
-    Reports the maximum of lambda/lambda_ref - 1; passes when it is at most
+    Checks the maximum of lambda/lambda_ref - 1; passes when it is at most
     1e-12 for closed-form pairs (kind="closed") or 1e-9 for pullbacks.
     """
     grid = np.asarray(grid, dtype=complex).ravel()
     ratios = eval_many(metric, grid) / eval_many(reference, grid)
     excess = float(np.max(ratios) - 1.0)
     tol = 1e-12 if kind == "closed" else 1e-9
-    report = VerificationReport(suite="ahlfors")
-    report.add(Check.at_most(f"ahlfors-max-excess[{metric.label}]", excess, tol, "paper"))
-    return report
+    return Check.at_most(f"ahlfors-max-excess[{metric.label}]", excess, tol, "paper")
 
 
 # --- Beardon-Minda --------------------------------------------------------
@@ -176,7 +174,7 @@ def aux_v(z) -> float:
 
 # --- radial solution space ------------------------------------------------
 
-def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
+def radial_solution_space_check(h: float) -> VerificationReport:
     """Verify the radial solution space of Dv = 8 lambda_pdisk^2 v.
 
     Both 1/log(1/|z|) and (log(1/|z|))^2 must satisfy the PDE up to the
@@ -185,7 +183,7 @@ def radial_solution_space_check(h: float = 1e-4) -> VerificationReport:
     scaling check between h and 10h); log(1/|z|) is harmonic and serves as
     a negative control with residual bounded away from zero.
     StencilOutsideDomain when a stencil of step h or 10h leaves the
-    punctured disk (h >= 0.02 does).
+    punctured disk (h >= 0.02 does) or is lost to rounding (h <= 1e-17 is).
     """
     if not h > 0.0:
         raise BadParameter(f"stencil size must be positive, got {h}")

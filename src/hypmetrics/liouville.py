@@ -30,7 +30,7 @@ import numpy as np
 from .domains import DomainModel
 from .errors import BadParameter, GridTooShort, NumericOverflow
 from .extrapolation import neville
-from .metrics import check_conical_order
+from .metrics import conical_scaled_metric
 from .reports import Check, VerificationReport
 
 OVERFLOW_GUARD = 300.0
@@ -160,9 +160,7 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         ddw_func = lambda t: 1.0 / (logR - t) ** 2
         label = "pdisk" if R == 1.0 else f"pdiskR:{R}"
     elif name == "conical-scaled":
-        check_conical_order(alpha)
-        if not 0.0 < c <= 1.0:
-            raise BadParameter(f"conical scale requires 0 < c <= 1, got {c}")
+        conical_scaled_metric(alpha, c)  # raises BadParameter unless alpha < 1, 0 < c <= 1
         s = 1.0 - alpha
         logsc = math.log(s) + math.log(c)
         c2 = c * c

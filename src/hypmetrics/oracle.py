@@ -10,17 +10,19 @@ puncture, the shorter wins. Simpson weights make a segment pay for the
 density at its ends as well as at its midpoint, so no long chord can skip
 a region where the density is large.
 
-Each Newton iteration evaluates the density once on a 9-point stencil round
-every point and midpoint of the path, which gives the energy, its gradient
-and its Hessian. The stencil's centre is the line-search trial that the
-last iteration accepted, so one call evaluates only the 8 points round it,
-and the length returned at convergence is that trial's. The Hessian is exact
-up to the stencil: L_k depends on the two ends of segment k alone, so it is
-a sum of one 4x4 block per segment, banded. The blocks are built as arrays
-over all segments at once and added straight into the band storage of
-LAPACK's band solver gbsv, which each step calls once. When the accepted
-step was undamped, it is the full Newton step that the convergence test
-asks for, so that test solves nothing more.
+The relaxation starts from the density that the last spacing pass
+evaluated. Each Newton iteration evaluates the density once on a 9-point
+stencil round every point and midpoint of the path, which gives the
+energy, its gradient and its Hessian. The stencil's centre is the
+line-search trial that the last iteration accepted, so one call evaluates
+only the 8 points round it, and the length returned at convergence is that
+trial's. The Hessian is exact up to the stencil: L_k depends on the two
+ends of segment k alone, so it is a sum of one 4x4 block per segment,
+banded. The blocks are built as arrays over all segments at once and added
+straight into the band storage of LAPACK's band solver gbsv, which each
+step calls once. When the accepted step was undamped, it is the full
+Newton step that the convergence test asks for, so that test solves
+nothing more.
 """
 import cmath
 import math
@@ -75,25 +77,22 @@ def _simpson(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (lam[:-2:2] + 4.0 * lam[1::2] + lam[2::2]) / 6.0 * np.abs(np.diff(p))
 
 
-def _segment_lengths(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
-    """Simpson quadrature of the metric length of each segment of the polyline p."""
-    return _simpson(eval_many(metric, _with_midpoints(p)), p)
-
-
-def _respaced(metric: MetricDensity, p: np.ndarray) -> np.ndarray:
+def _respaced(metric: MetricDensity, p: np.ndarray):
     """The points of the polyline p moved along it to equal Simpson arc
     length, again while that length falls by more than 0.1%: Simpson's rule
     misjudges segments over which the density varies much, so one pass
-    leaves too few points where the density is large."""
+    leaves too few points where the density is large. Returns the points
+    and the density at their _with_midpoints."""
     length = math.inf
     for _ in range(50):
-        arc = np.concatenate([[0.0], np.cumsum(_segment_lengths(metric, p))])
+        lam = eval_many(metric, _with_midpoints(p))
+        arc = np.concatenate([[0.0], np.cumsum(_simpson(lam, p))])
         if not arc[-1] < (1.0 - 1e-3) * length:
-            break
+            return p, lam
         length = arc[-1]
         targets = np.linspace(0.0, length, p.size)
         p = np.interp(targets, arc, p.real) + 1j * np.interp(targets, arc, p.imag)
-    return p
+    return p, eval_many(metric, _with_midpoints(p))
 
 
 def _diff_steps(q: np.ndarray) -> np.ndarray:
@@ -187,16 +186,19 @@ def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -
     return step.view(np.complex128)
 
 
-def _geodesic_length(metric: MetricDensity, p: np.ndarray) -> float:
+def _geodesic_length(metric: MetricDensity, p: np.ndarray,
+                     lam: np.ndarray | None = None) -> float:
     """Minimize the energy sum L_k^2 from the polyline p, ends fixed, by
     Levenberg-Marquardt damped Newton steps; return the Simpson length of
-    the minimizer. The accepted trial of each line search keeps its points
+    the minimizer. lam is the density at _with_midpoints(p), evaluated here
+    when not given. The accepted trial of each line search keeps its points
     with midpoints q and the density lam there for the next iteration."""
     dom = metric.domain
     damping = 0.0
     q = _with_midpoints(p)
-    with np.errstate(invalid="ignore", divide="ignore"):  # checked below
-        lam = eval_many(metric, q)
+    if lam is None:
+        with np.errstate(invalid="ignore", divide="ignore"):  # checked below
+            lam = eval_many(metric, q)
     for _ in range(100):
         with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
             energy, grad, ab = _energy_derivatives(metric, q, lam, _diff_steps(q))
@@ -251,6 +253,6 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
 
     metric = domain_metric(domain)
     seeds = [_respaced(metric, seed) for seed in _seeds(domain, z1, z2, grid_n)]
-    lengths = [_geodesic_length(metric, p) if refine else _segment_lengths(metric, p).sum()
-               for p in seeds]
+    lengths = [_geodesic_length(metric, p, lam) if refine else _simpson(lam, p).sum()
+               for p, lam in seeds]
     return DistanceResult(float(min(lengths)), DistanceMethod.GRID_ORACLE)

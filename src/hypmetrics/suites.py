@@ -1,9 +1,14 @@
 """Reproducible verification suites.
 
 Each suite evaluates a family of checks against the closed-form constants
-and inequalities, on seeded sample sets, and returns a VerificationReport.
-Identical configurations (including the seed) produce byte-identical
-reports.
+and inequalities, on seeded sample sets, and adds them to the
+VerificationReport that run_suite builds for it. Identical configurations
+(including the seed) produce byte-identical reports.
+
+SUITES, at the end of this module, is the one place a suite is registered:
+its runner and the tolerances it reads, with their defaults. A key ending
+in ":<r>" takes a number after the colon; lookup is the one place a suite
+name is split and checked.
 
 Two suites are expected to fail by design: the phi witness suite compares
 against the documented constants -1/12 and -1/3, which are inconsistent
@@ -40,25 +45,6 @@ from .witnesses import (annulus_sharpness_limit, disk_sharpness_functional,
 MOBIUS_A = complex(0.3, 0.2)
 
 
-# The tolerances each suite reads, by name, with their defaults: the names
-# SuiteConfig.tolerances (and `verify --tol NAME=VALUE`) may override.
-TOLERANCES = {
-    "curvature": {"curvature": 1e-4},
-    "ahlfors": {},
-    "beardon-minda": {"beardon-minda": 1e-10},
-    "harnack": {"harnack": 1e-9},
-    "harnack-conical": {"harnack-conical": 1e-9},
-    "hopf": {"hopf": 2e-2},
-    "hopf-conical": {},
-    "aux-solutions": {"aux-h": 1e-4},
-    "phi": {"phi-expansion": 1e-4, "disk-functional": 1e-3},
-    "example1": {"example1": 2e-2},
-    "lemma44": {},
-    "decay-ratio": {"decay-ratio": 1e-12},
-    "annulus-sharpness": {"annulus": 1e-2},
-}
-
-
 @dataclass
 class SuiteConfig:
     suite: str
@@ -66,7 +52,7 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def tol(self, name: str) -> float:
-        default = TOLERANCES[self.suite.partition(":")[0]][name]
+        default = lookup(self.suite)[1][name]
         return float(self.tolerances.get(name, default))
 
 
@@ -100,8 +86,7 @@ def _curvature_cases(seed: int):
     ]
 
 
-def suite_curvature(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("curvature", seed=cfg.seed)
+def suite_curvature(cfg: SuiteConfig, report: VerificationReport) -> None:
     tol = cfg.tol("curvature")
     for metric, pts in _curvature_cases(cfg.seed):
         err_fine = float(np.abs(curvature_at(metric, pts, 1e-3) + 4.0).max())
@@ -112,7 +97,6 @@ def suite_curvature(cfg: SuiteConfig) -> VerificationReport:
                          expected=100.0, tol=0.0, passed=50.0 <= ratio <= 200.0,
                          provenance="derived",
                          note="max-error ratio for h=1e-2 vs h=1e-3"))
-    return report
 
 
 # --- ahlfors ----------------------------------------------------------------
@@ -131,14 +115,11 @@ def _ahlfors_cases():
     ]
 
 
-def suite_ahlfors(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("ahlfors", seed=cfg.seed)
-    identity_pair = ahlfors_check(disk_metric(), disk_metric(),
-                                  cartesian_grid(20, 0.9), kind="closed")
-    report.extend(identity_pair.checks)
+def suite_ahlfors(cfg: SuiteConfig, report: VerificationReport) -> None:
+    report.add(ahlfors_check(disk_metric(), disk_metric(), cartesian_grid(20, 0.9),
+                             kind="closed"))
     for metric, reference, grid, isometry in _ahlfors_cases():
-        sub = ahlfors_check(metric, reference, grid, kind="pullback")
-        report.extend(sub.checks)
+        report.add(ahlfors_check(metric, reference, grid, kind="pullback"))
         if not isometry:
             center = grid[int(np.argmin(np.abs(grid - grid.mean())))]
             ratio = float(eval_many(metric, np.array([center]))[0]
@@ -146,13 +127,11 @@ def suite_ahlfors(cfg: SuiteConfig) -> VerificationReport:
             report.add(Check.at_most(f"strict-ratio-center[{metric.label}]",
                                      ratio, 1.0 - 1e-6, "paper",
                                      note="strict inequality for non-isometries"))
-    return report
 
 
 # --- beardon-minda ----------------------------------------------------------
 
-def suite_beardon_minda(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("beardon-minda", seed=cfg.seed)
+def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
     report.add(Check.close("bound(0.5,0)", beardon_minda_bound(0.5, 0.0), 0.5,
                            0.0, "trivial"))
     report.add(Check.close("bound(0,d)=tanh2d", beardon_minda_bound(0.0, 0.7),
@@ -178,13 +157,11 @@ def suite_beardon_minda(cfg: SuiteConfig) -> VerificationReport:
                     for z, q, f_z, f_q in zip(zs, qs, dz.tolist(), dq.tolist()))
         report.add(Check(name=f"min-slack[{label}]", value=slack, expected=0.0,
                          tol=slack_tol, passed=slack >= -slack_tol, provenance="paper"))
-    return report
 
 
 # --- harnack ----------------------------------------------------------------
 
-def suite_harnack(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("harnack", seed=cfg.seed)
+def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
     pd = punctured_disk_metric()
     metric = _pull_example1()
     r, R = 0.1, 1.0
@@ -203,11 +180,9 @@ def suite_harnack(cfg: SuiteConfig) -> VerificationReport:
                      expected=0.0, tol=tol, passed=rel_slack >= -tol,
                      provenance="paper",
                      note=f"boundary max ratio {M:.6f} at 500 polar points"))
-    return report
 
 
-def suite_harnack_conical(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("harnack-conical", seed=cfg.seed)
+def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     alpha, c, r = 0.5, 0.9, 0.5
     lam_a = conical_metric(alpha)
     metric = conical_scaled_metric(alpha, c)
@@ -226,7 +201,6 @@ def suite_harnack_conical(cfg: SuiteConfig) -> VerificationReport:
                            / float(lam_a.eval(r * 0.9999999 * 1j)),
                            M, 1e-5, "trivial",
                            note="exponent tends to 1 at |z| = r"))
-    return report
 
 
 # --- hopf -------------------------------------------------------------------
@@ -244,8 +218,7 @@ def _hopf_sequence(metric: MetricDensity, reference: MetricDensity, ks):
     return values, xs
 
 
-def suite_hopf(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("hopf", seed=cfg.seed)
+def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
     pd = punctured_disk_metric()
     report.add(Check.close("identity-functional", hopf_functional(pd, pd, 0.037), 0.0,
                            1e-14, "trivial"))
@@ -272,11 +245,9 @@ def suite_hopf(cfg: SuiteConfig) -> VerificationReport:
                            "paper",
                            note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
                                 f"extrapolated ({est.method})"))
-    return report
 
 
-def suite_hopf_conical(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("hopf-conical", seed=cfg.seed)
+def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     alpha = 0.5
     lam_a = conical_metric(alpha)
     report.add(Check.close("identity-functional",
@@ -291,19 +262,15 @@ def suite_hopf_conical(cfg: SuiteConfig) -> VerificationReport:
                          provenance="paper",
                          note="NonconvergentFunctional: values diverge to -inf, "
                               "limsup < 0 verified on samples"))
-    return report
 
 
-def suite_aux_solutions(cfg: SuiteConfig) -> VerificationReport:
-    report = radial_solution_space_check(h=cfg.tol("aux-h"))
-    report.seed = cfg.seed
-    return report
+def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
+    report.extend(radial_solution_space_check(cfg.tol("aux-h")).checks)
 
 
 # --- witnesses ----------------------------------------------------------------
 
-def suite_phi(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("phi", seed=cfg.seed)
+def suite_phi(cfg: SuiteConfig, report: VerificationReport) -> None:
     phi = phi_map()
     report.add(Check.close("phi(1)=1", abs(complex(phi.value(1.0)) - 1.0), 0.0,
                            1e-15, "trivial"))
@@ -328,11 +295,9 @@ def suite_phi(cfg: SuiteConfig) -> VerificationReport:
                            "paper", note=disk_check.note))
     report.add_series("disk-functional", disk_check.sample_points,
                       disk_check.functional_values)
-    return report
 
 
-def suite_example1(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("example1", seed=cfg.seed)
+def suite_example1(cfg: SuiteConfig, report: VerificationReport) -> None:
     f = example1_map()
     report.add(Check.close("|f(0.5)|=0.5e^-3", abs(complex(f.value(0.5))),
                            0.5 * math.exp(-3.0), 1e-15, "derived"))
@@ -351,24 +316,20 @@ def suite_example1(cfg: SuiteConfig) -> VerificationReport:
                      note="consecutive differences shrink"))
     report.add_series("example1-functional", [abs(z) for z in wl.sample_points],
                       wl.functional_values)
-    return report
 
 
-def suite_annulus_sharpness(cfg: SuiteConfig, r: float) -> VerificationReport:
-    report = VerificationReport(f"annulus-sharpness:{r}", seed=cfg.seed)
+def suite_annulus_sharpness(cfg: SuiteConfig, report: VerificationReport, r: float) -> None:
     wl = annulus_sharpness_limit(r)
     report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
                            cfg.tol("annulus"), "paper", note=wl.note))
     report.add(Check(name="trend", value=1.0 if wl.trend_ok else 0.0, expected=1.0,
                      tol=0.0, passed=wl.trend_ok, provenance="tool"))
     report.add_series("annulus-functional", wl.sample_points, wl.functional_values)
-    return report
 
 
 # --- comparability / decay ratio ---------------------------------------------------
 
-def suite_comparability(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("lemma44", seed=cfg.seed)
+def suite_comparability(cfg: SuiteConfig, report: VerificationReport) -> None:
     q = 0.1
     c1, c2, gamma = comparability_constants(q)
     report.add(Check.close("c2=log10+pi", c2, math.log(10.0) + math.pi, 1e-14, "paper"))
@@ -388,11 +349,9 @@ def suite_comparability(cfg: SuiteConfig) -> VerificationReport:
     report.add(Check(name="sandwich-upper", value=float(max(vals)), expected=c2,
                      tol=0.0, passed=max(vals) <= c2 + 1e-12, provenance="paper",
                      note=f"c2={c2!r}"))
-    return report
 
 
-def suite_decay_ratio(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport("decay-ratio", seed=cfg.seed)
+def suite_decay_ratio(cfg: SuiteConfig, report: VerificationReport) -> None:
     report.add(Check.close("ratio(0)=1", covering_decay_ratio(0.0), 1.0, 1e-15,
                            "trivial"))
     report.add(Check.close("ratio(0.9)=1/1.9", covering_decay_ratio(0.9), 1.0 / 1.9,
@@ -404,38 +363,58 @@ def suite_decay_ratio(cfg: SuiteConfig) -> VerificationReport:
     report.add(Check(name="monotone-to-half", value=seq[-1], expected=0.5, tol=5e-4,
                      passed=monotone and abs(seq[-1] - 0.5) <= 5e-4,
                      provenance="paper"))
-    return report
 
 
-_SUITES = {
-    "curvature": suite_curvature,
-    "ahlfors": suite_ahlfors,
-    "beardon-minda": suite_beardon_minda,
-    "harnack": suite_harnack,
-    "harnack-conical": suite_harnack_conical,
-    "hopf": suite_hopf,
-    "hopf-conical": suite_hopf_conical,
-    "aux-solutions": suite_aux_solutions,
-    "phi": suite_phi,
-    "example1": suite_example1,
-    "lemma44": suite_comparability,
-    "decay-ratio": suite_decay_ratio,
+# Each suite once: its runner, called as runner(config, report, *parameters),
+# and the tolerances it reads with their defaults (the names that
+# SuiteConfig.tolerances and `verify --tol NAME=VALUE` may set). A key ending
+# in _PARAM names a suite that takes a number, as in annulus-sharpness:0.5.
+_PARAM = ":<r>"
+SUITES = {
+    "curvature": (suite_curvature, {"curvature": 1e-4}),
+    "ahlfors": (suite_ahlfors, {}),
+    "beardon-minda": (suite_beardon_minda, {"beardon-minda": 1e-10}),
+    "harnack": (suite_harnack, {"harnack": 1e-9}),
+    "harnack-conical": (suite_harnack_conical, {"harnack-conical": 1e-9}),
+    "hopf": (suite_hopf, {"hopf": 2e-2}),
+    "hopf-conical": (suite_hopf_conical, {}),
+    "aux-solutions": (suite_aux_solutions, {"aux-h": 1e-4}),
+    "phi": (suite_phi, {"phi-expansion": 1e-4, "disk-functional": 1e-3}),
+    "example1": (suite_example1, {"example1": 2e-2}),
+    "lemma44": (suite_comparability, {}),
+    "decay-ratio": (suite_decay_ratio, {"decay-ratio": 1e-12}),
+    "annulus-sharpness:<r>": (suite_annulus_sharpness, {"annulus": 1e-2}),
 }
 
 
 def suite_names() -> list[str]:
-    return sorted(_SUITES) + ["annulus-sharpness:<r>"]
+    """The keys of SUITES, plain names sorted first."""
+    return sorted(SUITES, key=lambda key: (key.endswith(_PARAM), key))
+
+
+def lookup(name: str):
+    """(runner, tolerances, canonical name, parameters) of a suite name: its
+    SUITES entry, the name with its parameter printed as a float
+    (annulus-sharpness:0.5 for annulus-sharpness:0.50), and that parameter as
+    a tuple, empty for a plain name. UnknownSuite for a name not in the table
+    or a parameter that is not a number."""
+    head, colon, text = name.partition(":")
+    key = head + _PARAM if colon else name
+    if key not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
+    if not colon:
+        return (*SUITES[key], name, ())
+    try:
+        r = float(text)
+    except ValueError:
+        raise UnknownSuite(f"bad {head} parameter in {name!r}") from None
+    return (*SUITES[key], f"{head}:{r}", (r,))
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Run one named suite; raises UnknownSuite for unrecognized names."""
-    name = config.suite
-    if name.startswith("annulus-sharpness:"):
-        try:
-            r = float(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownSuite(f"bad annulus-sharpness parameter in {name!r}")
-        return suite_annulus_sharpness(config, r)
-    if name not in _SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
-    return _SUITES[name](config)
+    """Run one named suite into a report under its canonical name and the
+    config's seed; UnknownSuite for a name that lookup refuses."""
+    runner, _, name, params = lookup(config.suite)
+    report = VerificationReport(name, seed=config.seed)
+    runner(config, report, *params)
+    return report

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .distances import dist_annulus, dist_disk
-from .errors import BadParameter, OutsideDomain
+from .domains import DomainModel
+from .errors import OutsideDomain
 from .extrapolation import LimitEstimate, extrapolate
 from .maps import example1_map, phi_map  # noqa: F401  (re-exported witnesses)
 
@@ -135,8 +136,7 @@ def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None) -
     distance against the strip-cover closed form; with it the documented
     limit constant is reproduced by the exact density formulas.
     """
-    if not 0.0 < r < 1.0:
-        raise BadParameter(f"annulus requires 0 < r < 1, got {r}")
+    DomainModel.annulus(r)  # raises BadParameter unless 0 < r < 1
     s = math.log(1.0 / r)
     x0 = math.sqrt(r)
     xs = list(x_values) if x_values is not None else \

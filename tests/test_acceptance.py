@@ -29,9 +29,7 @@ from hypmetrics.oracle import geodesic_oracle
 from hypmetrics.rigidity import (BoundarySequenceSample, Setting, build_sample,
                                  decay_exponent_fit, dichotomy_report)
 from hypmetrics.sampling import sample_annular, sample_log_annular
-from hypmetrics.suites import (SuiteConfig, suite_ahlfors, suite_beardon_minda,
-                               suite_curvature, suite_harnack,
-                               suite_harnack_conical, suite_hopf)
+from hypmetrics.suites import SuiteConfig, run_suite
 from hypmetrics.witnesses import (annulus_sharpness_limit,
                                   disk_sharpness_functional,
                                   phi_expansion_check)
@@ -47,7 +45,7 @@ def _line(num, desc, ok, detail=""):
 
 
 def test_criterion_1_curvature():
-    report = suite_curvature(SuiteConfig("curvature", seed=SEED))
+    report = run_suite(SuiteConfig("curvature", seed=SEED))
     detail = "; ".join(f"{c.name}={c.value:.2e}" for c in report.checks
                        if c.name.startswith("kappa"))
     assert _line(1, "kappa = -4 within 1e-4 (h=1e-3, 100 seeded points, "
@@ -56,14 +54,14 @@ def test_criterion_1_curvature():
 
 
 def test_criterion_2_ahlfors():
-    report = suite_ahlfors(SuiteConfig("ahlfors", seed=SEED))
+    report = run_suite(SuiteConfig("ahlfors", seed=SEED))
     assert _line(2, "max(lambda/lambda_ref) <= 1 + 1e-9 on 50x50 grids; "
                     "center ratio < 1 - 1e-6 for non-isometries",
                  report.passed)
 
 
 def test_criterion_3_beardon_minda():
-    report = suite_beardon_minda(SuiteConfig("beardon-minda", seed=SEED))
+    report = run_suite(SuiteConfig("beardon-minda", seed=SEED))
     slacks = [c for c in report.checks if c.name.startswith("min-slack")]
     assert _line(3, "distortion bound holds at 100 seeded (z,q) pairs for phi "
                     "and example1 pullbacks, slack >= -1e-10",
@@ -72,8 +70,8 @@ def test_criterion_3_beardon_minda():
 
 
 def test_criterion_4_harnack():
-    log_rep = suite_harnack(SuiteConfig("harnack", seed=SEED))
-    con_rep = suite_harnack_conical(SuiteConfig("harnack-conical", seed=SEED))
+    log_rep = run_suite(SuiteConfig("harnack", seed=SEED))
+    con_rep = run_suite(SuiteConfig("harnack-conical", seed=SEED))
     assert _line(4, "Harnack inequality at 500 polar points (example1, r=0.1, "
                     "R=1) and 300 points (scaled conical 0.5/0.9 vs conical "
                     "0.5, r=0.5)",
@@ -81,7 +79,7 @@ def test_criterion_4_harnack():
 
 
 def test_criterion_5_hopf_limits():
-    report = suite_hopf(SuiteConfig("hopf", seed=SEED))
+    report = run_suite(SuiteConfig("hopf", seed=SEED))
     limits = {c.name: c for c in report.checks if c.name.startswith("limit")}
     ok = (abs(limits["limit[pdiskR:e]"].value + 1.0) <= 2e-2
           and abs(limits["limit[pull:example1:pdisk]"].value + 1.0) <= 2e-2)

@@ -1,13 +1,14 @@
 """CLI surface: commands, exit codes, determinism, round-tripping."""
 import json
 import math
+import warnings
 
 import pytest
 
 from hypmetrics.cli import main
 from hypmetrics.errors import ParseError
 from hypmetrics.specparse import parse_domain, parse_map, parse_metric
-from hypmetrics.suites import TOLERANCES, SuiteConfig, run_suite, suite_names
+from hypmetrics.suites import SUITES, SuiteConfig, run_suite, suite_names
 
 
 def run(capsys, *argv):
@@ -144,6 +145,25 @@ def test_aux_solutions_stencil_outside_the_disk_is_an_error(capsys):
     assert out == ""
 
 
+# Stencils lost to rounding (a point equal to its centre, or h^2 = 0) and a
+# curvature whose lambda^2 overflows printed nan or -0.0 with exit 0, or nan
+# rows as a verification failure; each is now a typed error.
+@pytest.mark.parametrize("argv", [
+    ["verify", "aux-solutions", "--tol", "aux-h=1e-300"],
+    ["curvature", "--metric", "disk", "--z", "0.3,0", "--h", "1e-300"],
+    ["curvature", "--metric", "disk", "--z", "0.3,0", "--h", "1e-160"],
+    ["curvature", "--metric", "pdisk", "--z", "1e-300,0"],
+    ["curvature", "--metric", "pdisk", "--z", "1e-160,0"],
+], ids=["aux-h", "disk-h-1e-300", "disk-h-1e-160", "pdisk-1e-300", "pdisk-1e-160"])
+def test_degenerate_stencil_is_an_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_oracle_on_nearly_coincident_points(capsys):
     code, out, err = run(capsys, "distance", "--domain", "disk", "--z1", "0.3,0",
                          "--z2", "0.3,1e-13", "--oracle-grid", "100")
@@ -198,19 +218,51 @@ def test_verify_tolerance_override(capsys):
 
 
 def test_tolerance_table_lists_what_each_suite_reads():
-    # verify --tol accepts the names in TOLERANCES alone, so the table must
-    # list every suite and exactly the tolerances it reads
+    # verify --tol accepts the names in a suite's SUITES entry alone, so the
+    # entry must list exactly the tolerances the suite reads
     class Reads(dict):
         def get(self, name, default=None):
             self.setdefault(name, default)
             return default
 
-    assert set(TOLERANCES) == {n.partition(":")[0] for n in suite_names()}
-    for suite, names in TOLERANCES.items():
+    assert sorted(suite_names()) == sorted(SUITES)
+    for key, (_, names) in SUITES.items():
         reads = Reads()
-        run_suite(SuiteConfig(suite + ":0.5" if suite == "annulus-sharpness" else suite,
-                              tolerances=reads))
+        run_suite(SuiteConfig(key.replace("<r>", "0.5"), tolerances=reads))
         assert reads == names
+
+
+_AVAILABLE = ("available: ahlfors, aux-solutions, beardon-minda, curvature, decay-ratio, "
+              "example1, harnack, harnack-conical, hopf, hopf-conical, lemma44, phi, "
+              "annulus-sharpness:<r>")
+
+
+# stderr and exit code of each bad suite name, captured from the two-table
+# code this table replaced; only the annulus radius message moved, from
+# "got 2.0" to "got r=2.0", the wording of the annulus domain's own rule
+@pytest.mark.parametrize("argv,code,err", [
+    (["annulus-sharpness"], 2, f"unknown suite 'annulus-sharpness'; {_AVAILABLE}"),
+    (["annulus-sharpness:abc"], 2,
+     "bad annulus-sharpness parameter in 'annulus-sharpness:abc'"),
+    (["annulus-sharpness:2"], 1, "annulus requires 0 < r < 1, got r=2.0"),
+    (["curvature:0.5"], 2, f"unknown suite 'curvature:0.5'; {_AVAILABLE}"),
+    (["lemma44:"], 2, f"unknown suite 'lemma44:'; {_AVAILABLE}"),
+    (["nope"], 2, f"unknown suite 'nope'; {_AVAILABLE}"),
+    (["curvature:0.5", "--tol", "curvature=1"], 2,
+     f"unknown suite 'curvature:0.5'; {_AVAILABLE}"),
+    (["annulus-sharpness:0.5", "--tol", "zz=1"], 2,
+     "--tol 'zz': suite 'annulus-sharpness:0.5' reads 'annulus'"),
+], ids=["annulus-bare", "annulus-abc", "annulus-2", "curvature-param", "lemma44-colon", "nope",
+        "curvature-param-tol", "annulus-unknown-tol"])
+def test_suite_name_errors_are_pinned(capsys, argv, code, err):
+    assert run(capsys, "verify", *argv) == (code, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("name", ["annulus-sharpness:0.50", "annulus-sharpness:5e-1"])
+def test_suite_parameter_is_printed_canonically(capsys, name):
+    code, out, _ = run(capsys, "verify", name)
+    assert code == 0
+    assert out.startswith("# suite=annulus-sharpness:0.5 seed=42\n")
 
 
 def test_phi_suite_reports_inconsistent_targets(capsys):

@@ -1,12 +1,13 @@
 """Discrete Gauss curvature: -4 for the model metrics, pullback invariance."""
 import math
+import warnings
 
 import pytest
 
 import numpy as np
 
 from hypmetrics.curvature import curvature_at, laplacian
-from hypmetrics.errors import NonpositiveDensity, StencilOutsideDomain
+from hypmetrics.errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric, disk_metric,
                                 pullback, punctured_disk_metric,
@@ -118,6 +119,36 @@ def test_one_point_off_domain_refuses_the_array():
         curvature_at(disk_metric(), pts, 1e-3)
     with pytest.raises(StencilOutsideDomain):
         curvature_at(punctured_disk_metric(), np.array([0.3, 0.0]), 1e-3)
+
+
+# A stencil point that rounds onto its centre, or an h^2 that underflows to
+# 0, gave nan or a silent -0.0; a lambda^2 that overflows gave nan.
+@pytest.mark.parametrize("metric,z,h", [
+    (disk_metric(), 0.3, 1e-300),  # h^2 = 0 and 0.3 + h == 0.3
+    (disk_metric(), 0.3, 1e-160),  # h^2 is subnormal, but 0.3 + h == 0.3
+    (punctured_disk_metric(), 1e-300, 1e-3),  # shrunk to h = 5e-301, h^2 = 0
+], ids=["disk-1e-300", "disk-1e-160", "pdisk-1e-300"])
+def test_stencil_lost_to_rounding_is_refused(metric, z, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StencilOutsideDomain, match="lost to rounding"):
+            curvature_at(metric, z, h)
+
+
+def test_one_stencil_lost_to_rounding_refuses_the_array():
+    pts = np.array([0.3, 1e-300])
+    with pytest.raises(StencilOutsideDomain, match=r"step 5e-301 at z=\(1e-300\+0j\)"):
+        curvature_at(punctured_disk_metric(), pts, 1e-3)
+    with pytest.raises(StencilOutsideDomain, match=r"step 1e-17 at z=\(0\.25\+0j\)"):
+        laplacian(lambda w: np.abs(w) ** 2, np.array([1e-3, 0.25]), 1e-17)
+
+
+def test_nonfinite_curvature_is_refused():
+    # at |z| = 1e-160 the stencil (h = 5e-161) resolves, but lambda^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match="not finite"):
+            curvature_at(punctured_disk_metric(), 1e-160, 1e-3)
 
 
 def test_laplacian_is_exact_on_quadratics():

@@ -32,7 +32,7 @@ def test_ahlfors_identity_pair():
     rep = ahlfors_check(disk_metric(), disk_metric(), cartesian_grid(20, 0.9),
                         kind="closed")
     assert rep.passed
-    assert rep.checks[0].value == 0.0
+    assert rep.value == 0.0
 
 
 def test_ahlfors_phi_pullback_passes():
@@ -41,7 +41,7 @@ def test_ahlfors_phi_pullback_passes():
     grid = grid[np.abs(grid) < 0.95]
     rep = ahlfors_check(pullback(lam, phi_map(), lam.domain), lam, grid)
     assert rep.passed
-    assert rep.checks[0].value < 0.0  # strictly below 1
+    assert rep.value < 0.0  # strictly below 1
 
 
 def test_ahlfors_example1_pullback_passes():
@@ -236,6 +236,15 @@ def test_radial_solution_space_refuses_bad_stencil(h):
 def test_radial_solution_space_refuses_stencils_outside_the_disk(h):
     with np.errstate(all="raise"):  # refused before any stray evaluation
         with pytest.raises(StencilOutsideDomain, match="leaves pdisk"):
+            radial_solution_space_check(h=h)
+
+
+# h = 1e-300 underflows h^2 to 0, and at 1e-17 the stencil points round onto
+# the radii: either gave nan or noise residuals instead of an error.
+@pytest.mark.parametrize("h", [1e-300, 1e-17])
+def test_radial_solution_space_refuses_stencils_lost_to_rounding(h):
+    with np.errstate(all="raise"):  # refused before dividing by h^2
+        with pytest.raises(StencilOutsideDomain, match="lost to rounding"):
             radial_solution_space_check(h=h)
 
 

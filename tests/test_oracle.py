@@ -203,7 +203,8 @@ def _derivatives(metric, p, h):
 
 def _energy(metric, p):
     """The energy sum L_k^2 of the polyline p, from its Simpson lengths."""
-    return float(np.sum(oracle._segment_lengths(metric, p) ** 2))
+    lengths = oracle._simpson(eval_many(metric, oracle._with_midpoints(p)), p)
+    return float(np.sum(lengths ** 2))
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:
@@ -226,7 +227,7 @@ def test_energy_derivatives_match_differences(spec, z1, z2):
     # gradient against central differences of _energy.
     dom = parse_domain(spec)
     metric = domain_metric(dom)
-    p = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 40)[0])
+    p, _ = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 40)[0])
     spacing = np.abs(np.gradient(p))
     p[1:-1] += 0.05 * spacing[1:-1] * np.exp(2j * np.pi * rng_for(3).random(p.size - 2))
     h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
@@ -271,7 +272,7 @@ def test_both_relaxed_seeds_are_pinned():
     dom = parse_domain("annulus:0.5")
     z1, z2 = 0.1961910991772045 - 0.5822504249846683j, -0.2258646008444965 + 0.7213989910691383j
     metric = domain_metric(dom)
-    lengths = [oracle._geodesic_length(metric, oracle._respaced(metric, seed))
+    lengths = [oracle._geodesic_length(metric, *oracle._respaced(metric, seed))
                for seed in oracle._seeds(dom, z1, z2, 100)]
     assert lengths == pytest.approx([7.203302716921886, 7.3011288403114945], rel=1e-13)
     assert geodesic_oracle(dom, z1, z2, 100).value == min(lengths)
@@ -279,10 +280,11 @@ def test_both_relaxed_seeds_are_pinned():
 
 def test_eval_many_calls_and_points_are_pinned(monkeypatch):
     # Rows of 199 points (100 points with midpoints): the respacing passes,
-    # then per solve one row for the start, 8 stencil rows per Newton
+    # whose last row is each solve's start, then 8 stencil rows per Newton
     # iteration (the centre is the accepted trial's row) and one row per
     # line-search trial. Evaluating the centre again, as 9 stencil rows plus
-    # a row at convergence, took 31 calls and 23,681 points.
+    # a row at convergence, took 31 calls and 23,681 points; evaluating each
+    # solve's start again after the respacing took 31 and 21,492.
     sizes = []
 
     def counted(metric, zs):
@@ -291,7 +293,7 @@ def test_eval_many_calls_and_points_are_pinned(monkeypatch):
 
     monkeypatch.setattr(oracle, "eval_many", counted)
     geodesic_oracle(parse_domain("annulus:0.5"), 0.7, 0.8j, 100)
-    assert (len(sizes), sum(sizes)) == (31, 21_492)
+    assert (len(sizes), sum(sizes)) == (29, 21_094)
 
 
 def test_singular_band_is_a_typed_error():
@@ -349,7 +351,7 @@ def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
 
     dom = parse_domain(spec)
     metric = domain_metric(dom)
-    p = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
+    p, _ = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
     h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
     assert oracle._diff_steps(oracle._with_midpoints(p)).tobytes() == h.tobytes()
     energy, grad, ab = _derivatives(metric, p, h)
