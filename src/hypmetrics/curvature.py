@@ -44,8 +44,8 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     a point and as arrays in the shape of z otherwise. Refuses with
     NonpositiveDensity when lambda <= 0 anywhere on a stencil (curvature is
     defined only where the density is positive), with StencilOutsideDomain
-    when no admissible stencil fits or it is lost to rounding (see
-    laplacian), and with NumericOverflow when kappa is not finite (near a
+    when no admissible stencil fits or a stencil point rounds onto its
+    centre (see laplacian), and with NumericOverflow when kappa is not finite (near a
     puncture lambda^2 overflows).
     """
     if not h > 0.0:

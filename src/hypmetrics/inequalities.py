@@ -183,7 +183,8 @@ def radial_solution_space_check(h: float) -> VerificationReport:
     scaling check between h and 10h); log(1/|z|) is harmonic and serves as
     a negative control with residual bounded away from zero.
     StencilOutsideDomain when a stencil of step h or 10h leaves the
-    punctured disk (h >= 0.02 does) or is lost to rounding (h <= 1e-17 is).
+    punctured disk (h >= 0.02 does) or has a point equal to its centre
+    (h <= 1e-17 does).
     """
     if not h > 0.0:
         raise BadParameter(f"stencil size must be positive, got {h}")

@@ -186,19 +186,15 @@ def _newton_step(ab: np.ndarray, grad: np.ndarray, damping: float, label: str) -
     return step.view(np.complex128)
 
 
-def _geodesic_length(metric: MetricDensity, p: np.ndarray,
-                     lam: np.ndarray | None = None) -> float:
+def _geodesic_length(metric: MetricDensity, p: np.ndarray, lam: np.ndarray) -> float:
     """Minimize the energy sum L_k^2 from the polyline p, ends fixed, by
     Levenberg-Marquardt damped Newton steps; return the Simpson length of
-    the minimizer. lam is the density at _with_midpoints(p), evaluated here
-    when not given. The accepted trial of each line search keeps its points
-    with midpoints q and the density lam there for the next iteration."""
+    the minimizer. lam is the density at _with_midpoints(p). The accepted
+    trial of each line search keeps its points with midpoints q and the
+    density lam there for the next iteration."""
     dom = metric.domain
     damping = 0.0
     q = _with_midpoints(p)
-    if lam is None:
-        with np.errstate(invalid="ignore", divide="ignore"):  # checked below
-            lam = eval_many(metric, q)
     for _ in range(100):
         with np.errstate(invalid="ignore", divide="ignore"):  # checked just below
             energy, grad, ab = _energy_derivatives(metric, q, lam, _diff_steps(q))

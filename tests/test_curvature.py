@@ -10,7 +10,7 @@ from hypmetrics.curvature import curvature_at, laplacian
 from hypmetrics.errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric, disk_metric,
-                                pullback, punctured_disk_metric,
+                                half_plane_metric, pullback, punctured_disk_metric,
                                 punctured_disk_metric_r)
 from hypmetrics.sampling import sample_annular
 from hypmetrics.suites import _curvature_cases
@@ -127,7 +127,10 @@ def test_one_point_off_domain_refuses_the_array():
     (disk_metric(), 0.3, 1e-300),  # h^2 = 0 and 0.3 + h == 0.3
     (disk_metric(), 0.3, 1e-160),  # h^2 is subnormal, but 0.3 + h == 0.3
     (punctured_disk_metric(), 1e-300, 1e-3),  # shrunk to h = 5e-301, h^2 = 0
-], ids=["disk-1e-300", "disk-1e-160", "pdisk-1e-300"])
+    # 1e17 + h == 1e17; this read -4.000002, right only because the
+    # half-plane density ignores Re z
+    (half_plane_metric(), 1e17 + 1j, 1e-3),
+], ids=["disk-1e-300", "disk-1e-160", "pdisk-1e-300", "halfplane-1e17"])
 def test_stencil_lost_to_rounding_is_refused(metric, z, h):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

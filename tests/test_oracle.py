@@ -373,11 +373,14 @@ def test_geodesic_solve_failures_are_typed():
     path = np.linspace(0.1, 0.5 + 0.3j, 20)
     nan_metric = MetricDensity(DomainModel.disk(), lambda z: np.full(np.shape(z), np.nan), "nan")
     with pytest.raises(GeodesicSolveFailed):
-        oracle._geodesic_length(nan_metric, path)
+        oracle._geodesic_length(nan_metric, path,
+                                eval_many(nan_metric, oracle._with_midpoints(path)))
     nowhere = SimpleNamespace(contains=lambda z: np.zeros(np.shape(z), dtype=bool),
                               label=lambda: "nowhere")
+    nowhere_metric = MetricDensity(nowhere, disk_metric().eval, "disk")
     with pytest.raises(GeodesicSolveFailed):
-        oracle._geodesic_length(MetricDensity(nowhere, disk_metric().eval, "disk"), path)
+        oracle._geodesic_length(nowhere_metric, path,
+                                eval_many(nowhere_metric, oracle._with_midpoints(path)))
 
 
 @pytest.mark.parametrize("package,code", [
