@@ -13,6 +13,10 @@ Subcommands:
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage or
 parse error. Output is deterministic: floats are serialized with their
 shortest round-trip representation and all sampling is seeded.
+
+Each handler imports the modules it calls, so a command loads only what it
+runs: `verify` loads no oracle, liouville or rigidity module, the other
+commands load no suite, and only `distance --oracle-grid` loads the oracle.
 """
 from __future__ import annotations
 
@@ -21,17 +25,7 @@ import json
 import math
 import sys
 
-from .curvature import curvature_at
-from .distances import dist_punctured_disk
 from .errors import HypMetricsError, ParseError, UnknownSuite
-from .liouville import classify_singularity, closed_form_family, integrate_radial
-from .metrics import density_at, eval_many, log_density_at
-from .oracle import geodesic_oracle
-from .rigidity import (BoundarySequenceSample, Setting, classify_sample,
-                       decay_exponent_fit)
-from .sampling import cartesian_grid, polar_grid
-from .specparse import domain_distance, parse_domain, parse_float, parse_metric
-from .suites import SuiteConfig, lookup, run_suite
 
 
 def _parse_complex(text: str) -> complex:
@@ -44,6 +38,9 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_tols(items, suite: str) -> dict:
     """--tol NAME=VALUE overrides: names the suite reads, finite values >= 0."""
+    from .specparse import parse_float
+    from .suites import lookup
+
     known = lookup(suite)[1]
     out = {}
     for item in items or []:
@@ -67,6 +64,10 @@ def _emit(text: str) -> None:
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_density(args) -> int:
+    from .metrics import density_at, eval_many, log_density_at
+    from .sampling import cartesian_grid, polar_grid
+    from .specparse import parse_metric
+
     metric = parse_metric(args.domain)
     if args.z is not None:  # a --z point off the domain is an error
         z = _parse_complex(args.z)
@@ -96,6 +97,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
+    from .curvature import curvature_at
+    from .specparse import parse_metric
+
     metric = parse_metric(args.metric)
     z = _parse_complex(args.z)
     kappa, h_used = curvature_at(metric, z, args.h, full_output=True)
@@ -108,12 +112,16 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from .specparse import domain_distance, parse_domain
+
     domain = parse_domain(args.domain)
     z1, z2 = _parse_complex(args.z1), _parse_complex(args.z2)
     res = domain_distance(domain, z1, z2)
     deck = "" if res.deck_index is None else str(res.deck_index)
     lines = [f"distance,{res.value!r},{res.method.value},{deck}"]
     if args.oracle_grid:
+        from .oracle import geodesic_oracle
+
         oracle = geodesic_oracle(domain, z1, z2, grid_n=args.oracle_grid)
         lines.append(f"distance,{oracle.value!r},{oracle.method.value},")
     if args.output == "json":
@@ -128,6 +136,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import SuiteConfig, run_suite
+
     config = SuiteConfig(suite=args.suite, seed=args.seed,
                          tolerances=_parse_tols(args.tol, args.suite))
     report = run_suite(config)
@@ -137,6 +147,9 @@ def _cmd_verify(args) -> int:
 
 def _read_sample_csv(path: str) -> BoundarySequenceSample:
     import csv as _csv
+
+    from .rigidity import BoundarySequenceSample
+    from .specparse import parse_float
 
     try:
         with open(path, newline="") as fh:
@@ -169,6 +182,11 @@ def _estimate_json(est, classification=None) -> str:
 
 
 def _cmd_rigidity(args) -> int:
+    from .distances import dist_punctured_disk
+    from .metrics import density_at
+    from .rigidity import Setting, classify_sample, decay_exponent_fit
+    from .specparse import parse_float, parse_metric
+
     if args.action == "fit":
         est = decay_exponent_fit(_read_sample_csv(args.input))
         _emit(_estimate_json(est))
@@ -203,6 +221,8 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_liouville(args) -> int:
+    from .liouville import classify_singularity, closed_form_family, integrate_radial
+
     if args.action == "solve":
         profile = integrate_radial(args.w0, args.dw0, args.t0, args.t1, args.steps)
         E = profile.first_integral()

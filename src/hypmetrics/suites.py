@@ -265,7 +265,7 @@ def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
-    report.extend(radial_solution_space_check(cfg.tol("aux-h")).checks)
+    report.extend(radial_solution_space_check(cfg.tol("aux-h")))
 
 
 # --- witnesses ----------------------------------------------------------------

@@ -32,7 +32,6 @@ from .distances import dist_annulus, dist_disk
 from .domains import DomainModel
 from .errors import OutsideDomain
 from .extrapolation import LimitEstimate, extrapolate
-from .maps import example1_map, phi_map  # noqa: F401  (re-exported witnesses)
 
 PHI_EXPANSION_TARGET = -1.0 / 12.0   # documented target; direct evaluation gives -1/6
 DISK_FUNCTIONAL_TARGET = -1.0 / 3.0  # documented target; direct evaluation gives -2/3
