@@ -38,7 +38,6 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_tols(items, suite: str) -> dict:
     """--tol NAME=VALUE overrides: names the suite reads, finite values >= 0."""
-    from .specparse import parse_float
     from .suites import lookup
 
     known = lookup(suite)[1]
@@ -50,6 +49,8 @@ def _parse_tols(items, suite: str) -> dict:
         if name not in known:
             raise ParseError(f"--tol {name!r}: suite {suite!r} reads "
                              + (", ".join(map(repr, known)) or "no tolerance"))
+        from .specparse import parse_float
+
         tol = parse_float(value, f"--tol value for {name!r}")
         if not 0.0 <= tol < math.inf:
             raise ParseError(f"--tol {name!r} must be finite and >= 0, got {value!r}")

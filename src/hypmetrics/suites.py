@@ -8,7 +8,8 @@ VerificationReport that run_suite builds for it. Identical configurations
 SUITES, at the end of this module, is the one place a suite is registered:
 its runner and the tolerances it reads, with their defaults. A key ending
 in ":<r>" takes a number after the colon; lookup is the one place a suite
-name is split and checked.
+name is split and checked. The witness computations are imported by the
+three runners that use them (phi, example1, annulus-sharpness).
 
 Two suites are expected to fail by design: the phi witness suite compares
 against the documented constants -1/12 and -1/3, which are inconsistent
@@ -39,8 +40,6 @@ from .metrics import (MetricDensity, annulus_metric, conical_metric,
                       punctured_disk_metric, punctured_disk_metric_r)
 from .reports import Check, VerificationReport
 from .sampling import cartesian_grid, polar_grid, sample_annular, sample_log_annular
-from .witnesses import (annulus_sharpness_limit, disk_sharpness_functional,
-                        example1_limit, phi_expansion_check)
 
 MOBIUS_A = complex(0.3, 0.2)
 
@@ -271,6 +270,8 @@ def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
 # --- witnesses ----------------------------------------------------------------
 
 def suite_phi(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from .witnesses import disk_sharpness_functional, phi_expansion_check
+
     phi = phi_map()
     report.add(Check.close("phi(1)=1", abs(complex(phi.value(1.0)) - 1.0), 0.0,
                            1e-15, "trivial"))
@@ -298,6 +299,8 @@ def suite_phi(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_example1(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from .witnesses import example1_limit
+
     f = example1_map()
     report.add(Check.close("|f(0.5)|=0.5e^-3", abs(complex(f.value(0.5))),
                            0.5 * math.exp(-3.0), 1e-15, "derived"))
@@ -319,6 +322,8 @@ def suite_example1(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_annulus_sharpness(cfg: SuiteConfig, report: VerificationReport, r: float) -> None:
+    from .witnesses import annulus_sharpness_limit
+
     wl = annulus_sharpness_limit(r)
     report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
                            cfg.tol("annulus"), "paper", note=wl.note))

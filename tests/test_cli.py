@@ -1,10 +1,15 @@
 """CLI surface: commands, exit codes, determinism, round-tripping."""
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hypmetrics
 from hypmetrics.cli import main
 from hypmetrics.errors import ParseError
 from hypmetrics.specparse import parse_domain, parse_map, parse_metric
@@ -166,6 +171,22 @@ def test_degenerate_stencil_is_an_error(capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_oracle_overflow_is_an_error_without_warnings():
+    # The seed's Simpson lengths, the kernel and the energy sum overflowed
+    # here, with five RuntimeWarnings before the error, or a RuntimeWarning
+    # traceback under -W error.
+    src = str(Path(hypmetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hypmetrics", "distance", "--domain", "halfplane",
+         "--z1", "0,1e-300", "--z2", "1e300,1", "--oracle-grid", "220"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "Warning" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_oracle_on_nearly_coincident_points(capsys):

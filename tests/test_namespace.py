@@ -130,6 +130,14 @@ def test_verify_loads_no_oracle_liouville_or_rigidity():
                              "hypmetrics.rigidity", "scipy"]) == [], command
 
 
+def test_verify_curvature_loads_no_spec_parser_and_no_witnesses():
+    # specparse serves only --tol, and witnesses only the phi, example1 and
+    # annulus-sharpness suites
+    [(code, mods)] = _loaded([["verify", "curvature"]]).values()
+    assert code == 0 and "hypmetrics.suites" in mods
+    assert _among(mods, ["hypmetrics.specparse", "hypmetrics.witnesses"]) == []
+
+
 def test_other_commands_load_no_suite(tmp_path, capsys):
     main(["rigidity", "sample", "--metric", "pull:example1:pdisk", "--reference", "pdisk"])
     sample = tmp_path / "sample.csv"

@@ -218,9 +218,12 @@ def _dense(ab: np.ndarray) -> np.ndarray:
     return dense
 
 
-@pytest.mark.parametrize("spec,z1,z2", [
+_SIX_KINDS = [
     ("disk", 0.6, -0.5 + 0.3j), ("pdisk", 0.3, 0.5j), ("pdiskR:2", 1.2, -0.4j),
-    ("annulus:0.5", 0.7, 0.8j), ("halfplane", 1j, 2 + 0.5j), ("strip:1", 0.2j, 2 + 0.7j)])
+    ("annulus:0.5", 0.7, 0.8j), ("halfplane", 1j, 2 + 0.5j), ("strip:1", 0.2j, 2 + 0.7j)]
+
+
+@pytest.mark.parametrize("spec,z1,z2", _SIX_KINDS)
 def test_energy_derivatives_match_differences(spec, z1, z2):
     # On a seed pushed off the geodesic: the closed-form Hessian against a
     # central-difference Jacobian of its own gradient (h held fixed), and the
@@ -250,9 +253,25 @@ def test_energy_derivatives_match_differences(spec, z1, z2):
     assert np.abs(grad.view(np.float64) - grad_fd).max() <= 1e-5 * np.abs(grad).max()
 
 
-# The oracle's values at 100 points, pinned: a rewrite of the Newton solve
-# that keeps its arithmetic keeps them. 1e-13 relative leaves room for the
-# rounding of other LAPACK builds, far below the oracle's own error.
+@pytest.mark.parametrize("spec,z1,z2", _SIX_KINDS)
+def test_gradient_only_call_is_the_first_half_of_the_kernel(spec, z1, z2):
+    # The kept-factor iterations evaluate only the axis points of the stencil:
+    # the same energy and gradient bits as the full kernel, and no Hessian.
+    dom = parse_domain(spec)
+    metric = domain_metric(dom)
+    p, lam = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
+    q = oracle._with_midpoints(p)
+    h = oracle._diff_steps(q)
+    energy, grad, _ = oracle._energy_derivatives(metric, q, lam, h)
+    axis_energy, axis_grad, no_hessian = oracle._energy_derivatives(metric, q, lam, h,
+                                                                    hessian=False)
+    assert axis_energy.hex() == energy.hex() and no_hessian is None
+    assert axis_grad.tobytes() == grad.tobytes()
+
+
+# The oracle's values, pinned: a rewrite of the Newton solve that keeps its
+# arithmetic keeps them. 1e-13 relative leaves room for the rounding of other
+# LAPACK builds, far below the oracle's own error.
 @pytest.mark.parametrize("spec,z1,z2,value", [
     ("disk", 0.6, -0.5 + 0.3j, 1.3280413435843204),
     ("pdisk", 0.3, 0.5j, 0.8118839257080885),
@@ -263,6 +282,21 @@ def test_energy_derivatives_match_differences(spec, z1, z2):
 ])
 def test_oracle_values_are_pinned(spec, z1, z2, value):
     got = geodesic_oracle(parse_domain(spec), z1, z2, 100).value
+    assert got == pytest.approx(value, rel=1e-13)
+
+
+# The same at 220 points, on the first pair per kind of the oracle-xval
+# benchmark workload at seed 5.
+@pytest.mark.parametrize("spec,z1,z2,value", [
+    ("disk", -0.7101014536115352 - 0.02210466011900969j,
+     0.12015833325358354 - 0.09851092309705935j, 1.0155327028044256),
+    ("pdisk", -0.016334377299296238 - 0.017238099606438465j,
+     -0.03207338621242217 + 0.010453506203171262j, 0.1650660921754254),
+    ("annulus:0.5", 0.5678878558127806 + 0.712361404979451j,
+     -0.37345039543344777 - 0.6328434191698491j, 7.255932910725994),
+], ids=["disk", "pdisk", "annulus:0.5"])
+def test_oracle_values_at_220_points_are_pinned(spec, z1, z2, value):
+    got = geodesic_oracle(parse_domain(spec), z1, z2, 220).value
     assert got == pytest.approx(value, rel=1e-13)
 
 
@@ -282,9 +316,14 @@ def test_eval_many_calls_and_points_are_pinned(monkeypatch):
     # Rows of 199 points (100 points with midpoints): the respacing passes,
     # whose last row is each solve's start, then 8 stencil rows per Newton
     # iteration (the centre is the accepted trial's row) and one row per
-    # line-search trial. Evaluating the centre again, as 9 stencil rows plus
-    # a row at convergence, took 31 calls and 23,681 points; evaluating each
-    # solve's start again after the respacing took 31 and 21,492.
+    # line-search trial, or 4 rows (the axis points) on kept LU factors.
+    # Evaluating the centre again, as 9 stencil rows plus a row at
+    # convergence, took 31 calls and 23,681 points; evaluating each solve's
+    # start again after the respacing took 31 and 21,492. Before the factors
+    # were kept, every iteration took 8 rows: 29 calls and 21,094 points.
+    # Now the last 2 iterations of each seed run on kept factors, and the
+    # first seed's last iteration takes 10 line-search trials at the rounding
+    # floor, against 3 before.
     sizes = []
 
     def counted(metric, zs):
@@ -293,13 +332,33 @@ def test_eval_many_calls_and_points_are_pinned(monkeypatch):
 
     monkeypatch.setattr(oracle, "eval_many", counted)
     geodesic_oracle(parse_domain("annulus:0.5"), 0.7, 0.8j, 100)
-    assert (len(sizes), sum(sizes)) == (29, 21_094)
+    assert (len(sizes), sum(sizes)) == (35, 19_104)
+
+
+def test_kept_factors_serve_the_newton_tail(monkeypatch):
+    # On the pinned annulus pair, some iterations run on kept LU factors:
+    # no Hessian is built, and fewer factorizations run than Newton steps.
+    hessians, factorizations, steps = [], [], []
+    kernel, band_lu, newton_step = (oracle._energy_derivatives, oracle._band_lu,
+                                    oracle._newton_step)
+
+    def counted_kernel(*args, hessian=True):
+        hessians.append(hessian)
+        return kernel(*args, hessian=hessian)
+
+    monkeypatch.setattr(oracle, "_energy_derivatives", counted_kernel)
+    monkeypatch.setattr(oracle, "_band_lu",
+                        lambda *args: factorizations.append(1) or band_lu(*args))
+    monkeypatch.setattr(oracle, "_newton_step",
+                        lambda *args: steps.append(1) or newton_step(*args))
+    geodesic_oracle(parse_domain("annulus:0.5"), 0.7, 0.8j, 100)
+    assert False in hessians and True in hessians
+    assert len(factorizations) < len(steps)
 
 
 def test_singular_band_is_a_typed_error():
     with pytest.raises(GeodesicSolveFailed, match="singular energy Hessian"):
-        oracle._newton_step(np.zeros((3 * oracle._BAND + 1, 4)), np.ones(2, dtype=complex),
-                            0.0, "disk")
+        oracle._band_lu(np.zeros((3 * oracle._BAND + 1, 4)), 0.0, "disk")
 
 
 def _block_energy_derivatives(metric, p, h):
@@ -345,8 +404,9 @@ def _block_energy_derivatives(metric, p, h):
     ("disk", 0.6, -0.5 + 0.3j), ("pdisk", 0.3, 0.5j), ("annulus:0.5", 0.7, 0.8j),
     ("halfplane", 1j, 2 + 0.5j), ("strip:1", 0.2j, 2 + 0.7j), ("disk", 0.3, 0.3 + 1e-8)])
 def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
-    # Elementwise IEEE arithmetic in the same order, and the same LAPACK gbsv:
-    # equal bit for bit (signs of zeros included) on any build.
+    # Elementwise IEEE arithmetic in the same order, and the LU factor and
+    # solve that make up solve_banded's LAPACK gbsv: equal bit for bit (signs
+    # of zeros included) on any build.
     from scipy.linalg import solve_banded
 
     dom = parse_domain(spec)
@@ -365,7 +425,7 @@ def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
         damped = band.copy()
         damped[oracle._BAND] += damping * np.abs(band[oracle._BAND])
         ref_step = solve_banded((oracle._BAND, oracle._BAND), damped, -grad.view(np.float64))
-        step = oracle._newton_step(ab, grad, damping, dom.label())
+        step = oracle._newton_step(oracle._band_lu(ab, damping, dom.label()), grad)
         assert step.tobytes() == ref_step.tobytes()
 
 
