@@ -2,13 +2,20 @@
 
 It uses only the density, never closed forms or covering lifts. A straight
 seed (the segment z1 -> z2; for punctured domains and annuli the segment in
-log z, once each way round the puncture) is spaced evenly in metric length
+log z the short way round the puncture) is spaced evenly in metric length
 and relaxed onto a discrete geodesic: its points minimize the energy
 sum L_k^2, L_k the Simpson length of segment k, by damped Newton. The
-Simpson length of the result is returned; of the two seeds round a
-puncture, the shorter wins. Simpson weights make a segment pay for the
-density at its ends as well as at its midpoint, so no long chord can skip
-a region where the density is large.
+Simpson length of the result is returned. Simpson weights make a segment
+pay for the density at its ends as well as at its midpoint, so no long
+chord can skip a region where the density is large. Points closer than the
+path can resolve get the Simpson length of their chord.
+
+One seed is enough round a puncture. The doubly connected kinds are
+rotationally symmetric, so in w = log z the density depends on Re w alone
+and reflection in any line Im w = c is an isometry. A path from w1 to the
+lift of z2 farther from w1 in Im w, reflected after it crosses the line
+halfway between two lifts, is a path no longer to the nearer lift; so the
+class whose angle change is at most pi is never the longer.
 
 The relaxation starts from the density that the last spacing pass
 evaluated. A Newton iteration evaluates the density once on a 9-point
@@ -62,19 +69,18 @@ _DIFF_STEP, _STEP_TOL, _FULL_STEP_TOL = 1e-5, 1e-7, 0.1
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _seeds(domain: DomainModel, z1: complex, z2: complex, m: int) -> list:
-    """m-point straight seeds: the segment z1 -> z2, or for the doubly
-    connected kinds the segment in log z, once each way round the puncture."""
+def _seed(domain: DomainModel, z1: complex, z2: complex, m: int) -> np.ndarray:
+    """The m-point straight seed: the segment z1 -> z2, or for the doubly
+    connected kinds the segment in log z whose angle change is at most pi."""
     t = np.linspace(0.0, 1.0, m)
     if not domain.doubly_connected:
-        return [z1 + t * (z2 - z1)]
-    one_way = cmath.log(z2) - cmath.log(z1)
-    seeds = []
-    for log_ratio in (one_way, one_way - math.copysign(2.0 * math.pi, one_way.imag) * 1j):
-        seed = z1 * np.exp(t * log_ratio)
-        seed[-1] = z2
-        seeds.append(seed)
-    return seeds
+        return z1 + t * (z2 - z1)
+    log_ratio = cmath.log(z2) - cmath.log(z1)
+    if abs(log_ratio.imag) > math.pi:  # the other way round is the short one
+        log_ratio = log_ratio - math.copysign(2.0 * math.pi, log_ratio.imag) * 1j
+    seed = z1 * np.exp(t * log_ratio)
+    seed[-1] = z2
+    return seed
 
 
 def _with_midpoints(p: np.ndarray) -> np.ndarray:
@@ -288,12 +294,14 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
                     refine: bool = True) -> DistanceResult:
     """Discrete-geodesic estimate of the hyperbolic distance between z1 and z2.
 
-    grid_n is the number of path points (>= 100). Each straight seed (see
-    _seeds) is spaced evenly in metric length and relaxed onto a discrete
-    geodesic; the smaller Simpson length is returned, or with refine=False
-    that of the seeds themselves (an upper bound up to quadrature error).
-    GeodesicSolveFailed is raised when the solve turns non-finite or
-    singular, cannot lower the energy or stalls.
+    grid_n is the number of path points (>= 100). The straight seed (see
+    _seed) is spaced evenly in metric length and relaxed onto a discrete
+    geodesic, whose Simpson length is returned, or with refine=False that of
+    the seed itself (an upper bound up to quadrature error). Points at most
+    grid_n rounding floors _ROUNDING max(|z1|, |z2|) apart, which no such
+    path resolves, get the Simpson length of their chord. GeodesicSolveFailed
+    is raised when the solve turns non-finite or singular, cannot lower the
+    energy or stalls.
     """
     if grid_n < 100:
         raise BadParameter(f"grid_n must be >= 100, got {grid_n}")
@@ -305,7 +313,8 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
         return DistanceResult(0.0, DistanceMethod.GRID_ORACLE)
 
     metric = domain_metric(domain)
-    seeds = [_respaced(metric, seed) for seed in _seeds(domain, z1, z2, grid_n)]
-    lengths = [_geodesic_length(metric, p, lam) if refine else _simpson(lam, p).sum()
-               for p, lam in seeds]
-    return DistanceResult(float(min(lengths)), DistanceMethod.GRID_ORACLE)
+    chord = abs(z2 - z1) <= grid_n * _ROUNDING * max(abs(z1), abs(z2))
+    p, lam = _respaced(metric, np.array([z1, z2]) if chord else _seed(domain, z1, z2, grid_n))
+    if refine and not chord:
+        return DistanceResult(_geodesic_length(metric, p, lam), DistanceMethod.GRID_ORACLE)
+    return DistanceResult(float(_simpson(lam, p).sum()), DistanceMethod.GRID_ORACLE)

@@ -29,11 +29,6 @@ from .curvature import curvature_at
 from .distances import (comparability_constants, covering_decay_ratio,
                         dist_disk, dist_punctured_disk)
 from .errors import NonpositiveDensity, UnknownSuite
-from .extrapolation import extrapolate
-from .inequalities import (HarnackBoundSpec, ahlfors_check, beardon_minda_bound,
-                           boundary_max_ratio, harnack_bound, harnack_conical_bound,
-                           hopf_conical_functional, hopf_functional,
-                           radial_solution_space_check)
 from .maps import example1_map, mobius_map, phi_map, square_map
 from .metrics import (MetricDensity, annulus_metric, conical_metric,
                       conical_scaled_metric, disk_metric, eval_many, pullback,
@@ -115,10 +110,12 @@ def _ahlfors_cases():
 
 
 def suite_ahlfors(cfg: SuiteConfig, report: VerificationReport) -> None:
-    report.add(ahlfors_check(disk_metric(), disk_metric(), cartesian_grid(20, 0.9),
-                             kind="closed"))
+    from . import inequalities
+
+    report.add(inequalities.ahlfors_check(disk_metric(), disk_metric(),
+                                          cartesian_grid(20, 0.9), kind="closed"))
     for metric, reference, grid, isometry in _ahlfors_cases():
-        report.add(ahlfors_check(metric, reference, grid, kind="pullback"))
+        report.add(inequalities.ahlfors_check(metric, reference, grid, kind="pullback"))
         if not isometry:
             center = grid[int(np.argmin(np.abs(grid - grid.mean())))]
             ratio = float(eval_many(metric, np.array([center]))[0]
@@ -131,12 +128,14 @@ def suite_ahlfors(cfg: SuiteConfig, report: VerificationReport) -> None:
 # --- beardon-minda ----------------------------------------------------------
 
 def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
-    report.add(Check.close("bound(0.5,0)", beardon_minda_bound(0.5, 0.0), 0.5,
-                           0.0, "trivial"))
-    report.add(Check.close("bound(0,d)=tanh2d", beardon_minda_bound(0.0, 0.7),
+    from . import inequalities
+
+    report.add(Check.close("bound(0.5,0)", inequalities.beardon_minda_bound(0.5, 0.0),
+                           0.5, 0.0, "trivial"))
+    report.add(Check.close("bound(0,d)=tanh2d", inequalities.beardon_minda_bound(0.0, 0.7),
                            math.tanh(1.4), 1e-15, "trivial"))
-    report.add(Check.close("bound(0.5,inf)=1", beardon_minda_bound(0.5, 40.0), 1.0,
-                           1e-12, "trivial"))
+    report.add(Check.close("bound(0.5,inf)=1", inequalities.beardon_minda_bound(0.5, 40.0),
+                           1.0, 1e-12, "trivial"))
 
     slack_tol = cfg.tol("beardon-minda")
 
@@ -152,7 +151,7 @@ def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
         # distortions lambda/lambda_ref at the sample points z and the base points q
         dz = eval_many(metric, zs) / eval_many(reference, zs)
         dq = eval_many(metric, qs) / eval_many(reference, qs)
-        slack = min(beardon_minda_bound(f_q, dist(z, q).value) - f_z
+        slack = min(inequalities.beardon_minda_bound(f_q, dist(z, q).value) - f_z
                     for z, q, f_z, f_q in zip(zs, qs, dz.tolist(), dq.tolist()))
         report.add(Check(name=f"min-slack[{label}]", value=slack, expected=0.0,
                          tol=slack_tol, passed=slack >= -slack_tol, provenance="paper"))
@@ -161,18 +160,21 @@ def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
 # --- harnack ----------------------------------------------------------------
 
 def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from . import inequalities
+
     pd = punctured_disk_metric()
     metric = _pull_example1()
     r, R = 0.1, 1.0
-    M = boundary_max_ratio(metric, pd, r)
-    spec = HarnackBoundSpec(r=r, R=R, boundary_max_ratio=M)
+    M = inequalities.boundary_max_ratio(metric, pd, r)
+    spec = inequalities.HarnackBoundSpec(r=r, R=R, boundary_max_ratio=M)
     report.add(Check.close("exponent-at-r", spec.exponent(r * 1j), 1.0, 1e-12, "trivial"))
-    report.add(Check.close("exponent-half", HarnackBoundSpec(0.1, 1.0, 0.5).exponent(0.01),
+    report.add(Check.close("exponent-half",
+                           inequalities.HarnackBoundSpec(0.1, 1.0, 0.5).exponent(0.01),
                            0.5, 1e-12, "trivial"))
 
     pts = polar_grid(25, 1e-6, r * 0.999)[:500]
     lam = eval_many(metric, pts)
-    bounds = np.array([harnack_bound(spec, pd, z) for z in pts])
+    bounds = np.array([inequalities.harnack_bound(spec, pd, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack")
     report.add(Check(name="min-rel-slack[example1, r=0.1]", value=rel_slack,
@@ -182,13 +184,15 @@ def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from . import inequalities
+
     alpha, c, r = 0.5, 0.9, 0.5
     lam_a = conical_metric(alpha)
     metric = conical_scaled_metric(alpha, c)
-    M = boundary_max_ratio(metric, lam_a, r)
+    M = inequalities.boundary_max_ratio(metric, lam_a, r)
     pts = polar_grid(15, 1e-4, r * 0.999)[:300]
     lam = eval_many(metric, pts)
-    bounds = np.array([harnack_conical_bound(alpha, r, M, z) for z in pts])
+    bounds = np.array([inequalities.harnack_conical_bound(alpha, r, M, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack-conical")
     report.add(Check(name=f"min-rel-slack[scaled(alpha={alpha},c={c}), r={r}]",
@@ -196,7 +200,7 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
                      passed=rel_slack >= -tol, provenance="paper",
                      note=f"boundary max ratio {M:.6f} at 300 polar points"))
     report.add(Check.close("exponent-at-r",
-                           harnack_conical_bound(alpha, r, M, r * 0.9999999 * 1j)
+                           inequalities.harnack_conical_bound(alpha, r, M, r * 0.9999999 * 1j)
                            / float(lam_a.eval(r * 0.9999999 * 1j)),
                            M, 1e-5, "trivial",
                            note="exponent tends to 1 at |z| = r"))
@@ -205,11 +209,13 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
 # --- hopf -------------------------------------------------------------------
 
 def _hopf_sequence(metric: MetricDensity, reference: MetricDensity, ks):
+    from . import inequalities
+
     values, xs = [], []
     for k in ks:
         z = complex(10.0 ** (-k), 0.0)
         try:
-            v = hopf_functional(metric, reference, z)
+            v = inequalities.hopf_functional(metric, reference, z)
         except NonpositiveDensity:
             v = float("-inf")  # underflow sentinel; excluded from the trend
         values.append(v)
@@ -218,19 +224,22 @@ def _hopf_sequence(metric: MetricDensity, reference: MetricDensity, ks):
 
 
 def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from . import extrapolation, inequalities
+
     pd = punctured_disk_metric()
-    report.add(Check.close("identity-functional", hopf_functional(pd, pd, 0.037), 0.0,
-                           1e-14, "trivial"))
+    report.add(Check.close("identity-functional",
+                           inequalities.hopf_functional(pd, pd, 0.037), 0.0, 1e-14,
+                           "trivial"))
     tol = cfg.tol("hopf")
 
     fam = punctured_disk_metric_r(math.e)
     values, xs = _hopf_sequence(fam, pd, range(2, 9))
-    est = extrapolate(values, xs=xs)
+    est = extrapolation.extrapolate(values, xs=xs)
     report.add(Check.close("limit[pdiskR:e]", est.value, -1.0, tol, "derived",
                            note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
                                 f"extrapolated ({est.method})"))
 
-    inf_bound = min(hopf_functional(fam, pd, complex(r, 0.0))
+    inf_bound = min(inequalities.hopf_functional(fam, pd, complex(r, 0.0))
                     for r in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     report.add(Check.at_most("limsup<=circle-inf[pdiskR:e]", est.value,
                              inf_bound + 5e-2, "paper",
@@ -239,7 +248,7 @@ def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
 
     metric = _pull_example1()
     values, xs = _hopf_sequence(metric, pd, range(2, 9))
-    est = extrapolate(values, xs=xs)
+    est = extrapolation.extrapolate(values, xs=xs)
     report.add(Check.close("limit[pull:example1:pdisk]", est.value, -1.0, tol,
                            "paper",
                            note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
@@ -247,14 +256,17 @@ def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
+    from . import inequalities
+
     alpha = 0.5
     lam_a = conical_metric(alpha)
     report.add(Check.close("identity-functional",
-                           hopf_conical_functional(lam_a, alpha, 0.2), 0.0,
+                           inequalities.hopf_conical_functional(lam_a, alpha, 0.2), 0.0,
                            1e-12, "trivial"))
     for metric, label in [(conical_scaled_metric(alpha, 0.9), "scaled(0.5,0.9)"),
                           (conical_metric(0.3), "conical:0.3 vs alpha=0.5")]:
-        values = [hopf_conical_functional(metric, alpha, complex(10.0 ** (-k), 0.0))
+        values = [inequalities.hopf_conical_functional(metric, alpha,
+                                                       complex(10.0 ** (-k), 0.0))
                   for k in range(1, 7)]
         report.add(Check(name=f"limsup-negative[{label}]", value=float(max(values)),
                          expected=0.0, tol=0.0, passed=max(values) < -0.05,
@@ -264,7 +276,9 @@ def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
-    report.extend(radial_solution_space_check(cfg.tol("aux-h")))
+    from . import inequalities
+
+    report.extend(inequalities.radial_solution_space_check(cfg.tol("aux-h")))
 
 
 # --- witnesses ----------------------------------------------------------------

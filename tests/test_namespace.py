@@ -131,11 +131,13 @@ def test_verify_loads_no_oracle_liouville_or_rigidity():
 
 
 def test_verify_curvature_loads_no_spec_parser_and_no_witnesses():
-    # specparse serves only --tol, and witnesses only the phi, example1 and
-    # annulus-sharpness suites
+    # specparse serves only --tol, witnesses only the phi, example1 and
+    # annulus-sharpness suites, and inequalities and extrapolation only the
+    # suites that check an inequality or extrapolate a limit
     [(code, mods)] = _loaded([["verify", "curvature"]]).values()
     assert code == 0 and "hypmetrics.suites" in mods
-    assert _among(mods, ["hypmetrics.specparse", "hypmetrics.witnesses"]) == []
+    assert _among(mods, ["hypmetrics.specparse", "hypmetrics.witnesses",
+                         "hypmetrics.inequalities", "hypmetrics.extrapolation"]) == []
 
 
 def test_other_commands_load_no_suite(tmp_path, capsys):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hypmetrics
 from hypmetrics import oracle
@@ -72,11 +72,14 @@ def test_oracle_validates_input():
 # Near-antipodal pairs, where the two ways round the puncture are nearly
 # equally long (a graph path on a periodic polar grid once took the longer
 # one, with errors 0.098, 0.118 and 0.024).
-@pytest.mark.parametrize("dom,points,i,j", [
+_NEAR_ANTIPODAL = [
     (DomainModel.annulus(0.5), sample_annular(669, 16, 0.56, 0.94), 3, 11),
     (DomainModel.annulus(0.5), sample_annular(752, 16, 0.56, 0.94), 5, 13),
     (DomainModel.punctured_disk(), sample_log_annular(834, 16, 0.02, 0.75), 6, 14),
-])
+]
+
+
+@pytest.mark.parametrize("dom,points,i,j", _NEAR_ANTIPODAL)
 def test_near_antipodal_pairs_take_the_shorter_way_round(dom, points, i, j):
     z1, z2 = complex(points[i]), complex(points[j])
     value = geodesic_oracle(dom, z1, z2, 220).value
@@ -121,6 +124,11 @@ def test_oracle_matches_lifts_on_every_kind(spec):
                              "strip:2.0"]),
        u=st.tuples(st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-3, 1.0 - 1e-3)),
        v=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))
+# Draws of this test run alone: points 2e-19 and 2e-22 apart, which no path
+# can resolve, made the solve stall or its gradient non-finite.
+@example(spec="pdisk", u=(0.0010000000000000002, 0.001), v=(-1.1754943508222875e-38, 6.3e-152))
+@example(spec="disk", u=(0.001, 0.0010000000000000002), v=(0.0, 1.1754943508222875e-38))
+@example(spec="disk", u=(0.001, 0.001), v=(0.001, 0.0010000000000000002))
 def test_oracle_matches_lifts_across_every_kind(spec, u, v):
     dom = parse_domain(spec)
     z1, z2 = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
@@ -194,6 +202,22 @@ def test_nearly_coincident_points_give_the_closed_form(spec, z, dz):
     assert value == pytest.approx(domain_distance(dom, z, z + dz).value, rel=1e-14)
 
 
+# Closer than grid_n rounding floors of their coordinates: the Simpson length
+# of the chord, which is the geodesic to double precision.
+@pytest.mark.parametrize("spec,z1,z2", [
+    ("pdisk", 0.0010000000000000002 - 1.2e-41j, 0.001 + 6.3e-155j),
+    ("disk", 0.001, 0.0010000000000000002 + 1.1754943508222878e-41j),
+    ("disk", 0.0009999995000000417 + 9.999998333333416e-07j,
+     0.0009999995000000417 + 9.999998333333419e-07j),
+    ("pdisk", 1e-300, 1e-300 * (1.0 + 2.0 ** -52)),
+    ("halfplane", 1j, 1j * (1.0 + 2.0 ** -52)),
+], ids=["pdisk-2e-19", "disk-2e-19", "disk-2e-22", "pdisk-1e-300", "halfplane-ulp"])
+def test_points_closer_than_the_path_resolves_give_the_chord(spec, z1, z2):
+    dom = parse_domain(spec)
+    value = geodesic_oracle(dom, z1, z2, 100).value
+    assert value == pytest.approx(domain_distance(dom, z1, z2).value, rel=1e-15)
+
+
 def _derivatives(metric, p, h):
     """_energy_derivatives of the polyline p, with the density at its points
     and midpoints evaluated here."""
@@ -230,7 +254,7 @@ def test_energy_derivatives_match_differences(spec, z1, z2):
     # gradient against central differences of _energy.
     dom = parse_domain(spec)
     metric = domain_metric(dom)
-    p, _ = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 40)[0])
+    p, _ = oracle._respaced(metric, oracle._seed(dom, z1, z2, 40))
     spacing = np.abs(np.gradient(p))
     p[1:-1] += 0.05 * spacing[1:-1] * np.exp(2j * np.pi * rng_for(3).random(p.size - 2))
     h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
@@ -259,7 +283,7 @@ def test_gradient_only_call_is_the_first_half_of_the_kernel(spec, z1, z2):
     # the same energy and gradient bits as the full kernel, and no Hessian.
     dom = parse_domain(spec)
     metric = domain_metric(dom)
-    p, lam = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
+    p, lam = oracle._respaced(metric, oracle._seed(dom, z1, z2, 60))
     q = oracle._with_midpoints(p)
     h = oracle._diff_steps(q)
     energy, grad, _ = oracle._energy_derivatives(metric, q, lam, h)
@@ -300,16 +324,48 @@ def test_oracle_values_at_220_points_are_pinned(spec, z1, z2, value):
     assert got == pytest.approx(value, rel=1e-13)
 
 
-def test_both_relaxed_seeds_are_pinned():
-    # A near-antipodal annulus pair: the two ways round are both relaxed, and
-    # the shorter is returned.
+# A near-antipodal annulus pair, at 100 points.
+_ANTIPODAL_ANNULUS = np.array([0.1961910991772045 - 0.5822504249846683j,
+                               -0.2258646008444965 + 0.7213989910691383j])
+
+
+def test_short_way_round_is_pinned():
+    # The one seed of a near-antipodal annulus pair runs the short way round,
+    # and the oracle returns its relaxed length.
     dom = parse_domain("annulus:0.5")
-    z1, z2 = 0.1961910991772045 - 0.5822504249846683j, -0.2258646008444965 + 0.7213989910691383j
+    z1, z2 = complex(_ANTIPODAL_ANNULUS[0]), complex(_ANTIPODAL_ANNULUS[1])
     metric = domain_metric(dom)
-    lengths = [oracle._geodesic_length(metric, *oracle._respaced(metric, seed))
-               for seed in oracle._seeds(dom, z1, z2, 100)]
-    assert lengths == pytest.approx([7.203302716921886, 7.3011288403114945], rel=1e-13)
-    assert geodesic_oracle(dom, z1, z2, 100).value == min(lengths)
+    length = oracle._geodesic_length(metric, *oracle._respaced(
+        metric, oracle._seed(dom, z1, z2, 100)))
+    assert length == pytest.approx(7.203302716921886, rel=1e-13)
+    assert geodesic_oracle(dom, z1, z2, 100).value == length
+
+
+@pytest.mark.parametrize("dom,points,i,j,m", [
+    *((*pair, 220) for pair in _NEAR_ANTIPODAL),
+    (DomainModel.annulus(0.5), _ANTIPODAL_ANNULUS, 0, 1, 100),
+], ids=["annulus-669", "annulus-752", "pdisk-834", "annulus-pin"])
+def test_long_way_round_is_never_shorter(dom, points, i, j, m):
+    # The seed the oracle leaves out, the segment in log z round the other
+    # side of the puncture, relaxed: by the reflection argument of the oracle
+    # module it cannot beat the short way.
+    z1, z2 = complex(points[i]), complex(points[j])
+    short = np.log(z2 / z1)
+    seed = z1 * np.exp(np.linspace(0.0, 1.0, m)
+                       * (short - math.copysign(2.0 * math.pi, short.imag) * 1j))
+    seed[-1] = z2
+    metric = domain_metric(dom)
+    long_way = oracle._geodesic_length(metric, *oracle._respaced(metric, seed))
+    assert long_way >= geodesic_oracle(dom, z1, z2, m).value * (1.0 - 1e-13)
+
+
+def test_seed_takes_the_short_way_across_the_branch_cut():
+    # The principal logs differ by -1.8 pi; the seed turns by +0.2 pi instead.
+    z1, z2 = 0.5 * np.exp(0.9j * math.pi), 0.5 * np.exp(-0.9j * math.pi)
+    seed = oracle._seed(DomainModel.punctured_disk(), z1, z2, 100)
+    assert seed[0] == z1 and seed[-1] == z2
+    assert np.abs(seed) == pytest.approx(0.5, rel=1e-15)
+    assert np.sum(np.angle(seed[1:] / seed[:-1])) == pytest.approx(0.2 * math.pi, rel=1e-12)
 
 
 def test_eval_many_calls_and_points_are_pinned(monkeypatch):
@@ -321,9 +377,10 @@ def test_eval_many_calls_and_points_are_pinned(monkeypatch):
     # convergence, took 31 calls and 23,681 points; evaluating each solve's
     # start again after the respacing took 31 and 21,492. Before the factors
     # were kept, every iteration took 8 rows: 29 calls and 21,094 points.
-    # Now the last 2 iterations of each seed run on kept factors, and the
-    # first seed's last iteration takes 10 line-search trials at the rounding
-    # floor, against 3 before.
+    # Relaxing a second seed, the long way round, as well took 35 and 19,104.
+    # Now the one seed takes 2 respacing passes and 5 iterations, the last 2
+    # on kept factors, and its last iteration takes 10 line-search trials at
+    # the rounding floor.
     sizes = []
 
     def counted(metric, zs):
@@ -332,7 +389,7 @@ def test_eval_many_calls_and_points_are_pinned(monkeypatch):
 
     monkeypatch.setattr(oracle, "eval_many", counted)
     geodesic_oracle(parse_domain("annulus:0.5"), 0.7, 0.8j, 100)
-    assert (len(sizes), sum(sizes)) == (35, 19_104)
+    assert (len(sizes), sum(sizes)) == (21, 9_552)
 
 
 def test_kept_factors_serve_the_newton_tail(monkeypatch):
@@ -411,7 +468,7 @@ def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
 
     dom = parse_domain(spec)
     metric = domain_metric(dom)
-    p, _ = oracle._respaced(metric, oracle._seeds(dom, z1, z2, 60)[0])
+    p, _ = oracle._respaced(metric, oracle._seed(dom, z1, z2, 60))
     h = oracle._DIFF_STEP * np.abs(np.gradient(oracle._with_midpoints(p)))
     assert oracle._diff_steps(oracle._with_midpoints(p)).tobytes() == h.tobytes()
     energy, grad, ab = _derivatives(metric, p, h)
