@@ -8,7 +8,8 @@ sum L_k^2, L_k the Simpson length of segment k, by damped Newton. The
 Simpson length of the result is returned. Simpson weights make a segment
 pay for the density at its ends as well as at its midpoint, so no long
 chord can skip a region where the density is large. Points closer than the
-path can resolve get the Simpson length of their chord.
+path can resolve get the Simpson length of their chord when that chord is
+too short, in metric length, to differ from the geodesic.
 
 One seed is enough round a puncture. The doubly connected kinds are
 rotationally symmetric, so in w = log z the density depends on Re w alone
@@ -67,6 +68,9 @@ _EYE = np.eye(2)
 # coordinates: points far from 0 and nearly coincident cannot move by less.
 _DIFF_STEP, _STEP_TOL, _FULL_STEP_TOL = 1e-5, 1e-7, 0.1
 _ROUNDING = 8.0 * np.finfo(float).eps
+# A chord of hyperbolic length L, across which the density changes by O(L),
+# is longer than the geodesic by O(L^2) relative: below rounding from here.
+_CHORD_LENGTH = 1e-8
 
 
 def _seed(domain: DomainModel, z1: complex, z2: complex, m: int) -> np.ndarray:
@@ -299,7 +303,8 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
     geodesic, whose Simpson length is returned, or with refine=False that of
     the seed itself (an upper bound up to quadrature error). Points at most
     grid_n rounding floors _ROUNDING max(|z1|, |z2|) apart, which no such
-    path resolves, get the Simpson length of their chord. GeodesicSolveFailed
+    path resolves, get the Simpson length of their chord when it is at most
+    _CHORD_LENGTH, and so the geodesic's to double precision. GeodesicSolveFailed
     is raised when the solve turns non-finite or singular, cannot lower the
     energy or stalls.
     """
@@ -313,8 +318,13 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
         return DistanceResult(0.0, DistanceMethod.GRID_ORACLE)
 
     metric = domain_metric(domain)
-    chord = abs(z2 - z1) <= grid_n * _ROUNDING * max(abs(z1), abs(z2))
-    p, lam = _respaced(metric, np.array([z1, z2]) if chord else _seed(domain, z1, z2, grid_n))
-    if refine and not chord:
+    if abs(z2 - z1) <= grid_n * _ROUNDING * max(abs(z1), abs(z2)):
+        chord = np.array([z1, z2])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            length = float(_simpson(eval_many(metric, _with_midpoints(chord)), chord).sum())
+        if length <= _CHORD_LENGTH:
+            return DistanceResult(length, DistanceMethod.GRID_ORACLE)
+    p, lam = _respaced(metric, _seed(domain, z1, z2, grid_n))
+    if refine:
         return DistanceResult(_geodesic_length(metric, p, lam), DistanceMethod.GRID_ORACLE)
     return DistanceResult(float(_simpson(lam, p).sum()), DistanceMethod.GRID_ORACLE)
