@@ -6,6 +6,7 @@ The Gauss curvature of lambda(z)|dz| is
 
 discretized with the 5-point `laplacian` below at stencil size h, on a point
 or an array of points. The discretization error is O(h^2) for C^4 densities.
+A stencil must lie in the domain: `laplacian` refuses one that leaves it.
 Near the domain edge the stencil is shrunk to half the distance to the edge,
 and the h actually used is reported.
 """
@@ -13,19 +14,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domains import DomainModel
 from .errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
 from .metrics import MetricDensity
 
 DEFAULT_STENCIL = 1e-3
 
 
-def laplacian(f, z, h):
+def laplacian(f, z, h, domain: DomainModel):
     """5-point Laplacian (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, with
     h a number or an array of z's shape; f is called once, on the whole stencil.
-    StencilOutsideDomain when a stencil point rounds onto its centre or h^2
-    underflows to 0: such a stencil measures nothing."""
+    StencilOutsideDomain, before f is called, when a stencil leaves the domain,
+    and when a stencil point rounds onto its centre or h^2 underflows to 0:
+    such a stencil measures nothing."""
     z = np.asarray(z, dtype=complex)
     stencil = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
+    inside = domain.contains(stencil).all(axis=0)
+    if not inside.all():
+        raise StencilOutsideDomain(f"stencil at z={z[~inside][0]} leaves {domain.label()}")
     v = f(stencil)
     h2 = h ** 2
     lost = (stencil[1:] == z).any(axis=0) | (h2 == 0.0)
@@ -58,9 +64,6 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))  # < 0 off the domain
 
     def log_lambda(stencil):
-        inside = dom.contains(stencil).all(axis=0)
-        if not inside.all():
-            raise StencilOutsideDomain(f"stencil at z={z[~inside][0]} leaves {dom.label()}")
         positive = (metric.eval(stencil) > 0.0).all(axis=0)
         if not positive.all():
             raise NonpositiveDensity(
@@ -68,7 +71,7 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
         return metric.log_density(stencil)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        kappa = -laplacian(log_lambda, z, h_used) / metric.eval(z) ** 2
+        kappa = -laplacian(log_lambda, z, h_used, dom) / metric.eval(z) ** 2
     finite = np.isfinite(kappa)
     if not finite.all():
         raise NumericOverflow(f"curvature of {metric.label} at z={z[~finite][0]} "

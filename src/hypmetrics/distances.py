@@ -26,8 +26,8 @@ minimum is therefore attained at some k in {-1, 0, 1}, and only those three
 translations are evaluated. Nearby points take the separation of their
 lifts from their quotient (see _lifts), so it keeps its digits.
 
-Every distance checks its points with the membership predicate of its
-domain, so non-finite and outside points raise OutsideDomain.
+Every distance checks its points with DomainModel.check, so non-finite and
+outside points raise OutsideDomain.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .domains import DomainModel
-from .errors import OutsideDomain
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
 SWEEP_N = 720  # angles of the circle sweeps here and in inequalities, before refinement
@@ -64,9 +63,7 @@ class DistanceResult:
 
 def dist_disk(z1, z2) -> DistanceResult:
     """Hyperbolic distance in the unit disk."""
-    z1, z2 = complex(z1), complex(z2)
-    if not (_DISK.contains(z1) and _DISK.contains(z2)):
-        raise OutsideDomain(f"disk distance needs |z| < 1, got {z1}, {z2}")
+    z1, z2 = _DISK.check(z1), _DISK.check(z2)
     r1, r2 = abs(z1), abs(z2)
     scale = math.sqrt((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
     return DistanceResult(HALF * 2.0 * math.asinh(abs(z1 - z2) / scale),
@@ -80,9 +77,7 @@ def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
 
 def dist_halfplane(w1, w2) -> DistanceResult:
     """Hyperbolic distance in the upper half-plane (density 1/(2 Im w))."""
-    w1, w2 = complex(w1), complex(w2)
-    if not (_HALF_PLANE.contains(w1) and _HALF_PLANE.contains(w2)):
-        raise OutsideDomain(f"half-plane distance needs Im w > 0, got {w1}, {w2}")
+    w1, w2 = _HALF_PLANE.check(w1), _HALF_PLANE.check(w2)
     return DistanceResult(_halfplane_value(w1 - w2, w1.imag, w2.imag), DistanceMethod.CLOSED_FORM)
 
 
@@ -109,10 +104,8 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:
     """Hyperbolic distance in the strip {0 < Im z < h}."""
-    z1, z2 = complex(z1), complex(z2)
     dom = DomainModel.strip(h)
-    if not (dom.contains(z1) and dom.contains(z2)):
-        raise OutsideDomain(f"strip distance needs 0 < Im z < {h}, got {z1}, {z2}")
+    z1, z2 = dom.check(z1), dom.check(z2)
     return DistanceResult(_strip_value(z1 - z2, z1.imag, z2.imag, h), DistanceMethod.CLOSED_FORM)
 
 
@@ -148,20 +141,25 @@ def _deck_minimize(value_at_k):
 
 def dist_punctured_disk(z1, z2) -> DistanceResult:
     """Distance in the punctured unit disk via the half-plane lift."""
-    z1, z2 = complex(z1), complex(z2)
-    if not (_PUNCTURED_DISK.contains(z1) and _PUNCTURED_DISK.contains(z2)):
-        raise OutsideDomain(f"punctured-disk distance needs 0 < |z| < 1, got {z1}, {z2}")
+    return _dist_punctured(_PUNCTURED_DISK, z1, z2)
+
+
+def _dist_punctured(dom: DomainModel, z1, z2) -> DistanceResult:
+    """Distance in the punctured disk dom = {0 < |z| < R} via the half-plane
+    lift zeta + i log R, so that no point is scaled by 1/R (R = 1e300 sends
+    z = 1e-300 to 0)."""
+    z1, z2 = dom.check(z1), dom.check(z2)
     dw, j, y1, y2 = _lifts(z1, z2)
+    log_r = math.log(dom.hi)
+    y1, y2 = log_r + y1, log_r + y2  # exact for R = 1: 0.0 + y = y
     value, k = _deck_minimize(lambda k: _halfplane_value(dw + 2.0 * math.pi * (j + k), y1, y2))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 
 def dist_annulus(z1, z2, r: float) -> DistanceResult:
     """Distance in the annulus {r < |z| < 1} via the strip lift."""
-    z1, z2 = complex(z1), complex(z2)
     dom = DomainModel.annulus(r)
-    if not (dom.contains(z1) and dom.contains(z2)):
-        raise OutsideDomain(f"annulus distance needs {r} < |z| < 1, got {z1}, {z2}")
+    z1, z2 = dom.check(z1), dom.check(z2)
     s = math.log(1.0 / r)
     dw, j, y1, y2 = _lifts(z1, z2)
     value, k = _deck_minimize(lambda k: _strip_value(dw + 2.0 * math.pi * (j + k), y1, y2, s))
@@ -175,20 +173,18 @@ def covering_decay_ratio(z) -> float:
     covering-decay normalization relating the hyperbolic error scale
     e^(-2d) to the Euclidean boundary gap.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise OutsideDomain(f"covering decay ratio needs |z| < 1, got {z}")
+    z = _DISK.check(z)
     d = dist_disk(z, 0.0).value
     return math.exp(-2.0 * d) / (1.0 - abs(z))
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [a, b]."""
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of f on [a, b], to width 1e-8."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > 1e-8:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -209,9 +205,7 @@ def comparability_constants(q) -> tuple[float, float, float]:
     then c1 = |log|q|| e^(-2 gamma) and c2 = |log|q|| + pi. These sandwich
     log(1/|z|) e^(-2 d(z,q)) between c1 and c2 for all 0 < |z| < 1.
     """
-    q = complex(q)
-    if not 0.0 < abs(q) < 1.0:
-        raise OutsideDomain(f"comparability constants need 0 < |q| < 1, got q={q}")
+    q = _PUNCTURED_DISK.check(q)
     aq = abs(q)
     base = math.atan2(q.imag, q.real)
 

@@ -15,7 +15,9 @@ one table of these facts:
 Membership, the Euclidean distance to the edge (min(c - lo, hi - c), used
 to shrink finite-difference stencils near the boundary), the singular point
 (z = 0 for the radial kinds that exclude it) and the label all follow from
-the table. Membership is exact and false for non-finite points.
+the table. Membership is exact and false for non-finite points; check is
+the one test of a given point, with the one message "z=... is not in
+<label>".
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, OutsideDomain, SingularPoint
 
 DISK = "disk"
 PUNCTURED_DISK = "pdisk"
@@ -122,9 +124,14 @@ class DomainModel:
             out = out & (c > self.lo)
         return bool(out) if out.ndim == 0 else out
 
-    def is_singular(self, z) -> bool:
-        """True when z is a declared singular point of the domain (the puncture)."""
-        return self.doubly_connected and complex(z) == 0.0
+    def check(self, z) -> complex:
+        """z as a complex number when it lies in the domain; SingularPoint at
+        the puncture of a doubly connected kind, OutsideDomain elsewhere."""
+        z = complex(z)
+        if not self.contains(z):
+            error = SingularPoint if self.doubly_connected and z == 0.0 else OutsideDomain
+            raise error(f"z={z} is not in {self.label()}")
+        return z
 
     def boundary_distance(self, z):
         """Euclidean distance from z to the domain edge. Works on scalars and numpy arrays."""

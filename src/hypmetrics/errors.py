@@ -14,8 +14,8 @@ class OutsideDomain(HypMetricsError):
     points (nan or inf in either part) lie outside every domain."""
 
 
-class SingularPoint(HypMetricsError):
-    """Evaluation was requested at a declared singular point (e.g. z = 0)."""
+class SingularPoint(OutsideDomain):
+    """A point is the puncture z = 0 of a doubly connected domain."""
 
 
 class StencilOutsideDomain(HypMetricsError):

@@ -29,14 +29,14 @@ def aitken(values: Sequence[float]) -> float:
     return float(v2 - (v2 - v1) ** 2 / denom)
 
 
-def neville(xs: Sequence[float], ys: Sequence[float], x0: float = 0.0) -> float:
-    """Neville polynomial extrapolation of (xs, ys) to x0."""
+def neville(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Neville polynomial extrapolation of (xs, ys) to x = 0."""
     t = [float(y) for y in ys]
     xs = [float(x) for x in xs]
     n = len(t)
     for m in range(1, n):
         for i in range(n - m):
-            t[i] = ((x0 - xs[i + m]) * t[i] - (x0 - xs[i]) * t[i + 1]) / (xs[i] - xs[i + m])
+            t[i] = (xs[i] * t[i + 1] - xs[i + m] * t[i]) / (xs[i] - xs[i + m])
     return t[0]
 
 

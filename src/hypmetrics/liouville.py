@@ -82,7 +82,7 @@ class SingularityProfile:
     remainder_bound: float = float("nan")
 
 
-def radial_rhs(w: float, t: float = 0.0) -> float:
+def radial_rhs(w: float) -> float:
     """Right side 4 e^(2w) of the autonomous radial curvature equation."""
     if w > OVERFLOW_GUARD:
         raise NumericOverflow(f"w={w} exceeds the overflow guard {OVERFLOW_GUARD}")
@@ -209,17 +209,17 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
                               remainder_bound=float(min(tv_log, tv_con)))
 
 
-def dichotomy_verify_part_a(R: float, ks=range(2, 11)) -> VerificationReport:
+def dichotomy_verify_part_a(R: float) -> VerificationReport:
     """Bounded-deviation check for the radius-R punctured-disk density.
 
     Evaluates |log lambda^(R) - log lambda_pdisk| * log(1/|z|) at
-    |z| = 10^-k. The deviation increases to log R; the check passes when the
-    sup stays below log R + 0.01, and the extrapolated limit is compared to
-    log R.
+    |z| = 10^-k, k = 2..10. The deviation increases to log R; the check
+    passes when the sup stays below log R + 0.01, and the extrapolated limit
+    is compared to log R.
     """
     DomainModel.punctured_disk_r(R)  # raises BadParameter unless R is a valid radius
     logR = math.log(R)
-    Ls = np.array([k * math.log(10.0) for k in ks])
+    Ls = np.array([k * math.log(10.0) for k in range(2, 11)])
     values = Ls * np.log1p(logR / Ls)  # |log ratio| * L, exact closed form
     report = VerificationReport(suite="dichotomy-part-a")
     report.add(Check.at_most(f"sup-deviation[R={R}]", float(values.max()),

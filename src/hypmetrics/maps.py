@@ -48,7 +48,7 @@ def square_map() -> HolomorphicMap:
 def mobius_map(a: complex) -> HolomorphicMap:
     """Disk automorphism z -> (z - a)/(1 - conj(a) z); requires |a| < 1."""
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not DomainModel.disk().contains(a):
         raise BadParameter(f"mobius parameter must satisfy |a| < 1, got {a}")
     ac = a.conjugate()
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domains import DomainModel
-from .errors import BadParameter, OutsideDomain, SingularPoint
+from .errors import BadParameter, OutsideDomain
 from .maps import HolomorphicMap
 
 
@@ -53,24 +53,14 @@ class MetricDensity:
         return density_at(self, z)
 
 
-def _check_point(metric: MetricDensity, z) -> complex:
-    """z as a complex number, or SingularPoint / OutsideDomain."""
-    if metric.domain.is_singular(z):
-        raise SingularPoint(f"{metric.label} is singular at z={z}")
-    if not metric.domain.contains(z):
-        raise OutsideDomain(f"z={z} is not in the domain of {metric.label}")
-    return complex(z)
-
-
 def density_at(metric: MetricDensity, z) -> float:
-    """Evaluate lambda(z); SingularPoint at declared singularities and
-    OutsideDomain elsewhere outside the domain."""
-    return float(metric.eval(_check_point(metric, z)))
+    """Evaluate lambda(z) at a point that DomainModel.check accepts."""
+    return float(metric.eval(metric.domain.check(z)))
 
 
 def log_density_at(metric: MetricDensity, z) -> float:
-    """Evaluate log lambda(z), with the domain checks of density_at."""
-    return float(metric.log_density(_check_point(metric, z)))
+    """Evaluate log lambda(z), with the domain check of density_at."""
+    return float(metric.log_density(metric.domain.check(z)))
 
 
 # --- builtin densities ----------------------------------------------------

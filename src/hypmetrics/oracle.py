@@ -50,7 +50,8 @@ import numpy as np
 
 from .distances import DistanceMethod, DistanceResult
 from .domains import DomainModel
-from .errors import BadParameter, GeodesicSolveFailed, OutsideDomain
+# domain.check raises OutsideDomain; callers may still catch it as oracle.OutsideDomain
+from .errors import BadParameter, GeodesicSolveFailed, OutsideDomain  # noqa: F401
 from .metrics import MetricDensity, eval_many
 from .specparse import domain_metric
 
@@ -310,10 +311,7 @@ def geodesic_oracle(domain: DomainModel, z1, z2, grid_n: int = 300,
     """
     if grid_n < 100:
         raise BadParameter(f"grid_n must be >= 100, got {grid_n}")
-    z1, z2 = complex(z1), complex(z2)
-    for z in (z1, z2):
-        if not domain.contains(z):
-            raise OutsideDomain(f"z={z} is not in {domain.label()}")
+    z1, z2 = domain.check(z1), domain.check(z2)
     if z1 == z2:
         return DistanceResult(0.0, DistanceMethod.GRID_ORACLE)
 

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .domains import DomainModel
 from .errors import (BadParameter, DegenerateSample, TooFewPoints,
                      WrongSingularityOrder)
 from .extrapolation import extrapolate
@@ -184,9 +185,7 @@ def euclidean_puncture_form(ratio: float, z) -> float:
     quantity tends to 0 (hyperbolic and Euclidean scales are comparable
     near the puncture).
     """
-    az = abs(complex(z))
-    if not 0.0 < az < 1.0:
-        raise BadParameter(f"needs 0 < |z| < 1, got {z}")
+    az = abs(DomainModel.punctured_disk().check(z))
     return (ratio - 1.0) * math.log(1.0 / az)
 
 

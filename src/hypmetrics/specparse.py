@@ -19,8 +19,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, NamedTuple, Optional
 
-from .distances import (DistanceResult, dist_annulus, dist_disk, dist_halfplane,
-                        dist_punctured_disk, dist_strip)
+from .distances import (DistanceResult, _dist_punctured, dist_annulus, dist_disk,
+                        dist_halfplane, dist_punctured_disk, dist_strip)
 from .domains import KINDS, DomainModel
 from .errors import BadParameter, ParseError
 from .maps import MAPS, HolomorphicMap
@@ -39,9 +39,8 @@ class Builtin(NamedTuple):
 BUILTINS = {
     "disk": Builtin(None, disk_metric, dist_disk),
     "pdisk": Builtin(None, punctured_disk_metric, dist_punctured_disk),
-    # z -> z/R maps the punctured disk of radius R isometrically onto the unit one
     "pdiskR": Builtin("radius", punctured_disk_metric_r,
-                      lambda z1, z2, R: dist_punctured_disk(z1 / R, z2 / R)),
+                      lambda z1, z2, R: _dist_punctured(DomainModel.punctured_disk_r(R), z1, z2)),
     "annulus": Builtin("inner radius", annulus_metric, dist_annulus),
     "conical": Builtin("conical order", conical_metric),
     "halfplane": Builtin(None, half_plane_metric, dist_halfplane),

@@ -105,10 +105,8 @@ def disk_sharpness_functional() -> WitnessLimit:
 
 def example1_ratio(z: complex) -> float:
     """Closed-form distortion lambda_pdisk(f(z))|f'(z)|/lambda_pdisk(z) of example1."""
-    z = complex(z)
+    z = DomainModel.punctured_disk().check(z)
     az = abs(z)
-    if not 0.0 < az < 1.0:
-        raise OutsideDomain(f"example1 ratio needs 0 < |z| < 1, got {z}")
     L = math.log(1.0 / az)
     A = abs(1.0 - 4.0 * z + z * z) / abs(1.0 - z) ** 2
     B = (1.0 - az * az) / abs(1.0 - z) ** 2

@@ -7,6 +7,7 @@ import pytest
 import numpy as np
 
 from hypmetrics.curvature import curvature_at, laplacian
+from hypmetrics.domains import DomainModel
 from hypmetrics.errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric, disk_metric,
@@ -143,7 +144,7 @@ def test_one_stencil_lost_to_rounding_refuses_the_array():
     with pytest.raises(StencilOutsideDomain, match=r"step 5e-301 at z=\(1e-300\+0j\)"):
         curvature_at(punctured_disk_metric(), pts, 1e-3)
     with pytest.raises(StencilOutsideDomain, match=r"step 1e-17 at z=\(0\.25\+0j\)"):
-        laplacian(lambda w: np.abs(w) ** 2, np.array([1e-3, 0.25]), 1e-17)
+        laplacian(lambda w: np.abs(w) ** 2, np.array([1e-3, 0.25]), 1e-17, DomainModel.disk())
 
 
 def test_nonfinite_curvature_is_refused():
@@ -156,6 +157,13 @@ def test_nonfinite_curvature_is_refused():
 
 def test_laplacian_is_exact_on_quadratics():
     z = np.array([0.1 + 0.2j, -0.7 + 0.3j])
-    lap = laplacian(lambda w: np.abs(w) ** 2, z, 1e-2)  # Laplacian of x^2 + y^2 is 4
+    lap = laplacian(lambda w: np.abs(w) ** 2, z, 1e-2, DomainModel.disk())  # of x^2 + y^2: 4
     assert lap == pytest.approx([4.0, 4.0], rel=1e-9)
 
+
+def test_laplacian_refuses_a_stencil_leaving_the_domain_before_evaluating():
+    def f(w):
+        raise AssertionError("f was called")
+
+    with pytest.raises(StencilOutsideDomain, match=r"^stencil at z=\(0\.995\+0j\) leaves disk$"):
+        laplacian(f, np.array([0.5, 0.995]), 1e-2, DomainModel.disk())

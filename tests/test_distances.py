@@ -12,12 +12,17 @@ from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   dist_disk, dist_halfplane,
                                   dist_punctured_disk, dist_strip)
 from hypmetrics import distances
-from hypmetrics.errors import HypMetricsError, OutsideDomain
+from hypmetrics.errors import HypMetricsError, OutsideDomain, SingularPoint
+from hypmetrics.inequalities import (aux_v, aux_v_alpha, hopf_conical_functional,
+                                     hopf_functional)
 from hypmetrics.maps import mobius_map, phi_map, square_map
-from hypmetrics.metrics import annulus_metric, density_at
+from hypmetrics.metrics import (annulus_metric, density_at, log_density_at,
+                                punctured_disk_metric)
 from hypmetrics.oracle import geodesic_oracle
+from hypmetrics.rigidity import euclidean_puncture_form
 from hypmetrics.sampling import rng_for, sample_annular, sample_log_annular
 from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
+from hypmetrics.witnesses import example1_ratio
 
 
 def test_disk_radial_formula():
@@ -155,17 +160,55 @@ def test_deck_minimum_matches_wide_scan():
         assert (res.value, res.deck_index) == want, (z1, z2)
 
 
-@pytest.mark.parametrize("call", [
-    lambda z: dist_disk(z, 0.1),
-    lambda z: dist_halfplane(z, 1j),
-    lambda z: dist_strip(z, 0.5j, 1.0),
-    lambda z: dist_punctured_disk(z, 0.1),
-    lambda z: dist_annulus(z, 0.7, 0.5),
-])
+_PD = punctured_disk_metric()
+
+# every function that takes a point, with the label of the domain it checks
+# the point against
+POINT_CHECKS = {
+    lambda z: dist_disk(z, 0.1): "disk",
+    lambda z: dist_halfplane(z, 1j): "halfplane",
+    lambda z: dist_strip(z, 0.5j, 1.0): "strip:1.0",
+    lambda z: dist_punctured_disk(z, 0.1): "pdisk",
+    lambda z: dist_annulus(z, 0.7, 0.5): "annulus:0.5",
+    lambda z: domain_distance(parse_domain("pdiskR:2"), 0.1, z): "pdiskR:2.0",
+    covering_decay_ratio: "disk",
+    comparability_constants: "pdisk",
+    aux_v: "pdisk",
+    lambda z: aux_v_alpha(0.5, z): "pdisk",
+    lambda z: hopf_functional(_PD, _PD, z): "pdisk",
+    lambda z: hopf_conical_functional(_PD, 0.5, z): "pdisk",
+    example1_ratio: "pdisk",
+    lambda z: euclidean_puncture_form(0.5, z): "pdisk",
+    lambda z: density_at(annulus_metric(0.5), z): "annulus:0.5",
+    lambda z: log_density_at(_PD, z): "pdisk",
+    lambda z: geodesic_oracle(parse_domain("strip:1"), 0.5j, z, 100): "strip:1.0",
+}
+
+
+# 2.5 lies outside each of these domains; pdiskR:2 must name 2.5, not 2.5/2
+@pytest.mark.parametrize("call", POINT_CHECKS)
 def test_distances_reject_nonfinite(call):
-    for z in (complex(math.nan, 0.5), complex(math.inf, 0.5), complex(0.5, math.nan)):
-        with pytest.raises(OutsideDomain):
+    for z in (complex(math.nan, 0.5), complex(math.inf, 0.5), complex(0.5, math.nan), 2.5):
+        with pytest.raises(OutsideDomain) as info:
             call(z)
+        assert str(info.value) == f"z={complex(z)} is not in {POINT_CHECKS[call]}"
+
+
+def test_the_puncture_is_a_singular_point():
+    for call in (lambda: density_at(_PD, 0.0), lambda: dist_punctured_disk(0.1, 0.0),
+                 lambda: domain_distance(parse_domain("pdiskR:2"), 0j, 0.1),
+                 lambda: dist_annulus(0.0, 0.7, 0.5), lambda: aux_v(0.0)):
+        with pytest.raises(SingularPoint, match=r"^z=0j is not in (pdisk|pdiskR:2|annulus:0)"):
+            call()
+
+
+def test_radius_r_points_are_not_scaled():
+    # 1e-300 / 1e300 underflows to 0; the lift log R - log|z| keeps both
+    # points on the positive axis at heights 600 log 10 and 301 log 10
+    d = domain_distance(parse_domain("pdiskR:1e300"), 1e-300, 0.1)
+    assert d.value == pytest.approx(0.5 * math.log(600.0 / 301.0), rel=1e-15)
+    assert domain_distance(parse_domain("pdiskR:2"), 1.5, 1.5j).value == pytest.approx(
+        dist_punctured_disk(0.75, 0.75j).value, rel=1e-15)
 
 
 def test_symmetry_and_triangle_inequality():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypmetrics.domains import DomainModel
-from hypmetrics.errors import BadParameter, ParseError
+from hypmetrics.errors import BadParameter, OutsideDomain, ParseError, SingularPoint
 from hypmetrics.specparse import parse_domain, parse_metric
 
 NAN, INF = math.nan, math.inf
@@ -56,11 +56,15 @@ def test_contains_rejects_nonfinite(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_boundary_distance_and_singular_point(spec):
-    dom, inside, _, (z, edge), singular = CASES[spec]
+    dom, inside, outside, (z, edge), singular = CASES[spec]
     assert dom.boundary_distance(z) == edge
-    assert dom.is_singular(0j) is singular
     for p in inside:
-        assert dom.is_singular(p) is False
+        assert dom.check(p) == p and type(dom.check(p)) is complex
+    for p in outside + NONFINITE:
+        with pytest.raises(OutsideDomain) as info:
+            dom.check(p)
+        assert str(info.value) == f"z={complex(p)} is not in {spec}"
+        assert isinstance(info.value, SingularPoint) is (singular and p == 0.0)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -79,6 +79,9 @@ def test_domain_errors():
         conical_metric(1.0)
     with pytest.raises(BadParameter):
         conical_scaled_metric(0.5, 0.0)
+    for a in (1.0, complex(math.nan, 0.0)):  # nan passed the old |a| >= 1 test
+        with pytest.raises(BadParameter, match="mobius parameter"):
+            mobius_map(a)
 
 
 def test_log_density_matches_log_of_density():
