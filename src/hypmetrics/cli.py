@@ -86,7 +86,7 @@ def _cmd_density(args) -> int:
             pts = cartesian_grid(args.grid_n, args.half_width)
         pts = pts[metric.domain.contains(pts)]
         rows = list(zip(pts.real.tolist(), pts.imag.tolist(), eval_many(metric, pts).tolist(),
-                        metric.log_density(pts).tolist()))
+                        metric.log_eval(pts).tolist()))
     if args.output == "json":
         _emit(json.dumps({"metric": metric.label,
                           "points": [{"re": r, "im": i, "lambda": l, "log_lambda": g}

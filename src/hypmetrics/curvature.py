@@ -6,9 +6,10 @@ The Gauss curvature of lambda(z)|dz| is
 
 discretized with the 5-point `laplacian` below at stencil size h, on a point
 or an array of points. The discretization error is O(h^2) for C^4 densities.
-A stencil must lie in the domain: `laplacian` refuses one that leaves it.
-Near the domain edge the stencil is shrunk to half the distance to the edge,
-and the h actually used is reported.
+A point must lie in the domain (`DomainModel.check`), and so must its
+stencil: `laplacian` refuses one that leaves it. Near the domain edge the
+stencil is shrunk to half the distance to the edge, and the h actually used
+is reported.
 """
 from __future__ import annotations
 
@@ -47,9 +48,11 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     """Discrete Gauss curvature of the metric at z (a point or an array).
 
     Returns kappa, or (kappa, h_used) when full_output is set, as floats for
-    a point and as arrays in the shape of z otherwise. Refuses with
-    NonpositiveDensity when lambda <= 0 anywhere on a stencil (curvature is
-    defined only where the density is positive), with StencilOutsideDomain
+    a point and as arrays in the shape of z otherwise. Refuses a point off
+    the domain with the point check's OutsideDomain (SingularPoint at a
+    puncture) before any stencil is built, with NonpositiveDensity when
+    lambda <= 0 anywhere on a stencil (curvature is defined only where the
+    density is positive), with StencilOutsideDomain
     when no admissible stencil fits or a stencil point rounds onto its
     centre (see laplacian), and with NumericOverflow when kappa is not finite (near a
     puncture lambda^2 overflows).
@@ -61,14 +64,17 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     # through the array path too and matches an array call bit for bit
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     dom = metric.domain
-    h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))  # < 0 off the domain
+    outside = ~dom.contains(z)
+    if outside.any():
+        dom.check(z[outside][0])  # raises OutsideDomain, or SingularPoint at a puncture
+    h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))
 
     def log_lambda(stencil):
         positive = (metric.eval(stencil) > 0.0).all(axis=0)
         if not positive.all():
             raise NonpositiveDensity(
                 f"{metric.label} is not positive on the stencil at z={z[~positive][0]}")
-        return metric.log_density(stencil)
+        return metric.log_eval(stencil)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         kappa = -laplacian(log_lambda, z, h_used, dom) / metric.eval(z) ** 2

@@ -137,13 +137,13 @@ def hopf_functional(metric: MetricDensity, reference: MetricDensity, z) -> float
 
     Computed from the log densities so that values deep near the puncture do
     not lose precision. Raises NonpositiveDensity when either density
-    vanishes at z (callers may record a -inf sentinel instead).
+    vanishes at z.
     """
     z = _PUNCTURED_DISK.check(z)
     az = abs(z)
     if metric.eval(z) <= 0.0 or reference.eval(z) <= 0.0:
         raise NonpositiveDensity(f"densities must be positive at z={z}")
-    diff = float(metric.log_density(z)) - float(reference.log_density(z))
+    diff = float(metric.log_eval(z)) - float(reference.log_eval(z))
     return diff * math.log(1.0 / az)
 
 
@@ -153,7 +153,7 @@ def hopf_conical_functional(metric: MetricDensity, alpha: float, z) -> float:
     az = abs(z)
     if metric.eval(z) <= 0.0:
         raise NonpositiveDensity(f"density must be positive at z={z}")
-    diff = float(metric.log_density(z)) - float(conical_metric(alpha).log_density(z))
+    diff = float(metric.log_eval(z)) - float(conical_metric(alpha).log_eval(z))
     return diff * az ** (2.0 * (alpha - 1.0))
 
 

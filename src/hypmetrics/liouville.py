@@ -89,15 +89,13 @@ def radial_rhs(w: float) -> float:
     return 4.0 * math.exp(2.0 * w)
 
 
-def integrate_radial(w0: float, dw0: float, t0: float, t1: float, steps: int,
-                     on_blowup: str = "raise") -> RadialProfile:
+def integrate_radial(w0: float, dw0: float, t0: float, t1: float,
+                     steps: int) -> RadialProfile:
     """Fixed-step classical RK4 integration of w'' = 4 e^(2w).
 
     Global error is O(step^4) on smooth solutions and the first integral
-    E = (w')^2 - 4 e^(2w) is conserved to the same order. When the solution
-    blows up past the overflow guard, on_blowup="raise" raises
-    NumericOverflow and on_blowup="truncate" returns the profile up to the
-    last finite step.
+    E = (w')^2 - 4 e^(2w) is conserved to the same order. NumericOverflow
+    when the solution blows up past the overflow guard.
     """
     if steps < 10:
         raise BadParameter(f"steps must be >= 10, got {steps}")
@@ -106,29 +104,20 @@ def integrate_radial(w0: float, dw0: float, t0: float, t1: float, steps: int,
             f"initial data must be finite, got w0={w0}, dw0={dw0}, t0={t0}, t1={t1}")
     if t0 == t1:
         raise BadParameter("t0 and t1 must differ")
-    if on_blowup not in ("raise", "truncate"):
-        raise BadParameter(f"unknown blow-up policy {on_blowup!r}")
     h = (t1 - t0) / steps
     ts = [t0]
     ws = [float(w0)]
     dws = [float(dw0)]
     w, dw = float(w0), float(dw0)
     for i in range(steps):
-        try:
-            k1w, k1d = dw, radial_rhs(w)
-            k2w, k2d = dw + 0.5 * h * k1d, radial_rhs(w + 0.5 * h * k1w)
-            k3w, k3d = dw + 0.5 * h * k2d, radial_rhs(w + 0.5 * h * k2w)
-            k4w, k4d = dw + h * k3d, radial_rhs(w + h * k3w)
-        except NumericOverflow:
-            if on_blowup == "raise":
-                raise
-            break
+        k1w, k1d = dw, radial_rhs(w)
+        k2w, k2d = dw + 0.5 * h * k1d, radial_rhs(w + 0.5 * h * k1w)
+        k3w, k3d = dw + 0.5 * h * k2d, radial_rhs(w + 0.5 * h * k2w)
+        k4w, k4d = dw + h * k3d, radial_rhs(w + h * k3w)
         w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         dw = dw + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         if w > OVERFLOW_GUARD:
-            if on_blowup == "raise":
-                raise NumericOverflow(f"solution blew up at t={t0 + (i + 1) * h}")
-            break
+            raise NumericOverflow(f"solution blew up at t={t0 + (i + 1) * h}")
         ts.append(t0 + (i + 1) * h)
         ws.append(w)
         dws.append(dw)

@@ -5,9 +5,10 @@ domain and an exact log-density evaluator. The builtins (curvature -4
 normalization throughout):
 
     lambda_D(z)      = 1 / (1 - |z|^2)                       unit disk
-    lambda_D'(z)     = 1 / (2 |z| log(1/|z|))                punctured disk
-    lambda^(R)(z)    = 1 / (2 |z| log(R/|z|))                punctured disk of
+    lambda^(R)(z)    = 1 / (2 |z| (log R - log|z|))          punctured disk of
                        radius R >= 1, restricted to the unit punctured disk
+    lambda_D'(z)     = lambda^(1)(z) = 1 / (2 |z| log(1/|z|))  punctured disk
+                       (pdisk is pdiskR at R = 1: one closure pair for both)
     lambda_A_r(z)    = pi / (2 |z| s sin(pi log(1/|z|)/s)),  s = log(1/r)
     lambda_alpha(z)  = (1-alpha) |z|^(-alpha) / (1 - |z|^(2(1-alpha)))
     lambda_{alpha,c} = (1-alpha) c |z|^(-alpha) / (1 - c^2 |z|^(2(1-alpha)))
@@ -18,21 +19,21 @@ The scaled conical family lambda_{alpha,c} (0 < c <= 1) is the general
 radially symmetric constant-curvature -4 metric with a conical singularity
 of order alpha; c = 1 recovers lambda_alpha.
 
-Densities near singularities span many orders of magnitude, so every builtin
-carries an exact closed-form log-density used by the curvature operator.
-User-supplied densities are closures that accept numpy arrays of points and
-return real arrays of the same shape; no grids are stored here.
+Densities near singularities span many orders of magnitude, so every density
+carries an exact closed-form log-density, used by the curvature operator.
+Both are closures that accept numpy arrays of points and return real arrays
+of the same shape; no grids are stored here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .domains import DomainModel
-from .errors import BadParameter, OutsideDomain
+from .errors import BadParameter, NumericOverflow, OutsideDomain
 from .maps import HolomorphicMap
 
 
@@ -41,26 +42,28 @@ class MetricDensity:
     domain: DomainModel
     eval: Callable
     label: str
-    log_eval: Optional[Callable] = None
-
-    def log_density(self, z):
-        """log lambda(z), from the exact closed form when available."""
-        if self.log_eval is not None:
-            return self.log_eval(z)
-        return np.log(self.eval(z))
-
-    def __call__(self, z):
-        return density_at(self, z)
+    log_eval: Callable
 
 
 def density_at(metric: MetricDensity, z) -> float:
-    """Evaluate lambda(z) at a point that DomainModel.check accepts."""
-    return float(metric.eval(metric.domain.check(z)))
+    """Evaluate lambda(z) at a point that DomainModel.check accepts.
+    NumericOverflow when the value is not finite in double precision."""
+    return _finite_at(metric, z, metric.eval, "density")
 
 
 def log_density_at(metric: MetricDensity, z) -> float:
-    """Evaluate log lambda(z), with the domain check of density_at."""
-    return float(metric.log_density(metric.domain.check(z)))
+    """Evaluate log lambda(z), with the checks of density_at."""
+    return _finite_at(metric, z, metric.log_eval, "log density")
+
+
+def _finite_at(metric: MetricDensity, z, f, what: str) -> float:
+    z = metric.domain.check(z)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        value = float(f(z))
+    if not value < math.inf:  # -inf, the log of a zero density, is exact
+        raise NumericOverflow(f"{what} of {metric.label} at z={z} "
+                              "is not finite in double precision")
+    return value
 
 
 # --- builtin densities ----------------------------------------------------
@@ -76,15 +79,8 @@ def disk_metric() -> MetricDensity:
 
 
 def punctured_disk_metric() -> MetricDensity:
-    def ev(z):
-        az = np.abs(z)
-        return 1.0 / (2.0 * az * np.log(1.0 / az))
-
-    def logev(z):
-        az = np.abs(z)
-        return -np.log(2.0) - np.log(az) - np.log(-np.log(az))
-
-    return MetricDensity(DomainModel.punctured_disk(), ev, "pdisk", logev)
+    """The punctured disk's density: pdiskR at R = 1, where log R = 0.0."""
+    return replace(punctured_disk_metric_r(1.0), label="pdisk")
 
 
 def punctured_disk_metric_r(R: float) -> MetricDensity:
@@ -198,7 +194,7 @@ def pullback(metric: MetricDensity, map_: HolomorphicMap,
     def logev(z):
         w = _target(z)
         with np.errstate(divide="ignore"):
-            return metric.log_density(w) + np.log(np.abs(map_.derivative(z)))
+            return metric.log_eval(w) + np.log(np.abs(map_.derivative(z)))
 
     return MetricDensity(source_domain, ev, f"pull:{map_.label}:{metric.label}", logev)
 

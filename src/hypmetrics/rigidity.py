@@ -204,7 +204,7 @@ def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> 
 def _tail_slope(metric: MetricDensity) -> float:
     """Least-squares slope of w(t) = log lambda(e^t) + t on the deep tail -200 <= t <= -20."""
     t = np.linspace(-200.0, -20.0, 60)
-    w = metric.log_density(np.exp(t)) + t
+    w = metric.log_eval(np.exp(t)) + t
     return float(np.polyfit(t, w, 1)[0])
 
 
@@ -231,7 +231,7 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
     order = np.argsort(-np.abs(pts))  # |z| decreasing, toward the puncture
     pts = pts[order]
     Ls = np.log(1.0 / np.abs(pts))
-    w = metric.log_density(pts) - reference.log_density(pts)
+    w = metric.log_eval(pts) - reference.log_eval(pts)
     values = w * Ls
     est = extrapolate(values.tolist(), xs=(1.0 / Ls).tolist())
 

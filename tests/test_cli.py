@@ -173,6 +173,19 @@ def test_degenerate_stencil_is_an_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--domain", "pdisk", "--z", "5e-324,0"],
+     "density of pdisk at z=(5e-324+0j) is not finite in double precision"),
+    (["curvature", "--metric", "disk", "--z", "1.2,0"], "z=(1.2+0j) is not in disk"),
+    (["curvature", "--metric", "pdisk", "--z", "0,0"], "z=0j is not in pdisk"),
+], ids=["density-overflow", "curvature-off-disk", "curvature-at-puncture"])
+def test_point_errors_name_the_point(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_oracle_overflow_is_an_error_without_warnings():
     # The seed's Simpson lengths, the kernel and the energy sum overflowed
     # here, with five RuntimeWarnings before the error, or a RuntimeWarning

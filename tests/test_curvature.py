@@ -8,7 +8,8 @@ import numpy as np
 
 from hypmetrics.curvature import curvature_at, laplacian
 from hypmetrics.domains import DomainModel
-from hypmetrics.errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
+from hypmetrics.errors import (NonpositiveDensity, NumericOverflow, OutsideDomain,
+                               SingularPoint, StencilOutsideDomain)
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric, disk_metric,
                                 half_plane_metric, pullback, punctured_disk_metric,
@@ -87,9 +88,13 @@ def test_refuses_at_degenerate_pullback_point():
         curvature_at(pulled, 0.0, 1e-3)
 
 
+# A point off the domain is refused by the point check, before any stencil
+# is built.
 def test_refuses_outside_domain():
-    with pytest.raises(StencilOutsideDomain):
+    with pytest.raises(OutsideDomain, match=r"^z=\(1\.2\+0j\) is not in disk$"):
         curvature_at(disk_metric(), 1.2, 1e-3)
+    with pytest.raises(SingularPoint, match=r"^z=0j is not in pdisk$"):
+        curvature_at(punctured_disk_metric(), 0.0, 1e-3)
     with pytest.raises(StencilOutsideDomain):
         curvature_at(disk_metric(), 0.5, -1.0)
     # a NaN stencil size is refused as such, not blamed on the domain
@@ -115,10 +120,10 @@ def test_point_returns_python_floats():
 
 
 def test_one_point_off_domain_refuses_the_array():
-    pts = np.array([0.3, 0.5j, 1.2, -0.4])
-    with pytest.raises(StencilOutsideDomain, match=r"z=\(1\.2\+0j\)"):
+    pts = np.array([0.3, 0.5j, 1.2, 2.0, -0.4])
+    with pytest.raises(OutsideDomain, match=r"^z=\(1\.2\+0j\) is not in disk$"):
         curvature_at(disk_metric(), pts, 1e-3)
-    with pytest.raises(StencilOutsideDomain):
+    with pytest.raises(SingularPoint):
         curvature_at(punctured_disk_metric(), np.array([0.3, 0.0]), 1e-3)
 
 

@@ -177,7 +177,8 @@ def test_hopf_functional_raises_on_zero_density():
     # with an exactly vanishing density
     from hypmetrics.metrics import MetricDensity
     pd = punctured_disk_metric()
-    zero = MetricDensity(pd.domain, lambda z: 0.0 * np.real(z), "zero")
+    zero = MetricDensity(pd.domain, lambda z: 0.0 * np.real(z), "zero",
+                         lambda z: np.full(np.shape(z), -np.inf))
     with pytest.raises(NonpositiveDensity):
         hopf_functional(zero, pd, 0.3)
     metric, pd = _pulled_example1()

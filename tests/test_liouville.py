@@ -56,9 +56,6 @@ def test_blow_up_policies():
     # large initial slope toward increasing w blows up quickly
     with pytest.raises(NumericOverflow):
         integrate_radial(1.0, 50.0, 0.0, 40.0, 2000)
-    prof = integrate_radial(1.0, 50.0, 0.0, 40.0, 2000, on_blowup="truncate")
-    assert prof.w_values.max() <= 300.0
-    assert prof.t_grid.size < 2001
 
 
 def test_closed_form_families_satisfy_ode():

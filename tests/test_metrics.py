@@ -1,12 +1,13 @@
 """Densities: closed forms, domains, pullbacks, and the Ahlfors grid bound."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from hypmetrics.domains import DomainModel
-from hypmetrics.errors import BadParameter, OutsideDomain, SingularPoint
+from hypmetrics.errors import BadParameter, NumericOverflow, OutsideDomain, SingularPoint
 from hypmetrics.maps import example1_map, identity_map, mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, conical_metric,
                                 conical_scaled_metric, density_at, disk_metric,
@@ -53,10 +54,38 @@ def test_punctured_disk_R_restriction():
     z = 0.3
     expected = 1.0 / (2.0 * z * (1.0 - math.log(z)))
     assert density_at(lam_e, z) == pytest.approx(expected, rel=1e-15)
-    # R = 1 recovers the punctured disk density
-    lam_1 = punctured_disk_metric_r(1.0)
-    assert density_at(lam_1, 0.37) == pytest.approx(
-        density_at(punctured_disk_metric(), 0.37), rel=1e-15)
+    # R = 1 is the punctured disk density, bit for bit
+    lam_1, pd = punctured_disk_metric_r(1.0), punctured_disk_metric()
+    pts = np.concatenate([sample_annular(5, 200, 1e-6, 1.0 - 1e-9), [1e-310, 0.37]])
+    for f in ("eval", "log_eval"):
+        assert getattr(lam_1, f)(pts).tobytes() == getattr(pd, f)(pts).tobytes()
+
+
+# pdisk's eval took log(1/|z|), in which 1/|z| rounds: it gave 0.0 (with a
+# RuntimeWarning) at 1e-310, and was 1.1e-3 off at 1 - 1e-13.
+@pytest.mark.parametrize("x", [1e-310, 1e-300, 1e-30, 0.3, 1.0 - 1e-13])
+def test_punctured_disk_density_against_mpmath(x):
+    m = punctured_disk_metric()
+    with mp.workdps(50):
+        lam = 1 / (2 * mp.mpf(x) * mp.log(1 / mp.mpf(x)))
+        log_lam = mp.log(lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_log = density_at(m, x), log_density_at(m, x)
+    assert abs(got - lam) <= 1e-15 * lam
+    assert abs(got_log - log_lam) <= 1e-15 * abs(log_lam)
+
+
+def test_density_out_of_double_range_is_refused():
+    # the true lambda ~ 1.4e320 at the least subnormal; its log still fits
+    m = punctured_disk_metric()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(5e-324\+0j\) "
+                                                  "is not finite in double precision$"):
+            density_at(m, 5e-324)
+        assert log_density_at(m, 5e-324) == pytest.approx(
+            float(mp.log(1 / (2 * mp.mpf(5e-324) * mp.log(1 / mp.mpf(5e-324))))), rel=1e-15)
 
 
 def test_half_plane_and_strip_densities():
@@ -128,6 +157,8 @@ def test_pullback_example1_matches_ratio_formula():
 def test_pullback_degenerate_point_gives_zero_density():
     lam = disk_metric()
     assert density_at(pullback(lam, square_map(), lam.domain), 0.0) == 0.0
+    # its log is -inf exactly, not an overflow
+    assert log_density_at(pullback(lam, square_map(), lam.domain), 0.0) == -math.inf
 
 
 def test_pullback_outside_domain_detection():

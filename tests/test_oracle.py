@@ -510,13 +510,14 @@ def test_flat_kernel_and_band_solve_equal_their_references(spec, z1, z2):
 
 def test_geodesic_solve_failures_are_typed():
     path = np.linspace(0.1, 0.5 + 0.3j, 20)
-    nan_metric = MetricDensity(DomainModel.disk(), lambda z: np.full(np.shape(z), np.nan), "nan")
+    nan = lambda z: np.full(np.shape(z), np.nan)
+    nan_metric = MetricDensity(DomainModel.disk(), nan, "nan", nan)
     with pytest.raises(GeodesicSolveFailed):
         oracle._geodesic_length(nan_metric, path,
                                 eval_many(nan_metric, oracle._with_midpoints(path)))
     nowhere = SimpleNamespace(contains=lambda z: np.zeros(np.shape(z), dtype=bool),
                               label=lambda: "nowhere")
-    nowhere_metric = MetricDensity(nowhere, disk_metric().eval, "disk")
+    nowhere_metric = MetricDensity(nowhere, disk_metric().eval, "disk", disk_metric().log_eval)
     with pytest.raises(GeodesicSolveFailed):
         oracle._geodesic_length(nowhere_metric, path,
                                 eval_many(nowhere_metric, oracle._with_midpoints(path)))
