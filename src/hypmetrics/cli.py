@@ -65,14 +65,15 @@ def _emit(text: str) -> None:
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_density(args) -> int:
-    from .metrics import density_at, eval_many, log_density_at
+    import numpy as np
+
+    from .metrics import density_at, log_density_at
     from .sampling import cartesian_grid, polar_grid
     from .specparse import parse_metric
 
     metric = parse_metric(args.domain)
     if args.z is not None:  # a --z point off the domain is an error
-        z = _parse_complex(args.z)
-        rows = [(z.real, z.imag, density_at(metric, z), log_density_at(metric, z))]
+        pts = _parse_complex(args.z)
     else:  # grid points off the domain are skipped
         if args.grid_n < 1:
             raise ParseError(f"--grid-n must be at least 1, got {args.grid_n}")
@@ -85,8 +86,8 @@ def _cmd_density(args) -> int:
         else:
             pts = cartesian_grid(args.grid_n, args.half_width)
         pts = pts[metric.domain.contains(pts)]
-        rows = list(zip(pts.real.tolist(), pts.imag.tolist(), eval_many(metric, pts).tolist(),
-                        metric.log_eval(pts).tolist()))
+    columns = (np.real(pts), np.imag(pts), density_at(metric, pts), log_density_at(metric, pts))
+    rows = list(zip(*(np.atleast_1d(c).tolist() for c in columns)))
     if args.output == "json":
         _emit(json.dumps({"metric": metric.label,
                           "points": [{"re": r, "im": i, "lambda": l, "log_lambda": g}

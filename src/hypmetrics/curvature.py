@@ -6,10 +6,10 @@ The Gauss curvature of lambda(z)|dz| is
 
 discretized with the 5-point `laplacian` below at stencil size h, on a point
 or an array of points. The discretization error is O(h^2) for C^4 densities.
-A point must lie in the domain (`DomainModel.check`), and so must its
-stencil: `laplacian` refuses one that leaves it. Near the domain edge the
-stencil is shrunk to half the distance to the edge, and the h actually used
-is reported.
+Every point must lie in the domain (`DomainModel.check` names the first one
+that does not), and so must its stencil: `laplacian` refuses one that
+leaves it. Near the domain edge the stencil is shrunk to half the distance
+to the edge, and the h actually used is reported.
 """
 from __future__ import annotations
 
@@ -48,9 +48,9 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     """Discrete Gauss curvature of the metric at z (a point or an array).
 
     Returns kappa, or (kappa, h_used) when full_output is set, as floats for
-    a point and as arrays in the shape of z otherwise. Refuses a point off
-    the domain with the point check's OutsideDomain (SingularPoint at a
-    puncture) before any stencil is built, with NonpositiveDensity when
+    a point and as arrays in the shape of z otherwise. Refuses the first
+    point off the domain with the point check's OutsideDomain (SingularPoint
+    at a puncture) before any stencil is built, with NonpositiveDensity when
     lambda <= 0 anywhere on a stencil (curvature is defined only where the
     density is positive), with StencilOutsideDomain
     when no admissible stencil fits or a stencil point rounds onto its
@@ -60,13 +60,10 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     if not h > 0.0:
         raise StencilOutsideDomain(f"stencil size must be positive, got h={h}")
     point = np.ndim(z) == 0
+    dom = metric.domain
     # numpy scalars round powers differently from arrays, so a point goes
     # through the array path too and matches an array call bit for bit
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    dom = metric.domain
-    outside = ~dom.contains(z)
-    if outside.any():
-        dom.check(z[outside][0])  # raises OutsideDomain, or SingularPoint at a puncture
+    z = dom.check(np.atleast_1d(z))
     h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))
 
     def log_lambda(stencil):

@@ -16,8 +16,8 @@ Membership, the Euclidean distance to the edge (min(c - lo, hi - c), used
 to shrink finite-difference stencils near the boundary), the singular point
 (z = 0 for the radial kinds that exclude it) and the label all follow from
 the table. Membership is exact and false for non-finite points; check is
-the one test of a given point, with the one message "z=... is not in
-<label>".
+the one test of a given point or array of points, naming the first point
+off the domain with the one message "z=... is not in <label>".
 """
 from __future__ import annotations
 
@@ -124,14 +124,22 @@ class DomainModel:
             out = out & (c > self.lo)
         return bool(out) if out.ndim == 0 else out
 
-    def check(self, z) -> complex:
-        """z as a complex number when it lies in the domain; SingularPoint at
-        the puncture of a doubly connected kind, OutsideDomain elsewhere."""
-        z = complex(z)
-        if not self.contains(z):
-            error = SingularPoint if self.doubly_connected and z == 0.0 else OutsideDomain
-            raise error(f"z={z} is not in {self.label()}")
-        return z
+    def check(self, z):
+        """z when it lies in the domain, as a complex number or, for a numpy
+        array, a complex array. Else the first point off it raises SingularPoint
+        at the puncture of a doubly connected kind, OutsideDomain elsewhere."""
+        if isinstance(z, np.ndarray) and z.ndim:
+            z = np.asarray(z, dtype=complex)
+            outside = z[~self.contains(z)]
+            if not outside.size:
+                return z
+            bad = complex(outside[0])
+        else:  # the oracle and the distances check one point at a time: keep it cheap
+            bad = z = complex(z)
+            if self.contains(z):
+                return z
+        error = SingularPoint if self.doubly_connected and bad == 0.0 else OutsideDomain
+        raise error(f"z={bad} is not in {self.label()}")
 
     def boundary_distance(self, z):
         """Euclidean distance from z to the domain edge. Works on scalars and numpy arrays."""

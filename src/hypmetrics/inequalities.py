@@ -195,10 +195,8 @@ def radial_solution_space_check(h: float) -> list[Check]:
         res = residual(f, radii, h)
         res_coarse = residual(f, radii, 10.0 * h)
         checks.append(Check.at_most(f"residual[{name}]", float(res.max()), tol, "paper"))
-        ratio = float(res_coarse.max() / res.max()) if res.max() > 0 else float("inf")
-        checks.append(Check(name=f"h2-scaling[{name}]", value=ratio, expected=100.0,
-                            tol=0.0, passed=50.0 <= ratio <= 200.0, provenance="derived",
-                            note="max-residual ratio for 10h vs h"))
+        checks.append(Check.h2_order(f"h2-scaling[{name}]", res_coarse.max(), res.max(),
+                                     "max-residual ratio for 10h vs h"))
         res_half = float(residual(f, np.array([0.5]), h)[0])
         checks.append(Check.at_most(f"residual-at-0.5[{name}]", res_half, 1e-5, "paper"))
     bad_min = float(residual(v_bad, radii, h).min())

@@ -27,9 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import extrapolation
 from .domains import DomainModel
 from .errors import BadParameter, GridTooShort, NumericOverflow
-from .extrapolation import neville
 from .metrics import conical_scaled_metric
 from .reports import Check, VerificationReport
 
@@ -214,7 +214,7 @@ def dichotomy_verify_part_a(R: float) -> VerificationReport:
     report.add(Check.at_most(f"sup-deviation[R={R}]", float(values.max()),
                              logR + 0.01, "paper"))
     if logR > 0.0:
-        limit = neville((1.0 / Ls[-3:]).tolist(), values[-3:].tolist())
+        limit = extrapolation.extrapolate(values, 1.0 / Ls).value
         report.add(Check.close(f"limit-deviation[R={R}]", limit, logR, 2e-2, "derived",
                                note="Richardson extrapolation in 1/log(1/|z|)"))
     else:

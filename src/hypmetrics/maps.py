@@ -29,9 +29,6 @@ class HolomorphicMap:
     derivative: Callable
     label: str
 
-    def __call__(self, z):
-        return self.value(z)
-
 
 def identity_map() -> HolomorphicMap:
     return HolomorphicMap(lambda z: np.asarray(z, dtype=complex) + 0.0,

@@ -22,7 +22,8 @@ of order alpha; c = 1 recovers lambda_alpha.
 Densities near singularities span many orders of magnitude, so every density
 carries an exact closed-form log-density, used by the curvature operator.
 Both are closures that accept numpy arrays of points and return real arrays
-of the same shape; no grids are stored here.
+of the same shape; no grids are stored here. density_at and log_density_at
+are their one checked evaluation, on a point or an array.
 """
 from __future__ import annotations
 
@@ -45,25 +46,27 @@ class MetricDensity:
     log_eval: Callable
 
 
-def density_at(metric: MetricDensity, z) -> float:
-    """Evaluate lambda(z) at a point that DomainModel.check accepts.
-    NumericOverflow when the value is not finite in double precision."""
+def density_at(metric: MetricDensity, z):
+    """lambda at a point or a numpy array of points, as a float or a float
+    array, after DomainModel.check; NumericOverflow names the first point
+    where it is not finite in double precision."""
     return _finite_at(metric, z, metric.eval, "density")
 
 
-def log_density_at(metric: MetricDensity, z) -> float:
-    """Evaluate log lambda(z), with the checks of density_at."""
+def log_density_at(metric: MetricDensity, z):
+    """Evaluate log lambda, with the checks of density_at."""
     return _finite_at(metric, z, metric.log_eval, "log density")
 
 
-def _finite_at(metric: MetricDensity, z, f, what: str) -> float:
+def _finite_at(metric: MetricDensity, z, f, what: str):
     z = metric.domain.check(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        value = float(f(z))
-    if not value < math.inf:  # -inf, the log of a zero density, is exact
-        raise NumericOverflow(f"{what} of {metric.label} at z={z} "
+        value = np.asarray(f(z), dtype=float)
+    bad = np.asarray(z)[~(value < math.inf)]  # -inf, the log of a zero density, is exact
+    if bad.size:
+        raise NumericOverflow(f"{what} of {metric.label} at z={complex(bad[0])} "
                               "is not finite in double precision")
-    return value
+    return float(value) if value.ndim == 0 else value
 
 
 # --- builtin densities ----------------------------------------------------

@@ -36,6 +36,13 @@ class Check:
         ok = math.isfinite(value) and value <= bound
         return Check(name, float(value), float(bound), 0.0, ok, provenance, note)
 
+    @staticmethod
+    def h2_order(name: str, coarse: float, fine: float, note: str) -> "Check":
+        """The O(h^2) rule for errors at steps 10h and h: their ratio (inf
+        when the fine error is 0) should be 100, and passes within [50, 200]."""
+        ratio = float(coarse / fine) if fine > 0 else math.inf
+        return Check(name, ratio, 100.0, 0.0, 50.0 <= ratio <= 200.0, "derived", note)
+
 
 @dataclass
 class VerificationReport:

@@ -87,11 +87,8 @@ def suite_curvature(cfg: SuiteConfig, report: VerificationReport) -> None:
         err_fine = float(np.abs(curvature_at(metric, pts, 1e-3) + 4.0).max())
         err_coarse = float(np.abs(curvature_at(metric, pts, 1e-2) + 4.0).max())
         report.add(Check.at_most(f"kappa+4[{metric.label}]", err_fine, tol, "paper"))
-        ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
-        report.add(Check(name=f"h2-convergence[{metric.label}]", value=ratio,
-                         expected=100.0, tol=0.0, passed=50.0 <= ratio <= 200.0,
-                         provenance="derived",
-                         note="max-error ratio for h=1e-2 vs h=1e-3"))
+        report.add(Check.h2_order(f"h2-convergence[{metric.label}]", err_coarse, err_fine,
+                                  "max-error ratio for h=1e-2 vs h=1e-3"))
 
 
 # --- ahlfors ----------------------------------------------------------------

@@ -30,7 +30,6 @@ from typing import Sequence
 
 from . import distances, extrapolation
 from .domains import DomainModel
-from .errors import OutsideDomain
 from .extrapolation import LimitEstimate
 
 # The suites import this module only when a witness suite runs, so it calls
@@ -55,11 +54,6 @@ class WitnessLimit:
     expected: float
     trend_ok: bool
     note: str = ""
-
-    @property
-    def matches_expected(self) -> bool:
-        return math.isfinite(self.extrapolated_limit) and \
-            abs(self.extrapolated_limit - self.expected) <= 1e-4
 
 
 def _phi_factors(u: float) -> tuple[float, float, float]:
@@ -130,7 +124,7 @@ def annulus_expected_limit(r: float) -> float:
     return -1.0 / 3.0 - math.pi ** 2 / (6.0 * s * s)
 
 
-def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None) -> WitnessLimit:
+def annulus_sharpness_limit(r: float) -> WitnessLimit:
     """Annulus functional (phi*lambda_D(x)/lambda_A_r(x) - 1) e^(4 d_norm(x)).
 
     d_norm(x) = d_{A_r}(x, sqrt(r)) - log(2s/pi)/2, measured from the
@@ -141,10 +135,7 @@ def annulus_sharpness_limit(r: float, x_values: Sequence[float] | None = None) -
     DomainModel.annulus(r)  # raises BadParameter unless 0 < r < 1
     s = math.log(1.0 / r)
     x0 = math.sqrt(r)
-    xs = list(x_values) if x_values is not None else \
-        [1.0 - 10.0 ** (-k) for k in range(2, 6)]
-    if any(not r < x < 1.0 for x in xs):
-        raise OutsideDomain("x values must lie in the annulus")
+    xs = [1.0 - 10.0 ** (-k) for k in range(2, 6)]
     calibration = 0.5 * math.log(2.0 * s / math.pi)
     values = []
     for x in xs:

@@ -176,9 +176,13 @@ def test_degenerate_stencil_is_an_error(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["density", "--domain", "pdisk", "--z", "5e-324,0"],
      "density of pdisk at z=(5e-324+0j) is not finite in double precision"),
+    # the grid printed lambda = inf rows here, with a RuntimeWarning and exit 0
+    (["density", "--domain", "pdisk", "--grid", "polar", "--grid-n", "2", "--rmin", "5e-324",
+      "--rmax", "0.5"], "density of pdisk at z=(5e-324+0j) is not finite in double precision"),
     (["curvature", "--metric", "disk", "--z", "1.2,0"], "z=(1.2+0j) is not in disk"),
     (["curvature", "--metric", "pdisk", "--z", "0,0"], "z=0j is not in pdisk"),
-], ids=["density-overflow", "curvature-off-disk", "curvature-at-puncture"])
+], ids=["density-overflow", "density-grid-overflow", "curvature-off-disk",
+        "curvature-at-puncture"])
 def test_point_errors_name_the_point(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -361,7 +361,8 @@ def test_disk_distance_is_invariant_under_mobius_maps(u, v):
     dom = parse_domain("disk")
     a, b, c = (_point_in(dom, ui, vi) for ui, vi in zip(u, v))
     f = mobius_map(c)
-    assert _close(dist_disk(complex(f(a)), complex(f(b))).value, dist_disk(a, b).value)
+    assert _close(dist_disk(complex(f.value(a)), complex(f.value(b))).value,
+                  dist_disk(a, b).value)
 
 
 # Each kind of _SPECS written out, so that the property below does not lean

@@ -1,5 +1,6 @@
 """The six model domain kinds: membership, edge distance, labels, specs."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_boundary_distance_and_singular_point(spec):
             dom.check(p)
         assert str(info.value) == f"z={complex(p)} is not in {spec}"
         assert isinstance(info.value, SingularPoint) is (singular and p == 0.0)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_check_on_an_array_names_the_first_point_outside(spec):
+    dom, inside, outside, _, singular = CASES[spec]
+    got = dom.check(np.array(inside))  # a real array comes back complex
+    assert got.dtype == complex and got.tolist() == inside
+    assert dom.check(np.array(inside).reshape(1, -1)).shape == (1, len(inside))
+    pts = np.array(inside[:1] + outside + inside[1:] + NONFINITE)
+    with pytest.raises(OutsideDomain, match=rf"^z={re.escape(str(complex(outside[0])))} "):
+        dom.check(pts)
+    if not dom.contains(0j):  # the puncture, or a point of the edge
+        with pytest.raises(OutsideDomain, match=r"^z=0j ") as info:
+            dom.check(np.array(inside + [0.0] + outside))
+        assert isinstance(info.value, SingularPoint) is singular
 
 
 @pytest.mark.parametrize("spec", SPECS)

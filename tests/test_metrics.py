@@ -9,7 +9,7 @@ from mpmath import mp
 from hypmetrics.domains import DomainModel
 from hypmetrics.errors import BadParameter, NumericOverflow, OutsideDomain, SingularPoint
 from hypmetrics.maps import example1_map, identity_map, mobius_map, phi_map, square_map
-from hypmetrics.metrics import (annulus_metric, conical_metric,
+from hypmetrics.metrics import (MetricDensity, annulus_metric, conical_metric,
                                 conical_scaled_metric, density_at, disk_metric,
                                 eval_many, half_plane_metric, log_density_at,
                                 pullback, punctured_disk_metric,
@@ -86,6 +86,45 @@ def test_density_out_of_double_range_is_refused():
             density_at(m, 5e-324)
         assert log_density_at(m, 5e-324) == pytest.approx(
             float(mp.log(1 / (2 * mp.mpf(5e-324) * mp.log(1 / mp.mpf(5e-324))))), rel=1e-15)
+
+
+@pytest.mark.parametrize("metric", [
+    disk_metric(), punctured_disk_metric(), punctured_disk_metric_r(2.0), annulus_metric(0.5),
+    conical_metric(0.3), half_plane_metric(), strip_metric(1.0),
+    pullback(disk_metric(), phi_map(), DomainModel.disk()),
+    pullback(disk_metric(), square_map(), DomainModel.disk()),  # lambda = 0 at 0
+], ids=lambda m: m.label)
+def test_checked_evaluation_of_an_array_is_eval_many(metric):
+    pts = np.concatenate([cartesian_grid(21, 1.5), polar_grid(15, 1e-300, 0.999)])
+    pts = pts[metric.domain.contains(pts)].reshape(1, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, log_lam = density_at(metric, pts), log_density_at(metric, pts)
+    assert lam.shape == log_lam.shape == pts.shape and lam.dtype == log_lam.dtype == float
+    assert lam.tobytes() == eval_many(metric, pts).tobytes()
+    with np.errstate(divide="ignore"):
+        assert log_lam.tobytes() == np.asarray(metric.log_eval(pts), dtype=float).tobytes()
+
+
+def test_checked_evaluation_of_an_array_names_the_first_bad_point():
+    pdisk = punctured_disk_metric()
+    pts = np.array([0.5, 1e-320, 5e-324, 0.25j])  # lambda overflows at the middle two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(1e-320\+0j\) "):
+            density_at(pdisk, pts)
+        assert np.isfinite(log_density_at(pdisk, pts)).all()
+        with pytest.raises(SingularPoint, match=r"^z=0j is not in pdisk$"):
+            density_at(pdisk, np.array([0.5, 0.0, 2.0]))
+        with pytest.raises(OutsideDomain, match=r"^z=\(2\+0j\) is not in pdisk$"):
+            log_density_at(pdisk, np.array([0.5, 2.0, 0.0]))
+        # -inf, the exact log of a zero density, passes; nan is named
+        square = pullback(disk_metric(), square_map(), DomainModel.disk())
+        assert log_density_at(square, np.array([0.5, 0.0]))[1] == -math.inf
+        nan_log = MetricDensity(DomainModel.disk(), disk_metric().eval, "nanlog",
+                                lambda z: np.where(np.abs(z) < 0.2, np.nan, 0.0))
+        with pytest.raises(NumericOverflow, match=r"^log density of nanlog at z=0.1j "):
+            log_density_at(nan_log, np.array([0.5, 0.1j, 0.0]))
 
 
 def test_half_plane_and_strip_densities():

@@ -62,7 +62,6 @@ def test_phi_expansion_limit_is_minus_one_sixth():
     # the documented target is -1/12 and genuinely disagrees
     assert check.expected == pytest.approx(-1.0 / 12.0, rel=1e-12)
     assert abs(check.extrapolated_limit - check.expected) > 5e-2
-    assert not check.matches_expected
     assert check.note
 
 
@@ -151,8 +150,9 @@ def test_annulus_functional_against_oracle_value():
     ratio = (dphi / (1 - phi ** 2)) * (2 * x * s * sin(pi * L / s)) / pi
     e4 = (1 / tan(pi * L / (2 * s))) ** 2 * (pi / (2 * s)) ** 2
     oracle = float((ratio - 1) * e4)
-    wl = annulus_sharpness_limit(r, x_values=[1.0 - 1e-3])
-    assert wl.functional_values[0] == pytest.approx(oracle, rel=1e-9)
+    wl = annulus_sharpness_limit(r)  # x = 1 - 1e-3 is its second point
+    assert wl.sample_points[1] == 1.0 - 1e-3
+    assert wl.functional_values[1] == pytest.approx(oracle, rel=1e-9)
 
 
 # Exact certification of the phi-witness constants.  Only fractions.Fraction
