@@ -46,7 +46,7 @@ class RadialProfile:
     t_grid: np.ndarray
     w_values: np.ndarray
     derivation: str
-    dw_values: Optional[np.ndarray] = None
+    dw_values: np.ndarray
     w_func: Optional[Callable] = None
     dw_func: Optional[Callable] = None
     ddw_func: Optional[Callable] = None
@@ -56,8 +56,6 @@ class RadialProfile:
         return np.exp(self.w_values - self.t_grid)
 
     def first_integral(self) -> np.ndarray:
-        if self.dw_values is None:
-            raise BadParameter("profile carries no derivative values")
         return self.dw_values ** 2 - 4.0 * np.exp(2.0 * self.w_values)
 
     def ode_residual(self) -> np.ndarray:
@@ -170,9 +168,12 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     """Classify the singularity type of a radial profile at rho -> 0.
 
     Tests the quarter of the grid deepest into the singularity (most
-    negative t). Logarithmic when w + log(-2t) has total variation <= TV_TOL
-    there; otherwise conical of order alpha = 1 - slope when the remainder
-    w - slope * t passes the same constancy test.
+    negative t). Logarithmic when e^(-w)/2 + t, which equals log R on the
+    whole pdiskR family, has total variation <= TV_TOL there; otherwise
+    conical of order alpha = 1 - slope when the remainder w - slope * t
+    passes the same constancy test. The remainder bound is max |w + log(-2t)|
+    (logarithmic), the spread of w - slope * t (conical), or the smaller
+    total variation of these two remainders (unclassified).
     """
     t, w = profile.t_grid, profile.w_values
     if t.min() > -15.0:
@@ -180,22 +181,22 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     window = t <= t.min() + 0.25 * (t.max() - t.min())
     tq, wq = t[window], w[window]
 
+    variation = lambda r: float(np.abs(np.diff(r)).sum())
     rem_log = wq + np.log(-2.0 * tq)
-    tv_log = float(np.abs(np.diff(rem_log)).sum())
-    if tv_log <= TV_TOL:
-        return SingularityProfile(LOGARITHMIC,
-                                  remainder_bound=float(np.abs(rem_log).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # e^(-w) is inf on steep conical tails
+        if variation(0.5 * np.exp(-wq) + tq) <= TV_TOL:
+            return SingularityProfile(LOGARITHMIC,
+                                      remainder_bound=float(np.abs(rem_log).max()))
 
     coeffs = np.polyfit(tq, wq, 1)
     slope = float(coeffs[0])
     rem_con = wq - slope * tq
-    tv_con = float(np.abs(np.diff(rem_con)).sum())
+    tv_con = variation(rem_con)
     alpha = 1.0 - slope
     if tv_con <= TV_TOL and alpha < 1.0:
         return SingularityProfile(CONICAL, alpha=alpha,
                                   remainder_bound=float(np.abs(rem_con - rem_con.mean()).max()))
-    return SingularityProfile(UNCLASSIFIED,
-                              remainder_bound=float(min(tv_log, tv_con)))
+    return SingularityProfile(UNCLASSIFIED, remainder_bound=min(variation(rem_log), tv_con))
 
 
 def dichotomy_verify_part_a(R: float) -> VerificationReport:

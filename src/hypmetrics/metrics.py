@@ -184,10 +184,10 @@ def pullback(metric: MetricDensity, map_: HolomorphicMap,
 
     def _target(z):
         w = map_.value(z)
-        ok = metric.domain.contains(w)
-        if not np.all(ok):
-            raise OutsideDomain(
-                f"{map_.label} maps z={z} outside the domain of {metric.label}")
+        inside = np.asarray(metric.domain.contains(w))
+        if not inside.all():  # name the first source point, as DomainModel.check does
+            raise OutsideDomain(f"{map_.label} maps z={complex(np.asarray(z)[~inside][0])} "
+                                f"outside the domain of {metric.label}")
         return w
 
     def ev(z):

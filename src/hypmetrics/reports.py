@@ -1,8 +1,9 @@
 """Structured pass/fail verification records.
 
 A Check is one named comparison (computed value vs expected value at a
-tolerance, with a provenance tag); a VerificationReport is an ordered batch
-of checks for one suite. Serialization is deterministic: floats use the
+tolerance, with a provenance tag), decided by one of its rules close, at_most,
+at_least or h2_order on float values; a VerificationReport is an ordered
+batch of checks for one suite. Serialization is deterministic: floats use the
 shortest round-trip representation (repr), and check order is insertion
 order.
 """
@@ -27,14 +28,26 @@ class Check:
     @staticmethod
     def close(name: str, value: float, expected: float, tol: float,
               provenance: str, note: str = "") -> "Check":
+        """Passes when |value - expected| <= tol."""
+        value, expected, tol = float(value), float(expected), float(tol)
         ok = math.isfinite(value) and abs(value - expected) <= tol
-        return Check(name, float(value), float(expected), float(tol), ok, provenance, note)
+        return Check(name, value, expected, tol, ok, provenance, note)
 
     @staticmethod
     def at_most(name: str, value: float, bound: float, provenance: str,
                 note: str = "") -> "Check":
-        ok = math.isfinite(value) and value <= bound
-        return Check(name, float(value), float(bound), 0.0, ok, provenance, note)
+        """Passes when value <= bound."""
+        value, bound = float(value), float(bound)
+        return Check(name, value, bound, 0.0, math.isfinite(value) and value <= bound,
+                     provenance, note)
+
+    @staticmethod
+    def at_least(name: str, value: float, bound: float, tol: float, provenance: str,
+                 note: str = "") -> "Check":
+        """Passes when value >= bound - tol."""
+        value, bound, tol = float(value), float(bound), float(tol)
+        return Check(name, value, bound, tol, math.isfinite(value) and value >= bound - tol,
+                     provenance, note)
 
     @staticmethod
     def h2_order(name: str, coarse: float, fine: float, note: str) -> "Check":

@@ -237,11 +237,13 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
 
     report = VerificationReport(suite="dichotomy")
     bound = float(np.abs(values).max())
+    # a finiteness test: part (a) states no explicit bound, so expected and tol are nan
     report.add(Check(name=f"part-a-bounded[{metric.label}]", value=bound,
                      expected=float("nan"), tol=float("nan"),
                      passed=bool(np.isfinite(bound)), provenance="paper",
                      note="assumption: curvature <= -4 (spot-checkable only)"))
     triggered = est.trend_ok and abs(est.value) <= TRIGGER_TOL
+    # passes on a conjunction: a shrinking trend and a limit within TRIGGER_TOL of 0
     report.add(Check(name=f"part-b-trigger[{metric.label}]",
                      value=est.value, expected=0.0, tol=TRIGGER_TOL,
                      passed=triggered, provenance="paper",

@@ -151,8 +151,7 @@ def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
         dq = eval_many(metric, qs) / eval_many(reference, qs)
         slack = min(inequalities.beardon_minda_bound(f_q, dist(z, q).value) - f_z
                     for z, q, f_z, f_q in zip(zs, qs, dz.tolist(), dq.tolist()))
-        report.add(Check(name=f"min-slack[{label}]", value=slack, expected=0.0,
-                         tol=slack_tol, passed=slack >= -slack_tol, provenance="paper"))
+        report.add(Check.at_least(f"min-slack[{label}]", slack, 0.0, slack_tol, "paper"))
 
 
 # --- harnack ----------------------------------------------------------------
@@ -175,10 +174,8 @@ def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
     bounds = np.array([inequalities.harnack_bound(spec, pd, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack")
-    report.add(Check(name="min-rel-slack[example1, r=0.1]", value=rel_slack,
-                     expected=0.0, tol=tol, passed=rel_slack >= -tol,
-                     provenance="paper",
-                     note=f"boundary max ratio {M:.6f} at 500 polar points"))
+    report.add(Check.at_least("min-rel-slack[example1, r=0.1]", rel_slack, 0.0, tol, "paper",
+                              note=f"boundary max ratio {M:.6f} at 500 polar points"))
 
 
 def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
@@ -193,10 +190,9 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     bounds = np.array([inequalities.harnack_conical_bound(alpha, r, M, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack-conical")
-    report.add(Check(name=f"min-rel-slack[scaled(alpha={alpha},c={c}), r={r}]",
-                     value=rel_slack, expected=0.0, tol=tol,
-                     passed=rel_slack >= -tol, provenance="paper",
-                     note=f"boundary max ratio {M:.6f} at 300 polar points"))
+    report.add(Check.at_least(f"min-rel-slack[scaled(alpha={alpha},c={c}), r={r}]",
+                              rel_slack, 0.0, tol, "paper",
+                              note=f"boundary max ratio {M:.6f} at 300 polar points"))
     report.add(Check.close("exponent-at-r",
                            inequalities.harnack_conical_bound(alpha, r, M, r * 0.9999999 * 1j)
                            / float(lam_a.eval(r * 0.9999999 * 1j)),
@@ -206,19 +202,25 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 # --- hopf -------------------------------------------------------------------
 
-def _hopf_sequence(metric: MetricDensity, reference: MetricDensity, ks):
-    from . import inequalities
+def _add_hopf_limit(report: VerificationReport, name: str, metric: MetricDensity,
+                    tol: float, provenance: str):
+    """Add the limit row of the Hopf functional of metric against pdisk at
+    z = 10^-k, k = 2..8, extrapolated in 1/log(1/|z|) toward -1; return the
+    estimate."""
+    from . import extrapolation, inequalities
 
-    values, xs = [], []
-    for k in ks:
-        z = complex(10.0 ** (-k), 0.0)
-        values.append(inequalities.hopf_functional(metric, reference, z))
-        xs.append(1.0 / math.log(1.0 / abs(z)))
-    return values, xs
+    pd = punctured_disk_metric()
+    radii = [10.0 ** (-k) for k in range(2, 9)]
+    values = [inequalities.hopf_functional(metric, pd, complex(r, 0.0)) for r in radii]
+    est = extrapolation.extrapolate(values, xs=[1.0 / math.log(1.0 / r) for r in radii])
+    report.add(Check.close(name, est.value, -1.0, tol, provenance,
+                           note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
+                                f"extrapolated ({est.method})"))
+    return est
 
 
 def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
-    from . import extrapolation, inequalities
+    from . import inequalities
 
     pd = punctured_disk_metric()
     report.add(Check.close("identity-functional",
@@ -227,26 +229,14 @@ def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
     tol = cfg.tol("hopf")
 
     fam = punctured_disk_metric_r(math.e)
-    values, xs = _hopf_sequence(fam, pd, range(2, 9))
-    est = extrapolation.extrapolate(values, xs=xs)
-    report.add(Check.close("limit[pdiskR:e]", est.value, -1.0, tol, "derived",
-                           note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
-                                f"extrapolated ({est.method})"))
-
+    est = _add_hopf_limit(report, "limit[pdiskR:e]", fam, tol, "derived")
     inf_bound = min(inequalities.hopf_functional(fam, pd, complex(r, 0.0))
                     for r in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     report.add(Check.at_most("limsup<=circle-inf[pdiskR:e]", est.value,
                              inf_bound + 5e-2, "paper",
                              note="limsup bounded by inf over circles of "
                                   "(max log ratio) * log(1/r)"))
-
-    metric = _pull_example1()
-    values, xs = _hopf_sequence(metric, pd, range(2, 9))
-    est = extrapolation.extrapolate(values, xs=xs)
-    report.add(Check.close("limit[pull:example1:pdisk]", est.value, -1.0, tol,
-                           "paper",
-                           note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
-                                f"extrapolated ({est.method})"))
+    _add_hopf_limit(report, "limit[pull:example1:pdisk]", _pull_example1(), tol, "paper")
 
 
 def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
@@ -262,11 +252,9 @@ def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
         values = [inequalities.hopf_conical_functional(metric, alpha,
                                                        complex(10.0 ** (-k), 0.0))
                   for k in range(1, 7)]
-        report.add(Check(name=f"limsup-negative[{label}]", value=float(max(values)),
-                         expected=0.0, tol=0.0, passed=max(values) < -0.05,
-                         provenance="paper",
-                         note="NonconvergentFunctional: values diverge to -inf, "
-                              "limsup < 0 verified on samples"))
+        report.add(Check.at_most(f"limsup-negative[{label}]", max(values), -0.05, "paper",
+                                 note="NonconvergentFunctional: values diverge to -inf, "
+                                      "limsup < 0 verified on samples"))
 
 
 def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
@@ -276,6 +264,19 @@ def suite_aux_solutions(cfg: SuiteConfig, report: VerificationReport) -> None:
 
 
 # --- witnesses ----------------------------------------------------------------
+
+def _add_witness_limit(report: VerificationReport, name: str, wl, tol: float, series: str,
+                       note: str | None = None, trend_note: str | None = None) -> None:
+    """Add a witness functional's limit row (its note wl.note unless note is
+    given), its trend row when trend_note is given (the row's note, possibly
+    empty), and its sample series, each sample as its modulus."""
+    report.add(Check.close(name, wl.extrapolated_limit, wl.expected, tol, "paper",
+                           note=wl.note if note is None else note))
+    if trend_note is not None:
+        report.add(Check.at_least("trend", float(wl.trend_ok), 1.0, 0.0, "tool",
+                                  note=trend_note))
+    report.add_series(series, [abs(s) for s in wl.sample_points], wl.functional_values)
+
 
 def suite_phi(cfg: SuiteConfig, report: VerificationReport) -> None:
     from .witnesses import disk_sharpness_functional, phi_expansion_check
@@ -291,19 +292,10 @@ def suite_phi(cfg: SuiteConfig, report: VerificationReport) -> None:
     boundary = 0.999999 * np.exp(1j * thetas)
     report.add(Check.at_most("selfmap-max|phi|", float(np.abs(phi.value(boundary)).max()),
                              1.0, "paper", note="injective self-map spot check"))
-
-    exp_check = phi_expansion_check()
-    report.add(Check.close("expansion-limit", exp_check.extrapolated_limit,
-                           exp_check.expected, cfg.tol("phi-expansion"),
-                           "paper", note=exp_check.note))
-    report.add_series("phi-expansion", exp_check.sample_points,
-                      exp_check.functional_values)
-    disk_check = disk_sharpness_functional()
-    report.add(Check.close("disk-functional-limit", disk_check.extrapolated_limit,
-                           disk_check.expected, cfg.tol("disk-functional"),
-                           "paper", note=disk_check.note))
-    report.add_series("disk-functional", disk_check.sample_points,
-                      disk_check.functional_values)
+    _add_witness_limit(report, "expansion-limit", phi_expansion_check(),
+                       cfg.tol("phi-expansion"), "phi-expansion")
+    _add_witness_limit(report, "disk-functional-limit", disk_sharpness_functional(),
+                       cfg.tol("disk-functional"), "disk-functional")
 
 
 def suite_example1(cfg: SuiteConfig, report: VerificationReport) -> None:
@@ -314,30 +306,22 @@ def suite_example1(cfg: SuiteConfig, report: VerificationReport) -> None:
                            0.5 * math.exp(-3.0), 1e-15, "derived"))
     pts = sample_log_annular(cfg.seed + 21, 200, 1e-4, 0.999)
     images = np.asarray(f.value(pts))
+    # membership, not max|f| <= 1: near |z| = 0.999 f(z) can underflow to 0, the puncture
     report.add(Check(name="maps-pdisk-to-pdisk", value=float(np.abs(images).max()),
                      expected=1.0, tol=0.0,
                      passed=bool(DomainModel.punctured_disk().contains(images).all()),
                      provenance="paper", note="spot check on a polar grid"))
     wl = example1_limit()
-    report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
-                           cfg.tol("example1"), "paper",
-                           note=f"raw at |z|=1e-8: {wl.functional_values[-1]:.6f}"))
-    report.add(Check(name="trend", value=1.0 if wl.trend_ok else 0.0, expected=1.0,
-                     tol=0.0, passed=wl.trend_ok, provenance="tool",
-                     note="consecutive differences shrink"))
-    report.add_series("example1-functional", [abs(z) for z in wl.sample_points],
-                      wl.functional_values)
+    _add_witness_limit(report, "limit", wl, cfg.tol("example1"), "example1-functional",
+                       f"raw at |z|=1e-8: {wl.functional_values[-1]:.6f}",
+                       "consecutive differences shrink")
 
 
 def suite_annulus_sharpness(cfg: SuiteConfig, report: VerificationReport, r: float) -> None:
     from .witnesses import annulus_sharpness_limit
 
-    wl = annulus_sharpness_limit(r)
-    report.add(Check.close("limit", wl.extrapolated_limit, wl.expected,
-                           cfg.tol("annulus"), "paper", note=wl.note))
-    report.add(Check(name="trend", value=1.0 if wl.trend_ok else 0.0, expected=1.0,
-                     tol=0.0, passed=wl.trend_ok, provenance="tool"))
-    report.add_series("annulus-functional", wl.sample_points, wl.functional_values)
+    _add_witness_limit(report, "limit", annulus_sharpness_limit(r), cfg.tol("annulus"),
+                       "annulus-functional", trend_note="")
 
 
 # --- comparability / decay ratio ---------------------------------------------------
@@ -356,12 +340,10 @@ def suite_comparability(cfg: SuiteConfig, report: VerificationReport) -> None:
             z = rho * complex(math.cos(arg), math.sin(arg))
             vals.append(math.log(1.0 / rho)
                         * math.exp(-2.0 * dist_punctured_disk(z, q).value))
-    report.add(Check(name="sandwich-lower", value=float(min(vals)), expected=c1,
-                     tol=0.0, passed=min(vals) >= c1 - 1e-12, provenance="paper",
-                     note=f"c1={c1!r}"))
-    report.add(Check(name="sandwich-upper", value=float(max(vals)), expected=c2,
-                     tol=0.0, passed=max(vals) <= c2 + 1e-12, provenance="paper",
-                     note=f"c2={c2!r}"))
+    report.add(Check.at_least("sandwich-lower", min(vals), c1, 1e-12, "paper",
+                              note=f"c1={c1!r}"))
+    report.add(Check.at_most("sandwich-upper", max(vals), c2 + 1e-12, "paper",
+                             note=f"c2={c2!r}"))
 
 
 def suite_decay_ratio(cfg: SuiteConfig, report: VerificationReport) -> None:
@@ -373,6 +355,7 @@ def suite_decay_ratio(cfg: SuiteConfig, report: VerificationReport) -> None:
                            1.0 / 1.999, cfg.tol("decay-ratio"), "derived"))
     seq = [covering_decay_ratio(1.0 - 10.0 ** (-k)) for k in (1, 2, 3)]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
+    # passes on a conjunction: the sequence decreases and its last value is near 1/2
     report.add(Check(name="monotone-to-half", value=seq[-1], expected=0.5, tol=5e-4,
                      passed=monotone and abs(seq[-1] - 0.5) <= 5e-4,
                      provenance="paper"))

@@ -181,8 +181,13 @@ def test_degenerate_stencil_is_an_error(capsys, argv):
       "--rmax", "0.5"], "density of pdisk at z=(5e-324+0j) is not finite in double precision"),
     (["curvature", "--metric", "disk", "--z", "1.2,0"], "z=(1.2+0j) is not in disk"),
     (["curvature", "--metric", "pdisk", "--z", "0,0"], "z=0j is not in pdisk"),
+    # a pullback named its whole grid or stencil here, over several lines
+    (["density", "--domain", "pull:mobius:0.3,0:pdisk", "--grid", "cartesian", "--grid-n",
+      "3", "--half-width", "0.3"], "mobius:0.3,0.0 maps z=(0.3+0j) outside the domain of pdisk"),
+    (["curvature", "--metric", "pull:mobius:0.3,0:pdisk", "--z", "0.3,0"],
+     "mobius:0.3,0.0 maps z=(0.3+0j) outside the domain of pdisk"),
 ], ids=["density-overflow", "density-grid-overflow", "curvature-off-disk",
-        "curvature-at-puncture"])
+        "curvature-at-puncture", "pullback-grid", "pullback-stencil"])
 def test_point_errors_name_the_point(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -108,10 +108,10 @@ def test_interior_rigidity_monotone_in_c():
 
 def test_classifier_on_families():
     assert classify_singularity(closed_form_family("pdisk")).kind == LOGARITHMIC
-    # the pdiskR remainder decays like log(R)/|t|, so the constancy window
-    # must sit deep for the total-variation gate
-    deep = closed_form_family("pdiskR", R=math.e, t_min=-800.0)
-    assert classify_singularity(deep).kind == LOGARITHMIC
+    # e^(-w)/2 + t is log R on the whole family, at the default grid; the test
+    # of w + log(-2t) called these unclassified, and 1e300 conical
+    for R in (1.5, math.e, 100.0, 1e300):
+        assert classify_singularity(closed_form_family("pdiskR", R=R)).kind == LOGARITHMIC
     for alpha in (-0.5, 0.3, 0.7):
         prof = classify_singularity(closed_form_family("conical", alpha=alpha))
         assert prof.kind == CONICAL
