@@ -171,8 +171,8 @@ def _read_sample_csv(path: str) -> BoundarySequenceSample:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     if not points:
         raise ParseError("CSV contains no data rows")
-    return BoundarySequenceSample(tuple(points), tuple(ratios), tuple(distances),
-                                  q=0j).sorted_by_distance()
+    return BoundarySequenceSample(tuple(points), tuple(ratios),
+                                  tuple(distances)).sorted_by_distance()
 
 
 def _estimate_json(est, classification=None) -> str:
@@ -185,8 +185,7 @@ def _estimate_json(est, classification=None) -> str:
 
 def _cmd_rigidity(args) -> int:
     from .distances import dist_punctured_disk
-    from .metrics import density_at
-    from .rigidity import Setting, classify_sample, decay_exponent_fit
+    from .rigidity import Setting, build_sample, classify_sample, decay_exponent_fit
     from .specparse import parse_float, parse_metric
 
     if args.action == "fit":
@@ -194,31 +193,27 @@ def _cmd_rigidity(args) -> int:
         _emit(_estimate_json(est))
         return 0
     if args.action == "classify":
-        setting_spec = args.setting
-        if setting_spec.startswith("conical:"):
-            setting = Setting.conical(parse_float(setting_spec.split(":", 1)[1],
-                                                  "conical order"))
-        elif setting_spec in ("general", "puncture"):
-            setting = Setting.general() if setting_spec == "general" else Setting.puncture()
-        else:
-            raise ParseError(f"unknown setting {setting_spec!r}")
-        est = classify_sample(_read_sample_csv(args.input), setting,
+        name, colon, order = args.setting.partition(":")
+        settings = {"general": Setting.general, "puncture": Setting.puncture,
+                    "conical:": lambda: Setting.conical(parse_float(order, "conical order"))}
+        if name + colon not in settings:
+            raise ParseError(f"unknown setting {args.setting!r}")
+        est = classify_sample(_read_sample_csv(args.input), settings[name + colon](),
                               margin=args.margin)
         _emit(_estimate_json(est, est.classification))
         return 0
-    # sample: emit a fit-ready CSV for a metric/reference pair
+    # sample: emit a fit-ready CSV for a metric/reference pair at |z| = 10^-k
     metric = parse_metric(args.metric)
     reference = parse_metric(args.reference)
     q = _parse_complex(args.q)
     if args.kmin > args.kmax:
         raise ParseError(f"need --kmin <= --kmax, got {args.kmin} and {args.kmax}")
-    rows = ["re,im,ratio,distance"]
-    for k in range(args.kmin, args.kmax + 1):
-        z = complex(10.0 ** (-k), 0.0)
-        ratio = density_at(metric, z) / density_at(reference, z)
-        d = dist_punctured_disk(z, q).value
-        rows.append(",".join(map(repr, (z.real, z.imag, ratio, d))))
-    _emit("\n".join(rows))
+    sample = build_sample(metric, reference,
+                          [complex(10.0 ** (-k), 0.0) for k in range(args.kmin, args.kmax + 1)],
+                          q, lambda z, q: dist_punctured_disk(z, q).value)
+    _emit("\n".join(["re,im,ratio,distance"]
+                    + [",".join(map(repr, (z.real, z.imag, ratio, d)))
+                       for z, ratio, d in zip(sample.points, sample.ratios, sample.distances)]))
     return 0
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .domains import DomainModel
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
-SWEEP_N = 720  # angles of the circle sweeps here and in inequalities, before refinement
+SWEEP_N = 720  # angles of the circle sweep in circle_max, before refinement
 
 _DISK = DomainModel.disk()
 _PUNCTURED_DISK = DomainModel.punctured_disk()
@@ -178,7 +178,7 @@ def covering_decay_ratio(z) -> float:
     return math.exp(-2.0 * d) / (1.0 - abs(z))
 
 
-def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float) -> float:
     """Golden-section search for the maximum of f on [a, b], to width 1e-8."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
@@ -193,15 +193,29 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return f(0.5 * (a + b))
+
+
+def circle_max(sweep, at) -> float:
+    """Maximum over a circle of a function of the angle theta.
+
+    sweep(thetas) gives its values at SWEEP_N equally spaced angles from 0,
+    at(theta) its value at one angle; the best sweep angle is refined by
+    golden-section search within one sweep step either side, and the larger
+    of the two maxima is returned (ties go to the sweep value).
+    """
+    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_N, endpoint=False)
+    vals = sweep(thetas)
+    i = int(np.argmax(vals))
+    width = 2.0 * math.pi / SWEEP_N
+    return max(float(vals[i]), _golden_max(at, thetas[i] - width, thetas[i] + width))
 
 
 def comparability_constants(q) -> tuple[float, float, float]:
     """Comparability constants (c1, c2, gamma) for the punctured disk.
 
     gamma is the maximum over |w| = |q| of the punctured-disk distance from w
-    to q, found by a dense circle sweep refined with golden-section search;
+    to q, found by circle_max;
     then c1 = |log|q|| e^(-2 gamma) and c2 = |log|q|| + pi. These sandwich
     log(1/|z|) e^(-2 d(z,q)) between c1 and c2 for all 0 < |z| < 1.
     """
@@ -213,11 +227,6 @@ def comparability_constants(q) -> tuple[float, float, float]:
         w = aq * complex(math.cos(base + theta), math.sin(base + theta))
         return dist_punctured_disk(w, q).value
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_N, endpoint=False)
-    vals = [d_at(t) for t in thetas]
-    i = int(np.argmax(vals))
-    width = 2.0 * math.pi / SWEEP_N
-    _, gamma = _golden_max(d_at, thetas[i] - width, thetas[i] + width)
-    gamma = max(gamma, vals[i])
+    gamma = circle_max(lambda thetas: [d_at(t) for t in thetas], d_at)
     logq = abs(math.log(aq))
     return logq * math.exp(-2.0 * gamma), logq + math.pi, gamma

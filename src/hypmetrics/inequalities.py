@@ -6,8 +6,8 @@ Implements the comparison machinery used across the verification suites:
   * the distortion bound of the sharpened Schwarz-Pick inequality,
     bound(f_q, d) = (f_q + tanh 2d)/(1 + f_q tanh 2d);
   * the boundary Harnack bound near an isolated singularity,
-    lambda(z) <= M^(C_{r,R}(z)) lambda_ref(z),
-    C_{r,R}(z) = log(r/R)/log(|z|/R), M the ratio max on |xi| = r;
+    lambda(z) <= M^(C_r(z)) lambda_ref(z),
+    C_r(z) = log r / log|z| (0 < r < 1), M the ratio max on |xi| = r;
   * its conical analogue with exponent v_alpha(z)/v_alpha(r),
     v_alpha(z) = |z|^(2(1-alpha)) / (1 - |z|^(2(1-alpha)));
   * the Hopf limit functionals log(lambda/lambda_ref) * log(1/|z|) and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import laplacian
-from .distances import _PUNCTURED_DISK, SWEEP_N, _golden_max
+from .distances import _PUNCTURED_DISK, circle_max
 from .errors import BadParameter, NonpositiveDensity, OutsideDomain
 from .metrics import MetricDensity, conical_metric, eval_many, punctured_disk_metric
 from .reports import Check
@@ -68,41 +68,36 @@ def beardon_minda_bound(f_distortion_q: float, d: float) -> float:
 @dataclass(frozen=True)
 class HarnackBoundSpec:
     r: float
-    R: float
     boundary_max_ratio: float
 
     def __post_init__(self):
-        if not 0.0 < self.r < self.R:
-            raise BadParameter(f"need 0 < r < R, got r={self.r}, R={self.R}")
+        if not 0.0 < self.r < 1.0:
+            raise BadParameter(f"need 0 < r < 1, got r={self.r}")
         if not 0.0 < self.boundary_max_ratio <= 1.0:
             raise BadParameter(
                 f"boundary max ratio must lie in (0,1], got {self.boundary_max_ratio}")
 
     def exponent(self, z) -> float:
-        """C_{r,R}(z) = log(r/R)/log(|z|/R), in (0,1) for 0 < |z| < r."""
-        az = abs(complex(z))
-        return math.log(self.r / self.R) / math.log(az / self.R)
+        """C_r(z) = log r / log|z|, in (0,1) for 0 < |z| < r."""
+        return math.log(self.r) / math.log(abs(complex(z)))
 
 
 def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
                        r: float) -> float:
     """max over |xi| = r of lambda(xi)/lambda_ref(xi).
 
-    Dense circle sampling refined by golden-section search; ties broken by
+    Found by distances.circle_max, sweeping on whole arrays; ties broken by
     the smallest argument (first maximizer in sweep order).
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_N, endpoint=False)
-    xi = r * np.exp(1j * thetas)
-    ratios = eval_many(metric, xi) / eval_many(reference, xi)
-    i = int(np.argmax(ratios))
+    def sweep(thetas: np.ndarray) -> np.ndarray:
+        xi = r * np.exp(1j * thetas)
+        return eval_many(metric, xi) / eval_many(reference, xi)
 
     def ratio_at(theta: float) -> float:
         w = r * complex(math.cos(theta), math.sin(theta))
         return float(metric.eval(w) / reference.eval(w))
 
-    width = 2.0 * math.pi / SWEEP_N
-    _, refined = _golden_max(ratio_at, thetas[i] - width, thetas[i] + width)
-    return max(float(ratios[i]), refined)
+    return circle_max(sweep, ratio_at)
 
 
 def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z) -> float:

@@ -171,9 +171,10 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     negative t). Logarithmic when e^(-w)/2 + t, which equals log R on the
     whole pdiskR family, has total variation <= TV_TOL there; otherwise
     conical of order alpha = 1 - slope when the remainder w - slope * t
-    passes the same constancy test. The remainder bound is max |w + log(-2t)|
-    (logarithmic), the spread of w - slope * t (conical), or the smaller
-    total variation of these two remainders (unclassified).
+    passes the same constancy test. The remainder bound is the total
+    variation that decided the verdict: that of e^(-w)/2 + t (logarithmic),
+    of w - slope * t (conical), or the smaller finite one of the two
+    (unclassified; inf when neither is finite).
     """
     t, w = profile.t_grid, profile.w_values
     if t.min() > -15.0:
@@ -182,21 +183,18 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     tq, wq = t[window], w[window]
 
     variation = lambda r: float(np.abs(np.diff(r)).sum())
-    rem_log = wq + np.log(-2.0 * tq)
     with np.errstate(over="ignore", invalid="ignore"):  # e^(-w) is inf on steep conical tails
-        if variation(0.5 * np.exp(-wq) + tq) <= TV_TOL:
-            return SingularityProfile(LOGARITHMIC,
-                                      remainder_bound=float(np.abs(rem_log).max()))
+        tv_log = variation(0.5 * np.exp(-wq) + tq)
+    if tv_log <= TV_TOL:
+        return SingularityProfile(LOGARITHMIC, remainder_bound=tv_log)
 
-    coeffs = np.polyfit(tq, wq, 1)
-    slope = float(coeffs[0])
-    rem_con = wq - slope * tq
-    tv_con = variation(rem_con)
+    slope = float(np.polyfit(tq, wq, 1)[0])
+    tv_con = variation(wq - slope * tq)
     alpha = 1.0 - slope
     if tv_con <= TV_TOL and alpha < 1.0:
-        return SingularityProfile(CONICAL, alpha=alpha,
-                                  remainder_bound=float(np.abs(rem_con - rem_con.mean()).max()))
-    return SingularityProfile(UNCLASSIFIED, remainder_bound=min(variation(rem_log), tv_con))
+        return SingularityProfile(CONICAL, alpha=alpha, remainder_bound=tv_con)
+    return SingularityProfile(UNCLASSIFIED, remainder_bound=min(
+        (tv for tv in (tv_log, tv_con) if math.isfinite(tv)), default=math.inf))
 
 
 def dichotomy_verify_part_a(R: float) -> VerificationReport:

@@ -12,6 +12,11 @@ log(1 - ratio) against the distance (or log-radius), compared to the
 threshold with an explicit margin. RigidityForced additionally requires
 r^2 >= R2_MIN. Ratios exactly equal to 1 short-circuit through the interior
 equality case instead (equality at one point forces equality everywhere).
+
+build_sample, whose rows `rigidity sample` prints, evaluates both densities
+through density_at. The dichotomy report computes nothing of its own: the
+singularity type comes from liouville.classify_singularity and the values
+from inequalities.hopf_functional, both imported where the report runs.
 """
 from __future__ import annotations
 
@@ -25,48 +30,34 @@ import numpy as np
 from .domains import DomainModel
 from .errors import (BadParameter, DegenerateSample, TooFewPoints,
                      WrongSingularityOrder)
-from .extrapolation import extrapolate
-from .metrics import MetricDensity, check_conical_order, eval_many, punctured_disk_metric
+from .metrics import (MetricDensity, check_conical_order, density_at, eval_many,
+                      log_density_at, punctured_disk_metric)
 from .reports import Check, VerificationReport
+from .sampling import sample_annular
 
 RATIO_EQUALITY_TOL = 1e-12
 R2_MIN = 0.99  # fit quality that RigidityForced requires
 TRIGGER_TOL = 1e-3  # |limit| below which the dichotomy's part (b) fires
 
-GENERAL = "general"
-PUNCTURE = "puncture"
-CONICAL = "conical"
-
 
 @dataclass(frozen=True)
 class Setting:
-    kind: str
-    alpha: float = 0.0
+    """A rigidity threshold beta* and the decay variable the fit regresses on."""
+    threshold: float
+    regressor: str = "distance"
 
     @staticmethod
     def general() -> "Setting":
-        return Setting(GENERAL)
+        return Setting(4.0)
 
     @staticmethod
     def puncture() -> "Setting":
-        return Setting(PUNCTURE)
+        return Setting(2.0)
 
     @staticmethod
     def conical(alpha: float) -> "Setting":
         check_conical_order(alpha)
-        return Setting(CONICAL, alpha)
-
-    @property
-    def threshold(self) -> float:
-        if self.kind == GENERAL:
-            return 4.0
-        if self.kind == PUNCTURE:
-            return 2.0
-        return 2.0 * (1.0 - self.alpha)
-
-    @property
-    def regressor(self) -> str:
-        return "log_radius" if self.kind == CONICAL else "distance"
+        return Setting(2.0 * (1.0 - alpha), "log_radius")
 
 
 class Classification(Enum):
@@ -80,7 +71,6 @@ class BoundarySequenceSample:
     points: tuple
     ratios: tuple
     distances: tuple
-    q: complex
 
     def __post_init__(self):
         n = len(self.points)
@@ -94,18 +84,22 @@ class BoundarySequenceSample:
         return BoundarySequenceSample(
             tuple(self.points[i] for i in order),
             tuple(self.ratios[i] for i in order),
-            tuple(self.distances[i] for i in order),
-            self.q)
+            tuple(self.distances[i] for i in order))
 
 
 def build_sample(metric: MetricDensity, reference: MetricDensity,
                  points: Sequence[complex], q: complex, dist_fn) -> BoundarySequenceSample:
-    """Assemble a BoundarySequenceSample from two metrics and a distance rule."""
+    """The sample of lambda/lambda_ref at the points, with distances
+    dist_fn(z, q), sorted by distance.
+
+    Both densities are evaluated through density_at, so a point off either
+    domain raises OutsideDomain; a ratio outside (0, 1] raises BadParameter.
+    """
     pts = np.asarray(list(points), dtype=complex)
-    ratios = eval_many(metric, pts) / eval_many(reference, pts)
+    ratios = density_at(metric, pts) / density_at(reference, pts)
     dists = tuple(float(dist_fn(z, q)) for z in pts)
-    return BoundarySequenceSample(tuple(pts.tolist()), tuple(float(r) for r in ratios),
-                                  dists, complex(q)).sorted_by_distance()
+    return BoundarySequenceSample(tuple(pts.tolist()), tuple(ratios.tolist()),
+                                  dists).sorted_by_distance()
 
 
 @dataclass(frozen=True)
@@ -191,49 +185,46 @@ def euclidean_puncture_form(ratio: float, z) -> float:
 
 def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> bool:
     """Spot-check ratio == 1 (within 1e-12) at 10 seeded points with 0.1 < |z| < 0.8."""
-    rng = np.random.default_rng(42)
-    radii = rng.uniform(0.1, 0.8, 10)
-    angles = rng.uniform(0.0, 2.0 * math.pi, 10)
-    pts = radii * np.exp(1j * angles)
+    pts = sample_annular(42, 10, 0.1, 0.8)
     ratios = eval_many(metric, pts) / eval_many(reference, pts)
     return bool(np.all(np.abs(ratios - 1.0) <= RATIO_EQUALITY_TOL))
 
 
 # --- dichotomy report -------------------------------------------------------
 
-def _tail_slope(metric: MetricDensity) -> float:
-    """Least-squares slope of w(t) = log lambda(e^t) + t on the deep tail -200 <= t <= -20."""
-    t = np.linspace(-200.0, -20.0, 60)
-    w = metric.log_eval(np.exp(t)) + t
-    return float(np.polyfit(t, w, 1)[0])
-
-
 def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> VerificationReport:
     """Two-sided dichotomy check for a metric with a logarithmic singularity.
 
-    Computes w(z_n) = log lambda(z_n) - log lambda_pdisk(z_n) along the
-    sequence and reports (a) boundedness of w * log(1/|z_n|) and (b) whether
-    that quantity tends to 0, which for curvature <= -4 metrics certifies
-    lambda = lambda_pdisk. Conical metrics are rejected with
-    WrongSingularityOrder. The curvature hypothesis itself is recorded as an
-    assumption, not certified.
+    The metric's radial profile w(t) = log lambda(e^t) + t on -200 <= t <= -20
+    must be logarithmic by liouville.classify_singularity; a conical or
+    unclassified profile raises WrongSingularityOrder. Along the sequence
+    the report evaluates the Hopf functional w(z_n) * log(1/|z_n|),
+    w = log lambda - log lambda_pdisk (inequalities.hopf_functional, which
+    raises OutsideDomain off the punctured disk), and reports (a)
+    its boundedness and (b) whether it tends to 0, which for curvature <= -4
+    metrics certifies lambda = lambda_pdisk. The curvature hypothesis itself
+    is recorded as an assumption, not certified.
     """
-    slope = _tail_slope(metric)
-    if slope >= 0.05:
+    from .extrapolation import extrapolate
+    from .inequalities import hopf_functional
+    from .liouville import CONICAL, LOGARITHMIC, RadialProfile, classify_singularity
+
+    t = np.linspace(-200.0, -20.0, 60)
+    w = log_density_at(metric, np.exp(t)) + t
+    singularity = classify_singularity(RadialProfile(t, w, metric.label, np.gradient(w, t)))
+    if singularity.kind == CONICAL:
+        raise WrongSingularityOrder(f"metric {metric.label} has conical order "
+                                    f"~{singularity.alpha:.3f}, not logarithmic")
+    if singularity.kind != LOGARITHMIC:
         raise WrongSingularityOrder(
-            f"metric {metric.label} has conical order ~{1.0 - slope:.3f}, not logarithmic")
-    if slope > 0.02:
-        raise WrongSingularityOrder(
-            f"metric {metric.label} has unclassified singularity (tail slope {slope:.3g})")
+            f"metric {metric.label} has unclassified singularity "
+            f"(remainder variation {singularity.remainder_bound:.3g})")
 
     reference = punctured_disk_metric()
     pts = np.asarray(list(sequence), dtype=complex)
-    order = np.argsort(-np.abs(pts))  # |z| decreasing, toward the puncture
-    pts = pts[order]
-    Ls = np.log(1.0 / np.abs(pts))
-    w = metric.log_eval(pts) - reference.log_eval(pts)
-    values = w * Ls
-    est = extrapolate(values.tolist(), xs=(1.0 / Ls).tolist())
+    pts = pts[np.argsort(-np.abs(pts))]  # |z| decreasing, toward the puncture
+    values = np.array([hopf_functional(metric, reference, z) for z in pts])
+    est = extrapolate(values.tolist(), xs=(1.0 / np.log(1.0 / np.abs(pts))).tolist())
 
     report = VerificationReport(suite="dichotomy")
     bound = float(np.abs(values).max())

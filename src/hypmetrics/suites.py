@@ -161,12 +161,12 @@ def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
 
     pd = punctured_disk_metric()
     metric = _pull_example1()
-    r, R = 0.1, 1.0
+    r = 0.1
     M = inequalities.boundary_max_ratio(metric, pd, r)
-    spec = inequalities.HarnackBoundSpec(r=r, R=R, boundary_max_ratio=M)
+    spec = inequalities.HarnackBoundSpec(r=r, boundary_max_ratio=M)
     report.add(Check.close("exponent-at-r", spec.exponent(r * 1j), 1.0, 1e-12, "trivial"))
     report.add(Check.close("exponent-half",
-                           inequalities.HarnackBoundSpec(0.1, 1.0, 0.5).exponent(0.01),
+                           inequalities.HarnackBoundSpec(0.1, 0.5).exponent(0.01),
                            0.5, 1e-12, "trivial"))
 
     pts = polar_grid(25, 1e-6, r * 0.999)[:500]

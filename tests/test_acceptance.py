@@ -189,7 +189,7 @@ def test_criterion_10_rigidity_fits():
         d = np.linspace(0.5, 2.5, 10)
         ratios = 1.0 - 0.5 * np.exp(-beta * d)
         sample = BoundarySequenceSample(tuple([0.1 + 0j] * 10), tuple(ratios),
-                                        tuple(d), 0j)
+                                        tuple(d))
         est = decay_exponent_fit(sample)
         worst = max(worst, abs(est.beta - beta), abs(est.c - 0.5))
         ok = ok and abs(est.beta - beta) <= 1e-9 and abs(est.c - 0.5) <= 1e-9

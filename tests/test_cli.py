@@ -341,6 +341,13 @@ def test_rigidity_roundtrip(tmp_path, capsys):
     assert json.loads(out)["classification"] in ("Inconclusive", "StrictlyBelow")
 
 
+def test_sample_with_a_ratio_above_one_is_an_error(capsys):
+    # the ratios run from 1.05 to 1.25, a sample `rigidity fit` refuses
+    code, out, err = run(capsys, "rigidity", "sample", "--metric", "pdisk",
+                         "--reference", "pull:example1:pdisk")
+    assert (code, out, err) == (1, "", "error: ratios must lie in (0, 1]\n")
+
+
 def test_liouville_solve_csv(capsys):
     code, out, _ = run(capsys, "liouville", "solve", "--w0",
                        repr(-math.log(2.0)), "--dw0", "1", "--t0", "-1",
@@ -390,6 +397,10 @@ def test_usage_error_exit_code():
     (["density", "--domain", "warp:9", "--z", "0,0"], "warp:9"),
     (["verify", "curvature", "--tol", "curvature=abc"], "abc"),
     (["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "conical:abc"], "abc"),
+    (["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "conical"],
+     "unknown setting 'conical'"),
+    (["rigidity", "classify", "--input", "{dir}/good.csv", "--setting", "general:1"],
+     "unknown setting 'general:1'"),
     (["rigidity", "fit", "--input", "{dir}/bad.csv"], "abc"),
     (["rigidity", "fit", "--input", "{dir}/missing.csv"], "missing.csv"),
     (["density", "--domain", "disk", "--grid-n", "-1"], "--grid-n"),
@@ -408,7 +419,7 @@ def test_usage_error_exit_code():
     (["verify", "curvature", "--tol", "curvature=-1"], "--tol 'curvature'"),
     (["verify", "curvature", "--tol", "curvature=nan"], "--tol 'curvature'"),
     (["verify", "aux-solutions", "--tol", "aux-h=inf"], "--tol 'aux-h'"),
-], ids=["spec", "tolerance", "setting", "csv-cell", "missing-csv", "grid-n-negative",
+], ids=["spec", "tolerance", "setting", "setting-no-order", "setting-with-order", "csv-cell", "missing-csv", "grid-n-negative",
         "grid-n-zero", "rmin-zero", "rmin-negative", "rmin-above-rmax", "half-width-zero",
         "half-width-nan", "kmin-above-kmax", "tolerance-unknown", "tolerance-other-suite",
         "tolerance-none-read", "tolerance-negative", "tolerance-nan", "tolerance-inf"])

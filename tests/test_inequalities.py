@@ -111,7 +111,7 @@ def test_beardon_minda_dominates_all_builtin_self_maps():
 
 
 def test_harnack_exponent_endpoints():
-    spec = HarnackBoundSpec(0.1, 1.0, 0.5)
+    spec = HarnackBoundSpec(0.1, 0.5)
     assert spec.exponent(0.1j) == pytest.approx(1.0, abs=1e-12)
     assert spec.exponent(0.01) == pytest.approx(0.5, abs=1e-12)
     # strictly increasing in |z| on (0, r)
@@ -124,7 +124,7 @@ def test_harnack_inequality_example1():
     metric, pd = _pulled_example1()
     M = boundary_max_ratio(metric, pd, 0.1)
     assert 0.0 < M < 1.0
-    spec = HarnackBoundSpec(0.1, 1.0, M)
+    spec = HarnackBoundSpec(0.1, M)
     pts = polar_grid(25, 1e-6, 0.0999)[:500]
     lam = eval_many(metric, pts)
     bounds = np.array([harnack_bound(spec, pd, z) for z in pts])

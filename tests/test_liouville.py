@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hypmetrics.errors import (BadParameter, GridTooShort, NumericOverflow)
-from hypmetrics.liouville import (CONICAL, LOGARITHMIC, classify_singularity,
-                                  closed_form_family, dichotomy_verify_part_a,
-                                  integrate_radial, radial_rhs)
+from hypmetrics.liouville import (CONICAL, LOGARITHMIC, TV_TOL, UNCLASSIFIED, RadialProfile,
+                                  classify_singularity, closed_form_family,
+                                  dichotomy_verify_part_a, integrate_radial, radial_rhs)
 
 
 def test_radial_rhs_values():
@@ -120,6 +120,40 @@ def test_classifier_on_families():
                                                      alpha=0.3, c=0.5))
     assert scaled.kind == CONICAL
     assert scaled.alpha == pytest.approx(0.3, abs=1e-3)
+
+
+def _steep_wavy_profile() -> RadialProfile:
+    """Neither logarithmic (e^(-w) overflows) nor conical (w is not linear)."""
+    t = np.linspace(-40.0, -1.0, 2000)
+    w = 20.0 * t + np.sin(t)
+    return RadialProfile(t, w, "steep-wavy", 20.0 + np.cos(t))
+
+
+# The bound is the variation the verdict tested, so it is at most TV_TOL
+# exactly when the profile is classified.
+@pytest.mark.parametrize("profile, kind", [
+    (closed_form_family("pdisk"), LOGARITHMIC),
+    (closed_form_family("pdiskR", R=1e300), LOGARITHMIC),
+    (closed_form_family("conical", alpha=0.3), CONICAL),
+    (closed_form_family("conical", alpha=-20.0), CONICAL),
+    (closed_form_family("conical", alpha=0.99), UNCLASSIFIED),
+    (_steep_wavy_profile(), UNCLASSIFIED),
+], ids=["pdisk", "pdiskR-1e300", "conical-0.3", "conical-minus-20", "conical-0.99",
+        "steep-wavy"])
+def test_remainder_bound_is_the_tested_variation(profile, kind):
+    t, w = profile.t_grid, profile.w_values
+    window = t <= t.min() + 0.25 * (t.max() - t.min())
+    tq, wq = t[window], w[window]
+    variation = lambda r: float(np.abs(np.diff(r)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv_log = variation(0.5 * np.exp(-wq) + tq)
+    tv_con = variation(wq - np.polyfit(tq, wq, 1)[0] * tq)
+    got = classify_singularity(profile)
+    assert got.kind == kind
+    finite = [tv for tv in (tv_log, tv_con) if math.isfinite(tv)]  # a nan or inf never wins
+    want = {LOGARITHMIC: tv_log, CONICAL: tv_con, UNCLASSIFIED: min(finite)}[kind]
+    assert got.remainder_bound == want
+    assert (got.remainder_bound <= TV_TOL) == (kind != UNCLASSIFIED)
 
 
 def test_classifier_on_integrated_profile():

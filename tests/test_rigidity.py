@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypmetrics.distances import dist_punctured_disk
-from hypmetrics.errors import (BadParameter, DegenerateSample, TooFewPoints,
+from hypmetrics.errors import (BadParameter, DegenerateSample, OutsideDomain, TooFewPoints,
                                WrongSingularityOrder)
 from hypmetrics.maps import example1_map
 from hypmetrics.metrics import (conical_metric, pullback, punctured_disk_metric,
@@ -20,8 +20,7 @@ from hypmetrics.rigidity import (BoundarySequenceSample, Classification, Setting
 def _synthetic(beta, c=0.5, d=None, n=10):
     d = np.linspace(0.5, 2.5, n) if d is None else np.asarray(d)
     ratios = 1.0 - c * np.exp(-beta * d)
-    return BoundarySequenceSample(tuple([0.1 + 0j] * len(d)), tuple(ratios),
-                                  tuple(d), 0j)
+    return BoundarySequenceSample(tuple([0.1 + 0j] * len(d)), tuple(ratios), tuple(d))
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 6.0])
@@ -40,7 +39,7 @@ def test_spec_synthetic_case():
 def test_subsampling_preserves_classification():
     full = _synthetic(5.0, d=np.linspace(0.5, 2.5, 12))
     sub = BoundarySequenceSample(full.points[::2], full.ratios[::2],
-                                 full.distances[::2], full.q)
+                                 full.distances[::2])
     c1 = classify_boundary_condition(decay_exponent_fit(full), Setting.general())
     c2 = classify_boundary_condition(decay_exponent_fit(sub), Setting.general())
     assert c1 == c2 == Classification.RIGIDITY_FORCED
@@ -49,7 +48,7 @@ def test_subsampling_preserves_classification():
 def test_base_point_shift_leaves_beta_unchanged():
     base = _synthetic(2.0)
     shifted = BoundarySequenceSample(base.points, base.ratios,
-                                     tuple(d + 0.37 for d in base.distances), 0.2 + 0j)
+                                     tuple(d + 0.37 for d in base.distances))
     b1 = decay_exponent_fit(base).beta
     b2 = decay_exponent_fit(shifted).beta
     assert b1 == pytest.approx(b2, abs=1e-6)
@@ -73,7 +72,7 @@ def test_classification_thresholds():
 
 def test_degenerate_sample():
     s = BoundarySequenceSample(tuple([0.1 + 0j] * 6), tuple([1.0] * 6),
-                               tuple(np.linspace(1, 2, 6)), 0j)
+                               tuple(np.linspace(1, 2, 6)))
     with pytest.raises(DegenerateSample):
         decay_exponent_fit(s)
 
@@ -121,7 +120,7 @@ def test_conical_setting_regresses_on_log_radius():
     pts = [complex(10.0 ** (-n), 0.0) for n in range(1, 8)]
     ratios = [1.0 - 0.4 * abs(z) ** (2 * (1 - alpha)) for z in pts]
     sample = BoundarySequenceSample(tuple(pts), tuple(ratios),
-                                    tuple(float(n) for n in range(1, 8)), 0j)
+                                    tuple(float(n) for n in range(1, 8)))
     est = decay_exponent_fit(sample, regressor="log_radius")
     # deep samples store 1 - ratio near the rounding floor, so recovery is
     # good to ~1e-7 here (the machine-exact case is the distance regressor)
@@ -133,14 +132,14 @@ def test_conical_setting_regresses_on_log_radius():
     slow = [1.0 - 0.4 * abs(z) ** (2 * (1 - alpha) - 0.05) for z in pts]
     est_slow = decay_exponent_fit(
         BoundarySequenceSample(tuple(pts), tuple(slow),
-                               tuple(float(n) for n in range(1, 8)), 0j),
+                               tuple(float(n) for n in range(1, 8))),
         regressor="log_radius")
     assert classify_boundary_condition(est_slow, Setting.conical(alpha)) is \
         Classification.INCONCLUSIVE
     fast = [1.0 - 0.4 * abs(z) ** (2 * (1 - alpha) + 0.2) for z in pts]
     est_fast = decay_exponent_fit(
         BoundarySequenceSample(tuple(pts), tuple(fast),
-                               tuple(float(n) for n in range(1, 8)), 0j),
+                               tuple(float(n) for n in range(1, 8))),
         regressor="log_radius")
     assert classify_boundary_condition(est_fast, Setting.conical(alpha)) is \
         Classification.RIGIDITY_FORCED
@@ -204,10 +203,35 @@ def test_dichotomy_report_trigger_only_for_pdisk():
                      "pull": False}
 
 
-def test_dichotomy_report_rejects_conical():
+# Orders 0.985 to 0.9999 have a tail slope below 0.02, yet are neither
+# logarithmic nor conical to within TV_TOL on the report's grid.
+@pytest.mark.parametrize("alpha, message", [
+    (0.5, "metric conical:0.5 has conical order ~0.500, not logarithmic"),
+    (0.985, "metric conical:0.985 has unclassified singularity"),
+    (0.99, "metric conical:0.99 has unclassified singularity"),
+    (0.9999, "metric conical:0.9999 has unclassified singularity"),
+], ids=["0.5", "0.985", "0.99", "0.9999"])
+def test_dichotomy_report_rejects_conical(alpha, message):
     pts = [complex(10.0 ** (-k), 0.0) for k in range(2, 9)]
-    with pytest.raises(WrongSingularityOrder):
-        dichotomy_report(conical_metric(0.5), pts)
+    with pytest.raises(WrongSingularityOrder, match=f"^{message}"):
+        dichotomy_report(conical_metric(alpha), pts)
+
+
+# Unchecked, the pdisk densities at |z| = 1.5 are both negative, with ratio 1,
+# and at |z| = 1 the ratio is nan.
+@pytest.mark.parametrize("z", [1.0, 1.5])
+def test_build_sample_refuses_a_point_off_the_domain(z):
+    pd = punctured_disk_metric()
+    pts = [complex(10.0 ** (-k), 0.0) for k in range(2, 9)] + [z]
+    with pytest.raises(OutsideDomain, match=r"is not in pdisk"):
+        build_sample(pd, pd, pts, q=0.5 + 0j, dist_fn=lambda z, q: abs(z - q))
+
+
+@pytest.mark.parametrize("z", [1.0, 1.5])
+def test_dichotomy_report_refuses_a_point_off_the_domain(z):
+    pts = [complex(10.0 ** (-k), 0.0) for k in range(2, 9)] + [z]
+    with pytest.raises(OutsideDomain, match=r"is not in pdisk"):
+        dichotomy_report(punctured_disk_metric(), pts)
 
 
 def test_dichotomy_limits_match_log_R():
