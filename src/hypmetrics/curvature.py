@@ -17,7 +17,7 @@ import numpy as np
 
 from .domains import DomainModel
 from .errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
-from .metrics import MetricDensity
+from .metrics import MetricDensity, density_at, log_density_at
 
 DEFAULT_STENCIL = 1e-3
 
@@ -48,14 +48,14 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     """Discrete Gauss curvature of the metric at z (a point or an array).
 
     Returns kappa, or (kappa, h_used) when full_output is set, as floats for
-    a point and as arrays in the shape of z otherwise. Refuses the first
-    point off the domain with the point check's OutsideDomain (SingularPoint
-    at a puncture) before any stencil is built, with NonpositiveDensity when
-    lambda <= 0 anywhere on a stencil (curvature is defined only where the
-    density is positive), with StencilOutsideDomain
-    when no admissible stencil fits or a stencil point rounds onto its
-    centre (see laplacian), and with NumericOverflow when kappa is not finite (near a
-    puncture lambda^2 overflows).
+    a point and as arrays in the shape of z otherwise, from one log_density_at
+    on the whole stencil and one density_at at z. Refuses the first point
+    off the domain with the point check's OutsideDomain (SingularPoint at a
+    puncture) before any stencil is built, with NonpositiveDensity when log
+    lambda is -inf (lambda = 0) anywhere on a stencil, with
+    StencilOutsideDomain when no admissible stencil fits or a stencil point
+    rounds onto its centre (see laplacian), and with NumericOverflow when a
+    density or kappa is not finite (lambda^2 overflows or underflows to 0).
     """
     if not h > 0.0:
         raise StencilOutsideDomain(f"stencil size must be positive, got h={h}")
@@ -67,14 +67,15 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))
 
     def log_lambda(stencil):
-        positive = (metric.eval(stencil) > 0.0).all(axis=0)
-        if not positive.all():
+        v = log_density_at(metric, stencil)
+        zero = np.isneginf(v).any(axis=0)
+        if zero.any():
             raise NonpositiveDensity(
-                f"{metric.label} is not positive on the stencil at z={z[~positive][0]}")
-        return metric.log_eval(stencil)
+                f"{metric.label} is not positive on the stencil at z={z[zero][0]}")
+        return v
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        kappa = -laplacian(log_lambda, z, h_used, dom) / metric.eval(z) ** 2
+        kappa = -laplacian(log_lambda, z, h_used, dom) / density_at(metric, z) ** 2
     finite = np.isfinite(kappa)
     if not finite.all():
         raise NumericOverflow(f"curvature of {metric.label} at z={z[~finite][0]} "

@@ -1,6 +1,8 @@
 """Pointwise inequalities and limit functionals for negatively curved metrics.
 
-Implements the comparison machinery used across the verification suites:
+Implements the comparison machinery used across the verification suites,
+reading every density by density_at or log_density_at, so that a point off a
+metric's domain raises OutsideDomain:
 
   * the Ahlfors bound lambda/lambda_ref <= 1 for curvature <= -4 metrics;
   * the distortion bound of the sharpened Schwarz-Pick inequality,
@@ -25,8 +27,9 @@ import numpy as np
 
 from .curvature import laplacian
 from .distances import _PUNCTURED_DISK, circle_max
-from .errors import BadParameter, NonpositiveDensity, OutsideDomain
-from .metrics import MetricDensity, conical_metric, eval_many, punctured_disk_metric
+from .errors import BadParameter, NonpositiveDensity, NumericOverflow, OutsideDomain
+from .metrics import (MetricDensity, conical_metric, density_at, log_density_at,
+                      punctured_disk_metric)
 from .reports import Check
 
 
@@ -40,7 +43,7 @@ def ahlfors_check(metric: MetricDensity, reference: MetricDensity,
     1e-12 for closed-form pairs (kind="closed") or 1e-9 for pullbacks.
     """
     grid = np.asarray(grid, dtype=complex).ravel()
-    ratios = eval_many(metric, grid) / eval_many(reference, grid)
+    ratios = density_at(metric, grid) / density_at(reference, grid)
     excess = float(np.max(ratios) - 1.0)
     tol = 1e-12 if kind == "closed" else 1e-9
     return Check.at_most(f"ahlfors-max-excess[{metric.label}]", excess, tol, "paper")
@@ -89,15 +92,11 @@ def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
     Found by distances.circle_max, sweeping on whole arrays; ties broken by
     the smallest argument (first maximizer in sweep order).
     """
-    def sweep(thetas: np.ndarray) -> np.ndarray:
-        xi = r * np.exp(1j * thetas)
-        return eval_many(metric, xi) / eval_many(reference, xi)
+    def ratio(theta):  # at one angle or an array of them
+        xi = r * np.exp(1j * theta)
+        return density_at(metric, xi) / density_at(reference, xi)
 
-    def ratio_at(theta: float) -> float:
-        w = r * complex(math.cos(theta), math.sin(theta))
-        return float(metric.eval(w) / reference.eval(w))
-
-    return circle_max(sweep, ratio_at)
+    return circle_max(ratio, ratio)
 
 
 def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z) -> float:
@@ -105,7 +104,7 @@ def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z) -> float:
     z = complex(z)
     if not 0.0 < abs(z) < spec.r:
         raise OutsideDomain(f"harnack bound needs 0 < |z| < {spec.r}, got {z}")
-    return spec.boundary_max_ratio ** spec.exponent(z) * float(reference.eval(z))
+    return spec.boundary_max_ratio ** spec.exponent(z) * density_at(reference, z)
 
 
 def aux_v_alpha(alpha: float, z) -> float:
@@ -121,35 +120,39 @@ def harnack_conical_bound(alpha: float, r: float, boundary_max_ratio: float,
     z = complex(z)
     if not 0.0 < abs(z) < r < 1.0:
         raise OutsideDomain(f"conical harnack needs 0 < |z| < r < 1, got {z}, r={r}")
-    exponent = aux_v_alpha(alpha, z) / aux_v_alpha(alpha, r)
-    return float(boundary_max_ratio ** exponent * lam_alpha.eval(z))
+    return (boundary_max_ratio ** (aux_v_alpha(alpha, z) / aux_v_alpha(alpha, r))
+            * density_at(lam_alpha, z))
 
 
 # --- Hopf functionals -----------------------------------------------------
 
-def hopf_functional(metric: MetricDensity, reference: MetricDensity, z) -> float:
-    """log(lambda(z)/lambda_ref(z)) * log(1/|z|).
+def hopf_functional(metric: MetricDensity, reference: MetricDensity, z):
+    """log(lambda(z)/lambda_ref(z)) * log(1/|z|) at a point of the punctured
+    disk (a float) or an array of them, from one log_density_at per metric.
+    OutsideDomain off either domain, NonpositiveDensity where a density is 0
+    (its log -inf), NumericOverflow where the value is not finite."""
+    return _weighted_log_ratio(metric, reference, z, lambda az: -np.log(az), "densities")
 
-    Computed from the log densities so that values deep near the puncture do
-    not lose precision. Raises NonpositiveDensity when either density
-    vanishes at z.
-    """
+
+def hopf_conical_functional(metric: MetricDensity, alpha: float, z):
+    """log(lambda(z)/lambda_alpha(z)) * |z|^(2(alpha-1)), read as hopf_functional is."""
+    return _weighted_log_ratio(metric, conical_metric(alpha), z,
+                               lambda az: az ** (2.0 * (alpha - 1.0)), "density")
+
+
+def _weighted_log_ratio(metric, reference, z, weight, what: str):
     z = _PUNCTURED_DISK.check(z)
-    az = abs(z)
-    if metric.eval(z) <= 0.0 or reference.eval(z) <= 0.0:
-        raise NonpositiveDensity(f"densities must be positive at z={z}")
-    diff = float(metric.log_eval(z)) - float(reference.log_eval(z))
-    return diff * math.log(1.0 / az)
-
-
-def hopf_conical_functional(metric: MetricDensity, alpha: float, z) -> float:
-    """log(lambda(z)/lambda_alpha(z)) * |z|^(2(alpha-1))."""
-    z = _PUNCTURED_DISK.check(z)
-    az = abs(z)
-    if metric.eval(z) <= 0.0:
-        raise NonpositiveDensity(f"density must be positive at z={z}")
-    diff = float(metric.log_eval(z)) - float(conical_metric(alpha).log_eval(z))
-    return diff * az ** (2.0 * (alpha - 1.0))
+    log_m, log_ref = log_density_at(metric, z), log_density_at(reference, z)
+    zero = np.isneginf(log_m) | np.isneginf(log_ref)
+    if np.any(zero):
+        raise NonpositiveDensity(f"{what} must be positive at z={complex(np.asarray(z)[zero][0])}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = (log_m - log_ref) * weight(np.abs(z))
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        raise NumericOverflow(f"Hopf functional at z={complex(np.asarray(z)[~finite][0])} "
+                              "is not finite in double precision")
+    return value if np.ndim(value) else float(value)
 
 
 def aux_v(z) -> float:
@@ -177,8 +180,7 @@ def radial_solution_space_check(h: float) -> list[Check]:
     radii = np.geomspace(0.25, 0.8, 100)
 
     def residual(f, z: np.ndarray, step: float) -> np.ndarray:
-        lam = pd.eval(z)
-        return np.abs(laplacian(f, z, step, pd.domain) - 8.0 * lam * lam * f(z))
+        return np.abs(laplacian(f, z, step, pd.domain) - 8.0 * density_at(pd, z) ** 2 * f(z))
 
     v1 = lambda z: 1.0 / np.log(1.0 / np.abs(z))
     v2 = lambda z: np.log(1.0 / np.abs(z)) ** 2

@@ -62,9 +62,9 @@ def _finite_at(metric: MetricDensity, z, f, what: str):
     z = metric.domain.check(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         value = np.asarray(f(z), dtype=float)
-    bad = np.asarray(z)[~(value < math.inf)]  # -inf, the log of a zero density, is exact
-    if bad.size:
-        raise NumericOverflow(f"{what} of {metric.label} at z={complex(bad[0])} "
+    finite = value < math.inf  # -inf, the log of a zero density, is exact
+    if not finite.all():
+        raise NumericOverflow(f"{what} of {metric.label} at z={complex(np.asarray(z)[~finite][0])} "
                               "is not finite in double precision")
     return float(value) if value.ndim == 0 else value
 
@@ -203,5 +203,5 @@ def pullback(metric: MetricDensity, map_: HolomorphicMap,
 
 
 def eval_many(metric: MetricDensity, zs: np.ndarray) -> np.ndarray:
-    """Density evaluation on an array of points, as a float array of its shape."""
+    """The oracle's unchecked evaluation on an array, as a float array of its shape."""
     return np.asarray(metric.eval(np.asarray(zs, dtype=complex)), dtype=float)

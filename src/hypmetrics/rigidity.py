@@ -13,10 +13,10 @@ threshold with an explicit margin. RigidityForced additionally requires
 r^2 >= R2_MIN. Ratios exactly equal to 1 short-circuit through the interior
 equality case instead (equality at one point forces equality everywhere).
 
-build_sample, whose rows `rigidity sample` prints, evaluates both densities
-through density_at. The dichotomy report computes nothing of its own: the
-singularity type comes from liouville.classify_singularity and the values
-from inequalities.hopf_functional, both imported where the report runs.
+build_sample (whose rows `rigidity sample` prints) and interior_equality_check
+read densities through density_at. The dichotomy report computes nothing of
+its own: the singularity type comes from liouville.classify_singularity and
+the values from inequalities.hopf_functional, both imported where it runs.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 from .domains import DomainModel
 from .errors import (BadParameter, DegenerateSample, TooFewPoints,
                      WrongSingularityOrder)
-from .metrics import (MetricDensity, check_conical_order, density_at, eval_many,
-                      log_density_at, punctured_disk_metric)
+from .metrics import (MetricDensity, check_conical_order, density_at, log_density_at,
+                      punctured_disk_metric)
 from .reports import Check, VerificationReport
 from .sampling import sample_annular
 
@@ -184,9 +184,9 @@ def euclidean_puncture_form(ratio: float, z) -> float:
 
 
 def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> bool:
-    """Spot-check ratio == 1 (within 1e-12) at 10 seeded points with 0.1 < |z| < 0.8."""
+    """Spot-check ratio == 1 (within 1e-12) by density_at at 10 seeded points, 0.1 < |z| < 0.8."""
     pts = sample_annular(42, 10, 0.1, 0.8)
-    ratios = eval_many(metric, pts) / eval_many(reference, pts)
+    ratios = density_at(metric, pts) / density_at(reference, pts)
     return bool(np.all(np.abs(ratios - 1.0) <= RATIO_EQUALITY_TOL))
 
 
@@ -199,8 +199,8 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
     must be logarithmic by liouville.classify_singularity; a conical or
     unclassified profile raises WrongSingularityOrder. Along the sequence
     the report evaluates the Hopf functional w(z_n) * log(1/|z_n|),
-    w = log lambda - log lambda_pdisk (inequalities.hopf_functional, which
-    raises OutsideDomain off the punctured disk), and reports (a)
+    w = log lambda - log lambda_pdisk (one inequalities.hopf_functional call,
+    which raises OutsideDomain off the punctured disk), and reports (a)
     its boundedness and (b) whether it tends to 0, which for curvature <= -4
     metrics certifies lambda = lambda_pdisk. The curvature hypothesis itself
     is recorded as an assumption, not certified.
@@ -220,11 +220,10 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
             f"metric {metric.label} has unclassified singularity "
             f"(remainder variation {singularity.remainder_bound:.3g})")
 
-    reference = punctured_disk_metric()
     pts = np.asarray(list(sequence), dtype=complex)
     pts = pts[np.argsort(-np.abs(pts))]  # |z| decreasing, toward the puncture
-    values = np.array([hopf_functional(metric, reference, z) for z in pts])
-    est = extrapolate(values.tolist(), xs=(1.0 / np.log(1.0 / np.abs(pts))).tolist())
+    values = hopf_functional(metric, punctured_disk_metric(), pts)
+    est = extrapolate(values, xs=1.0 / np.log(1.0 / np.abs(pts)))
 
     report = VerificationReport(suite="dichotomy")
     bound = float(np.abs(values).max())

@@ -32,7 +32,7 @@ from .domains import DomainModel
 from .errors import UnknownSuite
 from .maps import example1_map, mobius_map, phi_map, square_map
 from .metrics import (MetricDensity, annulus_metric, conical_metric,
-                      conical_scaled_metric, disk_metric, eval_many, pullback,
+                      conical_scaled_metric, density_at, disk_metric, pullback,
                       punctured_disk_metric, punctured_disk_metric_r)
 from .reports import Check, VerificationReport
 from .sampling import cartesian_grid, polar_grid, sample_annular, sample_log_annular
@@ -110,14 +110,14 @@ def _ahlfors_cases():
 def suite_ahlfors(cfg: SuiteConfig, report: VerificationReport) -> None:
     from . import inequalities
 
+    closed = cartesian_grid(20, 0.9)
     report.add(inequalities.ahlfors_check(disk_metric(), disk_metric(),
-                                          cartesian_grid(20, 0.9), kind="closed"))
+                                          closed[np.abs(closed) < 0.98], kind="closed"))
     for metric, reference, grid, isometry in _ahlfors_cases():
         report.add(inequalities.ahlfors_check(metric, reference, grid, kind="pullback"))
         if not isometry:
             center = grid[int(np.argmin(np.abs(grid - grid.mean())))]
-            ratio = float(eval_many(metric, np.array([center]))[0]
-                          / eval_many(reference, np.array([center]))[0])
+            ratio = density_at(metric, center) / density_at(reference, center)
             report.add(Check.at_most(f"strict-ratio-center[{metric.label}]",
                                      ratio, 1.0 - 1e-6, "paper",
                                      note="strict inequality for non-isometries"))
@@ -147,8 +147,8 @@ def suite_beardon_minda(cfg: SuiteConfig, report: VerificationReport) -> None:
     ]
     for label, metric, reference, dist, zs, qs in cases:
         # distortions lambda/lambda_ref at the sample points z and the base points q
-        dz = eval_many(metric, zs) / eval_many(reference, zs)
-        dq = eval_many(metric, qs) / eval_many(reference, qs)
+        dz = density_at(metric, zs) / density_at(reference, zs)
+        dq = density_at(metric, qs) / density_at(reference, qs)
         slack = min(inequalities.beardon_minda_bound(f_q, dist(z, q).value) - f_z
                     for z, q, f_z, f_q in zip(zs, qs, dz.tolist(), dq.tolist()))
         report.add(Check.at_least(f"min-slack[{label}]", slack, 0.0, slack_tol, "paper"))
@@ -170,7 +170,7 @@ def suite_harnack(cfg: SuiteConfig, report: VerificationReport) -> None:
                            0.5, 1e-12, "trivial"))
 
     pts = polar_grid(25, 1e-6, r * 0.999)[:500]
-    lam = eval_many(metric, pts)
+    lam = density_at(metric, pts)
     bounds = np.array([inequalities.harnack_bound(spec, pd, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack")
@@ -186,7 +186,7 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     metric = conical_scaled_metric(alpha, c)
     M = inequalities.boundary_max_ratio(metric, lam_a, r)
     pts = polar_grid(15, 1e-4, r * 0.999)[:300]
-    lam = eval_many(metric, pts)
+    lam = density_at(metric, pts)
     bounds = np.array([inequalities.harnack_conical_bound(alpha, r, M, z) for z in pts])
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack-conical")
@@ -195,7 +195,7 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
                               note=f"boundary max ratio {M:.6f} at 300 polar points"))
     report.add(Check.close("exponent-at-r",
                            inequalities.harnack_conical_bound(alpha, r, M, r * 0.9999999 * 1j)
-                           / float(lam_a.eval(r * 0.9999999 * 1j)),
+                           / density_at(lam_a, r * 0.9999999 * 1j),
                            M, 1e-5, "trivial",
                            note="exponent tends to 1 at |z| = r"))
 
@@ -209,9 +209,8 @@ def _add_hopf_limit(report: VerificationReport, name: str, metric: MetricDensity
     estimate."""
     from . import extrapolation, inequalities
 
-    pd = punctured_disk_metric()
-    radii = [10.0 ** (-k) for k in range(2, 9)]
-    values = [inequalities.hopf_functional(metric, pd, complex(r, 0.0)) for r in radii]
+    radii = np.array([10.0 ** (-k) for k in range(2, 9)])
+    values = inequalities.hopf_functional(metric, punctured_disk_metric(), radii)
     est = extrapolation.extrapolate(values, xs=[1.0 / math.log(1.0 / r) for r in radii])
     report.add(Check.close(name, est.value, -1.0, tol, provenance,
                            note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
@@ -230,8 +229,7 @@ def suite_hopf(cfg: SuiteConfig, report: VerificationReport) -> None:
 
     fam = punctured_disk_metric_r(math.e)
     est = _add_hopf_limit(report, "limit[pdiskR:e]", fam, tol, "derived")
-    inf_bound = min(inequalities.hopf_functional(fam, pd, complex(r, 0.0))
-                    for r in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    inf_bound = inequalities.hopf_functional(fam, pd, np.arange(1, 10) / 10).min()
     report.add(Check.at_most("limsup<=circle-inf[pdiskR:e]", est.value,
                              inf_bound + 5e-2, "paper",
                              note="limsup bounded by inf over circles of "
@@ -247,12 +245,11 @@ def suite_hopf_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     report.add(Check.close("identity-functional",
                            inequalities.hopf_conical_functional(lam_a, alpha, 0.2), 0.0,
                            1e-12, "trivial"))
+    radii = np.array([10.0 ** (-k) for k in range(1, 7)])
     for metric, label in [(conical_scaled_metric(alpha, 0.9), "scaled(0.5,0.9)"),
                           (conical_metric(0.3), "conical:0.3 vs alpha=0.5")]:
-        values = [inequalities.hopf_conical_functional(metric, alpha,
-                                                       complex(10.0 ** (-k), 0.0))
-                  for k in range(1, 7)]
-        report.add(Check.at_most(f"limsup-negative[{label}]", max(values), -0.05, "paper",
+        values = inequalities.hopf_conical_functional(metric, alpha, radii)
+        report.add(Check.at_most(f"limsup-negative[{label}]", values.max(), -0.05, "paper",
                                  note="NonconvergentFunctional: values diverge to -inf, "
                                       "limsup < 0 verified on samples"))
 

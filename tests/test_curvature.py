@@ -84,7 +84,8 @@ def test_stencil_shrinks_near_puncture():
 def test_refuses_at_degenerate_pullback_point():
     lam = disk_metric()
     pulled = pullback(lam, square_map(), lam.domain)
-    with pytest.raises(NonpositiveDensity):
+    with pytest.raises(NonpositiveDensity,
+                       match=r"^pull:square:disk is not positive on the stencil at z=0j$"):
         curvature_at(pulled, 0.0, 1e-3)
 
 
@@ -158,6 +159,18 @@ def test_nonfinite_curvature_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflow, match="not finite"):
             curvature_at(punctured_disk_metric(), 1e-160, 1e-3)
+
+
+# A density that underflows to 0 while its log stays finite (conical:-20
+# below |z| ~ 1e-15) has no finite curvature; only a log of -inf on the
+# stencil (lambda = 0 exactly) is NonpositiveDensity.
+@pytest.mark.parametrize("z", [1e-17, 1e-15])
+def test_density_underflowing_on_the_stencil_is_refused(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match=rf"^curvature of conical:-20\.0 at "
+                                                  rf"z=\({z}\+0j\) is not finite"):
+            curvature_at(conical_metric(-20.0), z, 1e-3)
 
 
 def test_laplacian_is_exact_on_quadratics():

@@ -1,13 +1,14 @@
 """Ahlfors, distortion-bound, Harnack and Hopf machinery."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypmetrics.distances import dist_disk
-from hypmetrics.errors import (BadParameter, NonpositiveDensity, OutsideDomain,
-                               StencilOutsideDomain)
+from hypmetrics.errors import (BadParameter, NonpositiveDensity, NumericOverflow,
+                               OutsideDomain, StencilOutsideDomain)
 from hypmetrics.extrapolation import extrapolate
 from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      aux_v_alpha, beardon_minda_bound,
@@ -17,9 +18,11 @@ from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      radial_solution_space_check)
 from hypmetrics.domains import DomainModel
 from hypmetrics.maps import MAPS, example1_map, phi_map
-from hypmetrics.metrics import (conical_metric, conical_scaled_metric,
-                                disk_metric, eval_many, pullback,
-                                punctured_disk_metric, punctured_disk_metric_r)
+from hypmetrics.metrics import (MetricDensity, annulus_metric, conical_metric,
+                                conical_scaled_metric, disk_metric, eval_many,
+                                half_plane_metric, pullback, punctured_disk_metric,
+                                punctured_disk_metric_r)
+from hypmetrics.rigidity import interior_equality_check
 from hypmetrics.sampling import cartesian_grid, polar_grid, sample_annular
 
 
@@ -29,10 +32,48 @@ def _pulled_example1():
 
 
 def test_ahlfors_identity_pair():
-    rep = ahlfors_check(disk_metric(), disk_metric(), cartesian_grid(20, 0.9),
+    grid = cartesian_grid(20, 0.9)
+    rep = ahlfors_check(disk_metric(), disk_metric(), grid[np.abs(grid) < 0.98],
                         kind="closed")
     assert rep.passed
     assert rep.value == 0.0
+
+
+# Each entry point reads its densities through density_at, so a point off a
+# metric's domain is refused. Unchecked, the closed forms answered there: the
+# half-plane density is negative below the axis and divides by zero on it,
+# and the annulus density is negative inside the inner circle. 60 of the 400
+# points of cartesian_grid(20, 0.9) lie off the disk. The conical Harnack
+# bound's own range check 0 < |z| < r < 1 already kept z in the punctured
+# disk; it is here so that every entry point is pinned.
+_SPEC = HarnackBoundSpec(0.1, 0.5)
+_OFF_DOMAIN = {
+    "ahlfors-disk-grid": lambda: ahlfors_check(disk_metric(), disk_metric(),
+                                               cartesian_grid(20, 0.9), kind="closed"),
+    "ahlfors-halfplane": lambda: ahlfors_check(half_plane_metric(), half_plane_metric(),
+                                               [0.3 + 0.1j, 0.3 - 0.1j], kind="closed"),
+    "boundary-max-ratio": lambda: boundary_max_ratio(half_plane_metric(),
+                                                     half_plane_metric(), 0.5),
+    "harnack-annulus": lambda: harnack_bound(_SPEC, annulus_metric(0.5), 0.05),
+    "harnack-halfplane": lambda: harnack_bound(_SPEC, half_plane_metric(), 0.05),
+    "harnack-conical": lambda: harnack_conical_bound(0.5, 0.5, 0.9, 1.5),
+    "hopf-annulus": lambda: hopf_functional(annulus_metric(0.5), punctured_disk_metric(), 0.3),
+    "hopf-halfplane": lambda: hopf_functional(half_plane_metric(), punctured_disk_metric(),
+                                              0.3),
+    "hopf-conical-annulus": lambda: hopf_conical_functional(annulus_metric(0.5), 0.5, 0.3),
+    "interior-halfplane": lambda: interior_equality_check(half_plane_metric(),
+                                                          half_plane_metric()),
+    "interior-annulus": lambda: interior_equality_check(annulus_metric(0.5),
+                                                        annulus_metric(0.5)),
+}
+
+
+@pytest.mark.parametrize("call", _OFF_DOMAIN.values(), ids=_OFF_DOMAIN.keys())
+def test_a_point_off_the_domain_is_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideDomain):
+            call()
 
 
 def test_ahlfors_phi_pullback_passes():
@@ -165,6 +206,45 @@ def test_hopf_functional_limit_pdiskR():
         assert abs(values[-1] - target) > 1e-2
 
 
+def test_hopf_functionals_take_an_array():
+    fam, pd = punctured_disk_metric_r(math.e), punctured_disk_metric()
+    pts = polar_grid(10, 1e-6, 0.9)
+    values = hopf_functional(fam, pd, pts)
+    assert values.shape == pts.shape
+    assert values.tolist() == [hopf_functional(fam, pd, z) for z in pts]
+    conical = hopf_conical_functional(fam, 0.5, pts)
+    assert conical.tolist() == [hopf_conical_functional(fam, 0.5, z) for z in pts]
+    assert type(hopf_functional(fam, pd, 0.3)) is float
+
+
+# log(1/|z|) is -log|z|: 1/|z| overflowed below |z| ~ 5.6e-309, which gave
+# -inf with a RuntimeWarning
+@pytest.mark.parametrize("z", [1e-310, 5e-324])
+def test_hopf_functional_at_a_subnormal_radius(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = hopf_functional(punctured_disk_metric_r(2.0), punctured_disk_metric(), z)
+    # log ratio * L = -L log(1 + log 2 / L) with L = log(1/|z|), near -log 2;
+    # the two log densities (~737) cancel to ~1e-3, which costs ~1e-10
+    L = -math.log(z)
+    assert value == pytest.approx(-L * math.log1p(math.log(2.0) / L), rel=1e-9)
+
+
+# Fewer than three finite values leave nothing to extrapolate: the last
+# finite value is returned, or nan when there is none, with no trend.
+@pytest.mark.parametrize("values, expected", [
+    ([math.nan, math.inf], math.nan),
+    ([], math.nan),
+    ([math.nan, -0.5, math.inf, -0.7], -0.7),
+    ([-0.5], -0.5),
+], ids=["no-finite", "empty", "two-finite", "one"])
+def test_extrapolate_short_input(values, expected):
+    est = extrapolate(values, xs=[0.1 * (i + 1) for i in range(len(values))])
+    assert est.method == "last" and not est.trend_ok
+    assert est.value == pytest.approx(expected, nan_ok=True)
+    assert est.raw_last == pytest.approx(expected, nan_ok=True)
+
+
 def test_hopf_functional_nonpositive_whenever_ahlfors_holds():
     metric, pd = _pulled_example1()
     for z in polar_grid(10, 1e-4, 0.9):
@@ -175,12 +255,15 @@ def test_hopf_functional_raises_on_zero_density():
     # the pullback of example1 vanishes at the root of 1 - 4z + z^2; in
     # floating point the root is only approximate, so drive the error path
     # with an exactly vanishing density
-    from hypmetrics.metrics import MetricDensity
     pd = punctured_disk_metric()
     zero = MetricDensity(pd.domain, lambda z: 0.0 * np.real(z), "zero",
                          lambda z: np.full(np.shape(z), -np.inf))
-    with pytest.raises(NonpositiveDensity):
+    with pytest.raises(NonpositiveDensity, match=r"^densities must be positive at z=\(0\.3\+0j\)$"):
         hopf_functional(zero, pd, 0.3)
+    with pytest.raises(NonpositiveDensity, match=r"^density must be positive at z=\(0\.3\+0j\)$"):
+        hopf_conical_functional(zero, 0.5, 0.3)
+    with pytest.raises(NonpositiveDensity, match=r"at z=\(0\.2\+0j\)$"):  # the first point
+        hopf_functional(zero, pd, np.array([0.2, 0.3]))
     metric, pd = _pulled_example1()
     z0 = 2.0 - math.sqrt(3.0)
     assert float(np.real(metric.eval(complex(z0, 0.0)))) < 1e-12
@@ -195,6 +278,16 @@ def test_hopf_conical_functional_trivial_and_divergent():
     vals = [hopf_conical_functional(scaled, alpha, 10.0 ** (-k)) for k in range(1, 7)]
     assert all(v < 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))  # diverges to -inf
+
+
+# the weight |z|^(2(alpha-1)) overflows at a subnormal |z|; it raised a bare
+# OverflowError
+def test_hopf_conical_functional_overflow_is_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow,
+                           match=r"^Hopf functional at z=\(1e-310\+0j\) is not finite"):
+            hopf_conical_functional(conical_scaled_metric(0.5, 0.9), 0.5, 1e-310)
 
 
 def test_aux_v_values():

@@ -1,6 +1,7 @@
 """The lazy package namespace, and which modules each CLI command loads."""
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -170,3 +171,14 @@ def test_only_the_oracle_loads_scipy():
     assert code == 0
     assert {"hypmetrics.oracle", "scipy.linalg"} <= set(mods)
     assert _among(mods, ["hypmetrics.suites", "scipy.sparse"]) == []
+
+
+# --- where densities are read unchecked ------------------------------------------
+
+def test_only_metrics_and_the_oracle_read_densities_unchecked():
+    # elsewhere every read is density_at or log_density_at, which check the domain
+    package = Path(hypmetrics.__file__).parent
+    unchecked = re.compile(r"\.(log_)?eval\(|eval_many\(")
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if unchecked.search(path.read_text()))
+    assert readers == ["metrics.py", "oracle.py"]
