@@ -28,9 +28,11 @@ trial's. The Hessian is exact up to the stencil: L_k depends on the two
 ends of segment k alone, so it is a sum of one 4x4 block per segment,
 banded. The blocks are built as arrays over all segments at once and added
 straight into the band storage of LAPACK's band LU, gbtrf, whose factors
-gbtrs solves with. When the accepted step was undamped, it is the full
-Newton step that the convergence test asks for, so that test solves
-nothing more.
+gbtrs solves with. Both come from scipy's LAPACK wrapper extension
+linalg/_flapack, loaded from its file when this module is imported; the
+scipy package itself is never imported. When the accepted step was
+undamped, it is the full Newton step that the convergence test asks for,
+so that test solves nothing more.
 
 Once the solve is plainly inside the Newton basin, the Hessian hardly
 changes: while each accepted step is undamped, below _FULL_STEP_TOL of the
@@ -44,7 +46,11 @@ Overflow and invalid operations are not warned about; a non-finite seed
 length, energy or derivative raises GeodesicSolveFailed instead.
 """
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -72,6 +78,33 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 # A chord of hyperbolic length L, across which the density changes by O(L),
 # is longer than the geodesic by O(L^2) relative: below rounding from here.
 _CHORD_LENGTH = 1e-8
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper module linalg/_flapack, loaded from its
+    file: importing scipy.linalg for its two band LU routines would cost
+    ~0.3 s and ~28 MB. find_spec finds a top-level package without importing
+    it. The interpreter files a single-phase extension in sys.modules under
+    its spec's name; it is taken out, so no top-level _flapack is importable."""
+    scipy = importlib.util.find_spec("scipy")
+    stems = [os.path.join(d, "linalg", "_flapack")
+             for d in (scipy.submodule_search_locations if scipy else [])]
+    for stem in stems:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(stem + suffix):
+                spec = importlib.util.spec_from_file_location("_flapack", stem + suffix)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                if sys.modules.get(spec.name) is module:
+                    del sys.modules[spec.name]
+                return module
+    looked_for = " or ".join(stems) or "scipy/linalg/_flapack (no scipy package found)"
+    raise ImportError(f"scipy's LAPACK extension not found: no file {looked_for} "
+                      f"with a suffix in {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+_FLAPACK = _load_flapack()
+dgbtrf, dgbtrs = _FLAPACK.dgbtrf, _FLAPACK.dgbtrs
 
 
 def _seed(domain: DomainModel, z1: complex, z2: complex, m: int) -> np.ndarray:
@@ -222,8 +255,6 @@ def _energy_derivatives(metric: MetricDensity, q: np.ndarray, lam: np.ndarray,
 def _band_lu(ab: np.ndarray, damping: float, label: str):
     """LAPACK dgbtrf's LU factors and pivots of H + damping |diag H|, H the
     banded Hessian in its storage ab; GeodesicSolveFailed when H is singular."""
-    from scipy.linalg.lapack import dgbtrf
-
     lu = ab.copy(order="F")  # dgbtrf factors it in place
     lu[2 * _BAND] += damping * np.abs(ab[2 * _BAND])
     lu, piv, info = dgbtrf(lu, _BAND, _BAND, overwrite_ab=True)
@@ -234,8 +265,6 @@ def _band_lu(ab: np.ndarray, damping: float, label: str):
 
 def _newton_step(factors, grad: np.ndarray) -> np.ndarray:
     """The step -H^-1 grad, by LAPACK dgbtrs on the _band_lu factors of H."""
-    from scipy.linalg.lapack import dgbtrs
-
     lu, piv = factors
     step, _ = dgbtrs(lu, _BAND, _BAND, -grad.view(np.float64), piv, overwrite_b=True)
     return step.view(np.complex128)

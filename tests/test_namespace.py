@@ -164,13 +164,15 @@ def test_other_commands_load_no_suite(tmp_path, capsys):
             command
 
 
-def test_only_the_oracle_loads_scipy():
+def test_only_the_oracle_loads_lapack():
+    # the oracle loads scipy's LAPACK extension by its path, importing no scipy
+    # module and leaving no _flapack in sys.modules
     command = ["distance", "--domain", "disk", "--z1", "0.1,0", "--z2", "0.5,0.2",
                "--oracle-grid", "100"]
     [(code, mods)] = _loaded([command]).values()
     assert code == 0
-    assert {"hypmetrics.oracle", "scipy.linalg"} <= set(mods)
-    assert _among(mods, ["hypmetrics.suites", "scipy.sparse"]) == []
+    assert "hypmetrics.oracle" in mods
+    assert _among(mods, ["hypmetrics.suites", "scipy", "_flapack"]) == []
 
 
 # --- where densities are read unchecked ------------------------------------------

@@ -1,6 +1,8 @@
 """Geodesic oracle against the closed-form and lifted distances."""
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -523,18 +525,26 @@ def test_geodesic_solve_failures_are_typed():
                                 eval_many(nowhere_metric, oracle._with_midpoints(path)))
 
 
-@pytest.mark.parametrize("package,code", [
-    ("scipy", "import hypmetrics"),
-    # the oracle needs scipy.linalg alone
-    ("scipy.sparse", "import hypmetrics; "
-                     "hypmetrics.geodesic_oracle(hypmetrics.DomainModel.disk(), 0.1, 0.5j, 100)"),
+@pytest.mark.parametrize("code", [
+    "import hypmetrics",
+    # the oracle loads scipy's LAPACK extension _flapack by its path alone
+    "import hypmetrics; hypmetrics.geodesic_oracle(hypmetrics.DomainModel.disk(), 0.1, 0.5j, 100)",
 ], ids=["import", "oracle-call"])
-def test_import_loads_no_scipy(package, code):
+def test_import_loads_no_scipy(code):
     src = str(Path(hypmetrics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; {code}; "
-         f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"],
+         "print(sorted(m for m in sys.modules if (m + '.').startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    # a scipy whose linalg/_flapack is not where every supported scipy keeps it
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(os.path.join(str(tmp_path), "linalg",
+                                                                 "_flapack"))):
+        oracle._load_flapack()
