@@ -80,9 +80,10 @@ class HarnackBoundSpec:
             raise BadParameter(
                 f"boundary max ratio must lie in (0,1], got {self.boundary_max_ratio}")
 
-    def exponent(self, z) -> float:
-        """C_r(z) = log r / log|z|, in (0,1) for 0 < |z| < r."""
-        return math.log(self.r) / math.log(abs(complex(z)))
+    def exponent(self, z):
+        """C_r(z) = log r / log|z|, in (0,1) for 0 < |z| < r; z a point or an array."""
+        value = math.log(self.r) / np.log(np.abs(z))
+        return value if np.ndim(value) else float(value)
 
 
 def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
@@ -99,11 +100,18 @@ def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
     return circle_max(ratio, ratio)
 
 
-def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z) -> float:
-    """Right side of the boundary Harnack inequality at z, 0 < |z| < r."""
-    z = complex(z)
-    if not 0.0 < abs(z) < spec.r:
-        raise OutsideDomain(f"harnack bound needs 0 < |z| < {spec.r}, got {z}")
+def _within_radius(z, r: float, message: str):
+    """z as a complex array (0-d for a point); message names the first z off 0 < |z| < r."""
+    z = np.asarray(z, dtype=complex)
+    out = z[~((0.0 < np.abs(z)) & (np.abs(z) < r))]
+    if out.size:
+        raise OutsideDomain(message.format(z=complex(out.flat[0])))
+    return z
+
+
+def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z):
+    """Right side of the boundary Harnack inequality at z, 0 < |z| < r; z a point or an array."""
+    z = _within_radius(z, spec.r, f"harnack bound needs 0 < |z| < {spec.r}, got {{z}}")
     return spec.boundary_max_ratio ** spec.exponent(z) * density_at(reference, z)
 
 
@@ -113,15 +121,13 @@ def aux_v_alpha(alpha: float, z) -> float:
     return p / (1.0 - p)
 
 
-def harnack_conical_bound(alpha: float, r: float, boundary_max_ratio: float,
-                          z) -> float:
-    """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z)."""
-    lam_alpha = conical_metric(alpha)
-    z = complex(z)
-    if not 0.0 < abs(z) < r < 1.0:
-        raise OutsideDomain(f"conical harnack needs 0 < |z| < r < 1, got {z}, r={r}")
+def harnack_conical_bound(alpha: float, r: float, boundary_max_ratio: float, z):
+    """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z); z a point or
+    an array."""
+    z = _within_radius(z, r if r < 1.0 else 0.0,  # no z is in range unless r < 1
+                       f"conical harnack needs 0 < |z| < r < 1, got {{z}}, r={r}")
     return (boundary_max_ratio ** (aux_v_alpha(alpha, z) / aux_v_alpha(alpha, r))
-            * density_at(lam_alpha, z))
+            * density_at(conical_metric(alpha), z))
 
 
 # --- Hopf functionals -----------------------------------------------------

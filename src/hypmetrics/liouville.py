@@ -17,7 +17,8 @@ families and their profiles:
 
 A solution has a logarithmic singularity when w(t) + log(-2t) stays bounded
 as t -> -infinity, and a conical singularity of order alpha < 1 when
-w(t) - (1-alpha) t stays bounded.
+w(t) - (1-alpha) t stays bounded. E alone tells the two apart (0, or
+(1-alpha)^2 > 0) on any stretch of a profile: classify_singularity reads it.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ OVERFLOW_GUARD = 300.0
 LOGARITHMIC = "logarithmic"
 CONICAL = "conical"
 UNCLASSIFIED = "unclassified"
-TV_TOL = 1e-3  # total variation below which a remainder counts as constant
+CONSTANT_TOL = 1e-6  # spread of E, relative to the largest (w')^2, that counts as constant
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,7 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class SingularityProfile:
+    """A verdict of classify_singularity; remainder_bound is the spread of E."""
     kind: str
     alpha: Optional[float] = None
     remainder_bound: float = float("nan")
@@ -165,36 +167,26 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
 
 
 def classify_singularity(profile: RadialProfile) -> SingularityProfile:
-    """Classify the singularity type of a radial profile at rho -> 0.
-
-    Tests the quarter of the grid deepest into the singularity (most
-    negative t). Logarithmic when e^(-w)/2 + t, which equals log R on the
-    whole pdiskR family, has total variation <= TV_TOL there; otherwise
-    conical of order alpha = 1 - slope when the remainder w - slope * t
-    passes the same constancy test. The remainder bound is the total
-    variation that decided the verdict: that of e^(-w)/2 + t (logarithmic),
-    of w - slope * t (conical), or the smaller finite one of the two
-    (unclassified; inf when neither is finite).
+    """Classify the singularity type of a radial profile at rho -> 0 by its
+    first integral E alone, on the whole grid. Unclassified unless E is
+    constant: its spread at most CONSTANT_TOL times the largest (w')^2.
+    Logarithmic when |median E| is at most the spread (or 8 ulps of that
+    largest (w')^2), conical of order 1 - sqrt(E) above, unclassified below.
+    The remainder bound is the spread of E.
     """
-    t, w = profile.t_grid, profile.w_values
+    t = profile.t_grid
     if t.min() > -15.0:
         raise GridTooShort(f"classification needs t down to -15, grid stops at {t.min()}")
-    window = t <= t.min() + 0.25 * (t.max() - t.min())
-    tq, wq = t[window], w[window]
-
-    variation = lambda r: float(np.abs(np.diff(r)).sum())
-    with np.errstate(over="ignore", invalid="ignore"):  # e^(-w) is inf on steep conical tails
-        tv_log = variation(0.5 * np.exp(-wq) + tq)
-    if tv_log <= TV_TOL:
-        return SingularityProfile(LOGARITHMIC, remainder_bound=tv_log)
-
-    slope = float(np.polyfit(tq, wq, 1)[0])
-    tv_con = variation(wq - slope * tq)
-    alpha = 1.0 - slope
-    if tv_con <= TV_TOL and alpha < 1.0:
-        return SingularityProfile(CONICAL, alpha=alpha, remainder_bound=tv_con)
-    return SingularityProfile(UNCLASSIFIED, remainder_bound=min(
-        (tv for tv in (tv_log, tv_con) if math.isfinite(tv)), default=math.inf))
+    E = profile.first_integral()
+    scale = float(np.max(profile.dw_values ** 2))
+    spread, level = float(np.ptp(E)), float(np.median(E))
+    constant = spread <= CONSTANT_TOL * scale  # False on a nan spread
+    floor = max(spread, 8.0 * np.finfo(float).eps * scale)
+    if constant and abs(level) <= floor:
+        return SingularityProfile(LOGARITHMIC, remainder_bound=spread)
+    if constant and level > floor:  # E < 0 solves nothing on a half-line
+        return SingularityProfile(CONICAL, alpha=1.0 - math.sqrt(level), remainder_bound=spread)
+    return SingularityProfile(UNCLASSIFIED, remainder_bound=spread)
 
 
 def dichotomy_verify_part_a(R: float) -> VerificationReport:

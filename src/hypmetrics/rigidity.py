@@ -195,30 +195,31 @@ def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> 
 def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> VerificationReport:
     """Two-sided dichotomy check for a metric with a logarithmic singularity.
 
-    The metric's radial profile w(t) = log lambda(e^t) + t on -200 <= t <= -20
-    must be logarithmic by liouville.classify_singularity; a conical or
-    unclassified profile raises WrongSingularityOrder. Along the sequence
-    the report evaluates the Hopf functional w(z_n) * log(1/|z_n|),
-    w = log lambda - log lambda_pdisk (one inequalities.hopf_functional call,
-    which raises OutsideDomain off the punctured disk), and reports (a)
-    its boundedness and (b) whether it tends to 0, which for curvature <= -4
-    metrics certifies lambda = lambda_pdisk. The curvature hypothesis itself
-    is recorded as an assumption, not certified.
+    The metric's radial profile w(t) = log lambda(e^t) + t on -200 <= t <= -20,
+    w' by a central difference of step 1e-3, must be logarithmic by
+    liouville.classify_singularity; a conical or unclassified profile raises
+    WrongSingularityOrder. Along the sequence the report evaluates the Hopf
+    functional w(z_n) * log(1/|z_n|), w = log lambda - log lambda_pdisk (one
+    inequalities.hopf_functional call, which raises OutsideDomain off the
+    punctured disk), and reports (a) its boundedness and (b) whether it tends
+    to 0, which for curvature <= -4 metrics certifies lambda = lambda_pdisk.
+    The curvature hypothesis itself is recorded as an assumption, not certified.
     """
     from .extrapolation import extrapolate
     from .inequalities import hopf_functional
     from .liouville import CONICAL, LOGARITHMIC, RadialProfile, classify_singularity
 
-    t = np.linspace(-200.0, -20.0, 60)
+    t = np.linspace(-200.0, -20.0, 60) + np.array([[0.0], [1e-3], [-1e-3]])  # t, t +- step
     w = log_density_at(metric, np.exp(t)) + t
-    singularity = classify_singularity(RadialProfile(t, w, metric.label, np.gradient(w, t)))
+    singularity = classify_singularity(RadialProfile(t[0], w[0], metric.label,
+                                                     (w[1] - w[2]) / (t[1] - t[2])))
     if singularity.kind == CONICAL:
         raise WrongSingularityOrder(f"metric {metric.label} has conical order "
-                                    f"~{singularity.alpha:.3f}, not logarithmic")
+                                    f"~{singularity.alpha:.6g}, not logarithmic")
     if singularity.kind != LOGARITHMIC:
         raise WrongSingularityOrder(
             f"metric {metric.label} has unclassified singularity "
-            f"(remainder variation {singularity.remainder_bound:.3g})")
+            f"(first-integral spread {singularity.remainder_bound:.3g})")
 
     pts = np.asarray(list(sequence), dtype=complex)
     pts = pts[np.argsort(-np.abs(pts))]  # |z| decreasing, toward the puncture

@@ -185,6 +185,21 @@ def test_harnack_conical_inequality_scaled_family():
     assert float(((bounds - lam) / bounds).min()) >= -1e-9
 
 
+# One call on an array gives the values of one call per point, and the range
+# error names the first point out of range.
+@pytest.mark.parametrize("bound", [
+    lambda z: harnack_bound(HarnackBoundSpec(0.1, 0.5), punctured_disk_metric(), z),
+    lambda z: harnack_conical_bound(0.5, 0.1, 0.9, z),
+], ids=["harnack", "harnack-conical"])
+def test_harnack_bounds_take_a_point_or_an_array(bound):
+    pts = polar_grid(5, 1e-4, 0.0999)
+    values = bound(pts)
+    assert isinstance(bound(pts[0]), float)
+    assert values == pytest.approx([bound(z) for z in pts], rel=1e-15, abs=0.0)
+    with pytest.raises(OutsideDomain, match=r"got \(0\.2\+0j\)"):
+        bound(np.array([0.05, 0.2, 0.3 + 0.1j]))
+
+
 def test_hopf_functional_zero_for_identical_metrics():
     pd = punctured_disk_metric()
     assert hopf_functional(pd, pd, 0.037) == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypmetrics.errors import (BadParameter, GridTooShort, NumericOverflow)
-from hypmetrics.liouville import (CONICAL, LOGARITHMIC, TV_TOL, UNCLASSIFIED, RadialProfile,
+from hypmetrics.liouville import (CONICAL, LOGARITHMIC, UNCLASSIFIED, RadialProfile,
                                   classify_singularity, closed_form_family,
                                   dichotomy_verify_part_a, integrate_radial, radial_rhs)
 
@@ -129,31 +129,35 @@ def _steep_wavy_profile() -> RadialProfile:
     return RadialProfile(t, w, "steep-wavy", 20.0 + np.cos(t))
 
 
-# The bound is the variation the verdict tested, so it is at most TV_TOL
-# exactly when the profile is classified.
+# The tested variation is the spread of the first integral E on the whole
+# grid, for every verdict; conical 0.99 has E = 1e-4, constant to 2.4e-15.
 @pytest.mark.parametrize("profile, kind", [
     (closed_form_family("pdisk"), LOGARITHMIC),
     (closed_form_family("pdiskR", R=1e300), LOGARITHMIC),
     (closed_form_family("conical", alpha=0.3), CONICAL),
     (closed_form_family("conical", alpha=-20.0), CONICAL),
-    (closed_form_family("conical", alpha=0.99), UNCLASSIFIED),
+    (closed_form_family("conical", alpha=0.99), CONICAL),
     (_steep_wavy_profile(), UNCLASSIFIED),
 ], ids=["pdisk", "pdiskR-1e300", "conical-0.3", "conical-minus-20", "conical-0.99",
         "steep-wavy"])
 def test_remainder_bound_is_the_tested_variation(profile, kind):
-    t, w = profile.t_grid, profile.w_values
-    window = t <= t.min() + 0.25 * (t.max() - t.min())
-    tq, wq = t[window], w[window]
-    variation = lambda r: float(np.abs(np.diff(r)).sum())
-    with np.errstate(over="ignore", invalid="ignore"):
-        tv_log = variation(0.5 * np.exp(-wq) + tq)
-    tv_con = variation(wq - np.polyfit(tq, wq, 1)[0] * tq)
     got = classify_singularity(profile)
     assert got.kind == kind
-    finite = [tv for tv in (tv_log, tv_con) if math.isfinite(tv)]  # a nan or inf never wins
-    want = {LOGARITHMIC: tv_log, CONICAL: tv_con, UNCLASSIFIED: min(finite)}[kind]
-    assert got.remainder_bound == want
-    assert (got.remainder_bound <= TV_TOL) == (kind != UNCLASSIFIED)
+    assert got.remainder_bound == np.ptp(profile.first_integral())
+
+
+# Orders near 1 have E = (1 - alpha)^2 near 0 (1e-12 at 1 - 1e-6), yet E is
+# constant to a few ulps, so they are conical and no pdiskR is.
+@pytest.mark.parametrize("family, param, kind", [
+    *(("conical", alpha, CONICAL) for alpha in (0.5, 0.99, 0.9999, 1.0 - 1e-6)),
+    *(("pdiskR", R, LOGARITHMIC) for R in (1.0, 1.5, math.e, 100.0, 1e300)),
+])
+def test_closed_forms_classify_by_first_integral(family, param, kind):
+    key = "alpha" if family == "conical" else "R"
+    got = classify_singularity(closed_form_family(family, **{key: param}))
+    assert got.kind == kind
+    if kind == CONICAL:
+        assert got.alpha == pytest.approx(param, abs=1e-6)
 
 
 def test_classifier_on_integrated_profile():
