@@ -47,10 +47,6 @@ class BadParameter(HypMetricsError):
     """A parameter is outside its declared range."""
 
 
-class GridTooShort(HypMetricsError):
-    """A radial grid does not reach deep enough for classification."""
-
-
 class UnknownSuite(HypMetricsError):
     """The requested verification suite does not exist."""
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import extrapolation
 from .domains import DomainModel
-from .errors import BadParameter, GridTooShort, NumericOverflow
+from .errors import BadParameter, NumericOverflow
 from .metrics import conical_scaled_metric
 from .reports import Check, VerificationReport
 
@@ -174,9 +174,6 @@ def classify_singularity(profile: RadialProfile) -> SingularityProfile:
     largest (w')^2), conical of order 1 - sqrt(E) above, unclassified below.
     The remainder bound is the spread of E.
     """
-    t = profile.t_grid
-    if t.min() > -15.0:
-        raise GridTooShort(f"classification needs t down to -15, grid stops at {t.min()}")
     E = profile.first_integral()
     scale = float(np.max(profile.dw_values ** 2))
     spread, level = float(np.ptp(E)), float(np.median(E))

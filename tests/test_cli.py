@@ -305,6 +305,19 @@ def test_suite_name_errors_are_pinned(capsys, argv, code, err):
     assert run(capsys, "verify", *argv) == (code, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("suite, seed, drawn", [
+    ("curvature", "-5", -4), ("beardon-minda", "-20", -9), ("example1", "-30", -9)])
+def test_negative_sampling_seed_is_an_error(capsys, suite, seed, drawn):
+    # each suite adds its offset to --seed; numpy's traceback ended these runs
+    assert run(capsys, "verify", suite, "--seed", seed) == (
+        1, "", f"error: seed must be a non-negative integer, got {drawn}\n")
+
+
+def test_seed_nonnegative_after_the_offset_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "curvature", "--seed", "-1")
+    assert code == 0 and out.startswith("# suite=curvature seed=-1\n")
+
+
 @pytest.mark.parametrize("name", ["annulus-sharpness:0.50", "annulus-sharpness:5e-1"])
 def test_suite_parameter_is_printed_canonically(capsys, name):
     code, out, _ = run(capsys, "verify", name)

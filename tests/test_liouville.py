@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypmetrics.errors import (BadParameter, GridTooShort, NumericOverflow)
+from hypmetrics.errors import (BadParameter, NumericOverflow)
 from hypmetrics.liouville import (CONICAL, LOGARITHMIC, UNCLASSIFIED, RadialProfile,
                                   classify_singularity, closed_form_family,
                                   dichotomy_verify_part_a, integrate_radial, radial_rhs)
@@ -179,10 +179,17 @@ def test_classifier_invariances():
     assert classify_singularity(trunc).kind == CONICAL
 
 
-def test_classifier_grid_too_short():
-    prof = closed_form_family("pdisk", t_min=-10.0, t_max=-1.0)
-    with pytest.raises(GridTooShort):
-        classify_singularity(prof)
+@pytest.mark.parametrize("family, kw, alpha", [
+    ("pdisk", {}, None), ("pdiskR", {"R": 2.0}, None),
+    ("conical", {"alpha": 0.5}, 0.5), ("conical", {"alpha": 0.99}, 0.99),
+], ids=["pdisk", "pdiskR-2", "conical-0.5", "conical-0.99"])
+def test_classifier_on_a_shallow_grid(family, kw, alpha):
+    # the first integral is constant on every radial solution, so t in
+    # [-10, -1] classifies as well as a grid reaching deep into the tail
+    prof = classify_singularity(closed_form_family(family, t_min=-10.0, t_max=-1.0, **kw))
+    assert prof.kind == (LOGARITHMIC if alpha is None else CONICAL)
+    if alpha is not None:
+        assert prof.alpha == pytest.approx(alpha, abs=1e-6)
 
 
 def test_bad_parameters():

@@ -129,6 +129,8 @@ def test_verify_loads_no_oracle_liouville_or_rigidity():
         assert code == (1 if command == "verify phi" else 0), command
         assert _among(mods, ["hypmetrics.oracle", "hypmetrics.liouville",
                              "hypmetrics.rigidity", "scipy"]) == [], command
+        # sampling draws from its own PCG64, not numpy's
+        assert _among(mods, ["numpy.random", "secrets"]) == [], command
 
 
 def test_verify_curvature_loads_no_spec_parser_and_no_witnesses():
@@ -162,6 +164,7 @@ def test_other_commands_load_no_suite(tmp_path, capsys):
         assert _among(mods, ["hypmetrics.suites", "hypmetrics.inequalities",
                              "hypmetrics.witnesses", "hypmetrics.oracle", "scipy"]) == [], \
             command
+        assert _among(mods, ["numpy.random", "secrets"]) == [], command
 
 
 def test_only_the_oracle_loads_lapack():
