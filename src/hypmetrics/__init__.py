@@ -36,8 +36,7 @@ _EXPORTS = {
     "reports": ("Check", "VerificationReport"),
     "rigidity": ("BoundarySequenceSample", "Classification", "DecayEstimate", "Setting",
                  "build_sample", "classify_boundary_condition", "classify_sample",
-                 "decay_exponent_fit", "dichotomy_report", "euclidean_puncture_form",
-                 "interior_equality_check"),
+                 "decay_exponent_fit", "dichotomy_report"),
     "suites": ("SuiteConfig", "run_suite", "suite_names"),
     "witnesses": ("WitnessLimit", "annulus_expected_limit", "annulus_sharpness_limit",
                   "disk_sharpness_functional", "example1_limit", "example1_ratio",

@@ -77,10 +77,11 @@ def _cmd_density(args) -> int:
     else:  # grid points off the domain are skipped
         if args.grid_n < 1:
             raise ParseError(f"--grid-n must be at least 1, got {args.grid_n}")
-        if not 0.0 < args.rmin < args.rmax:
-            raise ParseError(f"need 0 < --rmin < --rmax, got {args.rmin} and {args.rmax}")
-        if not args.half_width > 0.0:
-            raise ParseError(f"--half-width must be positive, got {args.half_width}")
+        if not 0.0 < args.rmin < args.rmax < math.inf:
+            raise ParseError(f"need 0 < --rmin < --rmax < inf, got {args.rmin} and {args.rmax}")
+        if not 0.0 < 2.0 * args.half_width < math.inf:  # the grid spans 2 --half-width
+            raise ParseError(f"--half-width must be positive and at most half the double "
+                             f"range, got {args.half_width}")
         if args.grid == "polar":
             pts = polar_grid(args.grid_n, args.rmin, args.rmax)
         else:
@@ -222,12 +223,10 @@ def _cmd_liouville(args) -> int:
 
     if args.action == "solve":
         profile = integrate_radial(args.w0, args.dw0, args.t0, args.t1, args.steps)
-        E = profile.first_integral()
-        lam = profile.lambda_values()
-        rows = ["t,w,lambda,E"]
-        rows += [",".join(repr(float(v)) for v in tup)
-                 for tup in zip(profile.t_grid, profile.w_values, lam, E)]
-        _emit("\n".join(rows))
+        columns = (profile.t_grid, profile.w_values, profile.lambda_values(),
+                   profile.first_integral())
+        rows = zip(*(map(repr, c.tolist()) for c in columns))
+        _emit("\n".join(["t,w,lambda,E"] + [",".join(row) for row in rows]))
         return 0
     # classify; each family reads only its own parameters
     profile = closed_form_family(args.family, R=args.R, alpha=args.alpha, c=args.c)

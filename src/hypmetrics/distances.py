@@ -13,7 +13,11 @@ arccosh(1 + q) is evaluated as 2 asinh(sqrt(q/2)), exact for small q.
 sqrt(q/2) is formed without squares, so that it neither overflows nor
 underflows: |w1-w2| / (2 sqrt(Im w1) sqrt(Im w2)) in the half-plane, and
 |z1-z2| / sqrt((1-|z1|^2)(1-|z2|^2)) in the disk, where rho would round to
-1 near the edge.
+1 near the edge. Only where a difference or that quotient still leaves the
+double range (points ~1e308 apart, or heights near 5e-324) is asinh x taken
+as log 2x from the logs of the factors, so a value that the plain form
+gives finite keeps its bits. A strip distance past the double range raises
+NumericOverflow.
 
 The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
@@ -31,6 +35,7 @@ outside points raise OutsideDomain.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import DomainModel
+from .errors import NumericOverflow
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
 SWEEP_N = 720  # angles of the circle sweep in circle_max, before refinement
@@ -70,15 +76,32 @@ def dist_disk(z1, z2) -> DistanceResult:
                           DistanceMethod.CLOSED_FORM)
 
 
+def _asinh_quotient(num: float, s1: float, s2: float) -> float:
+    """asinh(num / (sqrt(s1) sqrt(s2))) for num >= 0 and s1, s2 > 0; past the
+    double range the quotient x is kept as logs, where asinh x = log 2x."""
+    x = num / (math.sqrt(s1) * math.sqrt(s2))
+    if x < math.inf:
+        return math.asinh(x)
+    return math.log(2.0) + math.log(num) - 0.5 * (math.log(s1) + math.log(s2))
+
+
 def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
     """Distance between half-plane points at heights y1, y2 that differ by dw."""
-    return HALF * 2.0 * math.asinh(abs(dw) / (2.0 * math.sqrt(y1) * math.sqrt(y2)))
+    x = abs(dw) / (2.0 * math.sqrt(y1) * math.sqrt(y2))
+    if x < math.inf:
+        return HALF * 2.0 * math.asinh(x)
+    return HALF * 2.0 * _asinh_quotient(0.5 * abs(dw), y1, y2)
 
 
 def dist_halfplane(w1, w2) -> DistanceResult:
     """Hyperbolic distance in the upper half-plane (density 1/(2 Im w))."""
     w1, w2 = _HALF_PLANE.check(w1), _HALF_PLANE.check(w2)
-    return DistanceResult(_halfplane_value(w1 - w2, w1.imag, w2.imag), DistanceMethod.CLOSED_FORM)
+    dw = w1 - w2
+    if cmath.isinf(dw):  # |w1 - w2| overflows, and half of it does not
+        value = HALF * 2.0 * _asinh_quotient(abs(0.5 * w1 - 0.5 * w2), w1.imag, w2.imag)
+    else:
+        value = _halfplane_value(dw, w1.imag, w2.imag)
+    return DistanceResult(value, DistanceMethod.CLOSED_FORM)
 
 
 def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
@@ -91,22 +114,40 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
         cosh(2d) = 1 + (2 sinh^2((a1-a2)/2) + 2 sin^2((b1-b2)/2)) / (sin b1 sin b2),
 
     the numerator being cosh(a1-a2) - cos(b1-b2) without its cancellation.
+    Where a1 - a2 overflows, or sin b1 sin b2 underflows to 0, or q
+    overflows, the logs of the factors are taken apart: sqrt(q/2) is
+    |sinh((dz pi/h)/2)| / sqrt(sin b1 sin b2).
     """
     da = math.pi * dz.real / h
     db = math.pi * dz.imag / h  # not b1 - b2, which rounds both
-    sb = math.sin(math.pi * y1 / h) * math.sin(math.pi * y2 / h)
+    s1, s2 = math.sin(math.pi * y1 / h), math.sin(math.pi * y2 / h)
+    sb = s1 * s2
     if abs(da) > 300.0:
         # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
-        return HALF * (abs(da) - math.log(sb))
-    q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
-    return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
+        if sb > 0.0 and abs(da) < math.inf:
+            return HALF * (abs(da) - math.log(sb))
+        return HALF * math.pi * (abs(dz.real) / h) - HALF * (math.log(s1) + math.log(s2))
+    if sb > 0.0:
+        q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
+        if q < math.inf:
+            return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
+    return HALF * 2.0 * _asinh_quotient(math.hypot(math.sinh(0.5 * da), math.sin(0.5 * db)),
+                                        s1, s2)
 
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:
-    """Hyperbolic distance in the strip {0 < Im z < h}."""
+    """Hyperbolic distance in the strip {0 < Im z < h}; NumericOverflow where
+    it is past the double range."""
     dom = DomainModel.strip(h)
     z1, z2 = dom.check(z1), dom.check(z2)
-    return DistanceResult(_strip_value(z1 - z2, z1.imag, z2.imag, h), DistanceMethod.CLOSED_FORM)
+    w1, w2, height = z1, z2, h
+    if cmath.isinf(z1 - z2):  # Re(z1 - z2) overflows: z -> z/2 maps onto the strip of height h/2
+        w1, w2, height = 0.5 * z1, 0.5 * z2, 0.5 * h
+    value = _strip_value(w1 - w2, w1.imag, w2.imag, height)
+    if value == math.inf:
+        raise NumericOverflow(f"distance from z={z1} to z={z2} in {dom.label()} "
+                              "is not finite in double precision")
+    return DistanceResult(value, DistanceMethod.CLOSED_FORM)
 
 
 def _lifts(z1: complex, z2: complex) -> tuple[complex, int, float, float]:

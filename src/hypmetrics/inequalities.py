@@ -161,9 +161,11 @@ def _weighted_log_ratio(metric, reference, z, weight, what: str):
     return value if np.ndim(value) else float(value)
 
 
-def aux_v(z) -> float:
-    """v(z) = 1/log(1/|z|), the bounded radial solution of Dv = 8 lambda^2 v."""
-    return 1.0 / math.log(1.0 / abs(_PUNCTURED_DISK.check(z)))
+def aux_v(z):
+    """v(z) = 1/log(1/|z|), the bounded radial solution of Dv = 8 lambda^2 v; z a point
+    (a float back) or an array."""
+    value = 1.0 / np.log(1.0 / np.abs(_PUNCTURED_DISK.check(z)))
+    return value if np.ndim(value) else float(value)
 
 
 # --- radial solution space ------------------------------------------------
@@ -188,13 +190,12 @@ def radial_solution_space_check(h: float) -> list[Check]:
     def residual(f, z: np.ndarray, step: float) -> np.ndarray:
         return np.abs(laplacian(f, z, step, pd.domain) - 8.0 * density_at(pd, z) ** 2 * f(z))
 
-    v1 = lambda z: 1.0 / np.log(1.0 / np.abs(z))
     v2 = lambda z: np.log(1.0 / np.abs(z)) ** 2
     v_bad = lambda z: np.log(1.0 / np.abs(z))
 
     tol = 3e4 * h * h
     checks = []
-    for name, f in (("1/log(1/|z|)", v1), ("(log(1/|z|))^2", v2)):
+    for name, f in (("1/log(1/|z|)", aux_v), ("(log(1/|z|))^2", v2)):
         res = residual(f, radii, h)
         res_coarse = residual(f, radii, 10.0 * h)
         checks.append(Check.at_most(f"residual[{name}]", float(res.max()), tol, "paper"))

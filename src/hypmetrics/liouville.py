@@ -44,34 +44,22 @@ CONSTANT_TOL = 1e-6  # spread of E, relative to the largest (w')^2, that counts 
 
 @dataclass(frozen=True)
 class RadialProfile:
+    """w(t) = log lambda(e^t) + t and w' on an increasing t grid, with the exact w and w'
+    of a closed-form family; a solution of the ODE has a constant first_integral."""
     t_grid: np.ndarray
     w_values: np.ndarray
     derivation: str
     dw_values: np.ndarray
     w_func: Optional[Callable] = None
     dw_func: Optional[Callable] = None
-    ddw_func: Optional[Callable] = None
 
     def lambda_values(self) -> np.ndarray:
         """Density lambda = e^(w - t) on the grid."""
         return np.exp(self.w_values - self.t_grid)
 
     def first_integral(self) -> np.ndarray:
+        """E = (w')^2 - 4 e^(2w) on the grid."""
         return self.dw_values ** 2 - 4.0 * np.exp(2.0 * self.w_values)
-
-    def ode_residual(self) -> np.ndarray:
-        """|w'' - 4 e^(2w)| on the grid.
-
-        Closed-form profiles carry the exact second derivative, so the
-        residual is a floating-point identity; for integrated profiles w''
-        comes from central differences on the grid.
-        """
-        if self.ddw_func is not None:
-            return np.abs(self.ddw_func(self.t_grid)
-                          - 4.0 * np.exp(2.0 * self.w_values))
-        t, w = self.t_grid, self.w_values
-        wpp = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / np.diff(t)[:-1] ** 2
-        return np.abs(wpp - 4.0 * np.exp(2.0 * w[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,6 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         logR = math.log(R)
         w_func = lambda t: -np.log(2.0 * (logR - t))
         dw_func = lambda t: 1.0 / (logR - t)
-        ddw_func = lambda t: 1.0 / (logR - t) ** 2
         label = "pdisk" if R == 1.0 else f"pdiskR:{R}"
     elif name == "conical-scaled":
         conical_scaled_metric(alpha, c)  # raises BadParameter unless alpha < 1, 0 < c <= 1
@@ -155,15 +142,13 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         c2 = c * c
         w_func = lambda t: logsc + s * t - np.log1p(-c2 * np.exp(2.0 * s * t))
         dw_func = lambda t: s * (1.0 + c2 * np.exp(2.0 * s * t)) / (1.0 - c2 * np.exp(2.0 * s * t))
-        ddw_func = lambda t: (4.0 * s * s * c2 * np.exp(2.0 * s * t)
-                              / (1.0 - c2 * np.exp(2.0 * s * t)) ** 2)
         label = f"conical:{alpha}" if c == 1.0 else f"conical-scaled:{alpha},{c}"
     else:
         raise BadParameter(f"unknown closed-form family {name!r}")
     if not t_min < t_max < 0.0:
         raise BadParameter(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
     t = np.linspace(t_min, t_max, n)
-    return RadialProfile(t, w_func(t), label, dw_func(t), w_func, dw_func, ddw_func)
+    return RadialProfile(t, w_func(t), label, dw_func(t), w_func, dw_func)
 
 
 def classify_singularity(profile: RadialProfile) -> SingularityProfile:

@@ -150,11 +150,14 @@ def conical_scaled_metric(alpha: float, c: float) -> MetricDensity:
 
 
 def half_plane_metric() -> MetricDensity:
-    def ev(z):
-        return 1.0 / (2.0 * np.imag(z))
+    def ev(z):  # the bits of 1 / (2 Im z), also where 2 Im z overflows
+        return 0.5 / np.imag(z)
 
     def logev(z):
-        return -np.log(2.0 * np.imag(z))
+        y = np.imag(z)
+        with np.errstate(over="ignore"):  # 2 Im z overflows above half the double range
+            value = -np.log(2.0 * y)
+        return np.where(np.isneginf(value), -np.log(2.0) - np.log(y), value)
 
     return MetricDensity(DomainModel.half_plane(), ev, "halfplane", logev)
 

@@ -10,13 +10,15 @@ Little-o conditions are undecidable from finitely many samples, so the
 classifier reports threshold-relative evidence: a least-squares fit of
 log(1 - ratio) against the distance (or log-radius), compared to the
 threshold with an explicit margin. RigidityForced additionally requires
-r^2 >= R2_MIN. Ratios exactly equal to 1 short-circuit through the interior
-equality case instead (equality at one point forces equality everywhere).
+r^2 >= R2_MIN. Ratios exactly equal to 1 are left out of the fit, and a
+sample of nothing else is DegenerateSample: equality at one point forces
+equality everywhere (the interior equality case).
 
-build_sample (whose rows `rigidity sample` prints) and interior_equality_check
-read densities through density_at. The dichotomy report computes nothing of
-its own: the singularity type comes from liouville.classify_singularity and
-the values from inequalities.hopf_functional, both imported where it runs.
+build_sample (whose rows `rigidity sample` prints) reads densities through
+density_at. The dichotomy report computes nothing of its own: the
+singularity type comes from liouville.classify_singularity, the values from
+inequalities.hopf_functional and the extrapolation variable 1/log(1/|z|)
+from inequalities.aux_v, all imported where it runs.
 """
 from __future__ import annotations
 
@@ -27,13 +29,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import DomainModel
 from .errors import (BadParameter, DegenerateSample, TooFewPoints,
                      WrongSingularityOrder)
 from .metrics import (MetricDensity, check_conical_order, density_at, log_density_at,
                       punctured_disk_metric)
 from .reports import Check, VerificationReport
-from .sampling import sample_annular
 
 RATIO_EQUALITY_TOL = 1e-12
 R2_MIN = 0.99  # fit quality that RigidityForced requires
@@ -172,24 +172,6 @@ def classify_sample(sample: BoundarySequenceSample, setting: Setting,
     return replace(est, classification=cls)
 
 
-def euclidean_puncture_form(ratio: float, z) -> float:
-    """(ratio - 1) * log(1/|z|), the Euclidean form of the puncture condition.
-
-    The puncture condition holds along a sequence exactly when this
-    quantity tends to 0 (hyperbolic and Euclidean scales are comparable
-    near the puncture).
-    """
-    az = abs(DomainModel.punctured_disk().check(z))
-    return (ratio - 1.0) * math.log(1.0 / az)
-
-
-def interior_equality_check(metric: MetricDensity, reference: MetricDensity) -> bool:
-    """Spot-check ratio == 1 (within 1e-12) by density_at at 10 seeded points, 0.1 < |z| < 0.8."""
-    pts = sample_annular(42, 10, 0.1, 0.8)
-    ratios = density_at(metric, pts) / density_at(reference, pts)
-    return bool(np.all(np.abs(ratios - 1.0) <= RATIO_EQUALITY_TOL))
-
-
 # --- dichotomy report -------------------------------------------------------
 
 def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> VerificationReport:
@@ -206,7 +188,7 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
     The curvature hypothesis itself is recorded as an assumption, not certified.
     """
     from .extrapolation import extrapolate
-    from .inequalities import hopf_functional
+    from .inequalities import aux_v, hopf_functional
     from .liouville import CONICAL, LOGARITHMIC, RadialProfile, classify_singularity
 
     t = np.linspace(-200.0, -20.0, 60) + np.array([[0.0], [1e-3], [-1e-3]])  # t, t +- step
@@ -224,7 +206,7 @@ def dichotomy_report(metric: MetricDensity, sequence: Sequence[complex]) -> Veri
     pts = np.asarray(list(sequence), dtype=complex)
     pts = pts[np.argsort(-np.abs(pts))]  # |z| decreasing, toward the puncture
     values = hopf_functional(metric, punctured_disk_metric(), pts)
-    est = extrapolate(values, xs=1.0 / np.log(1.0 / np.abs(pts)))
+    est = extrapolate(values, xs=aux_v(pts))
 
     report = VerificationReport(suite="dichotomy")
     bound = float(np.abs(values).max())

@@ -211,7 +211,7 @@ def _add_hopf_limit(report: VerificationReport, name: str, metric: MetricDensity
 
     radii = np.array([10.0 ** (-k) for k in range(2, 9)])
     values = inequalities.hopf_functional(metric, punctured_disk_metric(), radii)
-    est = extrapolation.extrapolate(values, xs=[1.0 / math.log(1.0 / r) for r in radii])
+    est = extrapolation.extrapolate(values, xs=inequalities.aux_v(radii))
     report.add(Check.close(name, est.value, -1.0, tol, provenance,
                            note=f"raw value at |z|=1e-8: {values[-1]:.6f}; "
                                 f"extrapolated ({est.method})"))

@@ -186,8 +186,11 @@ def test_degenerate_stencil_is_an_error(capsys, argv):
       "3", "--half-width", "0.3"], "mobius:0.3,0.0 maps z=(0.3+0j) outside the domain of pdisk"),
     (["curvature", "--metric", "pull:mobius:0.3,0:pdisk", "--z", "0.3,0"],
      "mobius:0.3,0.0 maps z=(0.3+0j) outside the domain of pdisk"),
+    (["distance", "--domain", "strip:1e-300", "--z1", "0,5e-301", "--z2", "1e10,5e-301"],
+     "distance from z=5e-301j to z=(10000000000+5e-301j) in strip:1e-300 is not finite "
+     "in double precision"),
 ], ids=["density-overflow", "density-grid-overflow", "curvature-off-disk",
-        "curvature-at-puncture", "pullback-grid", "pullback-stencil"])
+        "curvature-at-puncture", "pullback-grid", "pullback-stencil", "strip-distance-overflow"])
 def test_point_errors_name_the_point(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -384,6 +387,34 @@ def test_liouville_classify_json(capsys):
     assert payload["alpha"] == pytest.approx(0.3, abs=1e-3)
 
 
+# the JSON branch of each command prints the numbers of its CSV rows; the
+# strip density also runs strip_metric's log_eval
+@pytest.mark.parametrize("argv", [
+    ["density", "--domain", "strip:1", "--z", "0,0.3"],
+    ["curvature", "--metric", "annulus:0.5", "--z", "0.7,0"],
+    ["distance", "--domain", "pdisk", "--z1", "0.01,0", "--z2", "0.1,0", "--oracle-grid", "100"],
+], ids=["density", "curvature", "distance-oracle"])
+def test_json_output_matches_the_csv_rows(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, csv_out, _ = run(capsys, *argv)
+        json_code, json_out, _ = run(capsys, "--output", "json", *argv)
+    assert code == json_code == 0
+    lines = [line.split(",") for line in csv_out.splitlines()]
+    payload = json.loads(json_out)
+    if argv[0] == "distance":
+        (_, value, method, deck), (_, oracle, oracle_method, _) = lines
+        assert (float(value), method, deck) == (payload["distance"], payload["method"],
+                                                str(payload["deck_index"]))
+        assert (float(oracle), oracle_method) == (payload["oracle"]["distance"], "grid_oracle")
+        assert payload["oracle"]["grid_n"] == 100
+    else:
+        (header, row) = lines
+        numbers = payload["points"][0] if argv[0] == "density" else payload
+        assert [float(v) for v in row] == [numbers[k] for k in header]
+        assert payload["metric"] == ("strip:1.0" if argv[0] == "density" else "annulus:0.5")
+
+
 def test_spec_grammar():
     assert parse_metric("disk").label == "disk"
     assert parse_metric("pdiskR:2.5").label == "pdiskR:2.5"
@@ -424,6 +455,13 @@ def test_usage_error_exit_code():
      "--rmax"),
     (["density", "--domain", "disk", "--half-width", "0"], "--half-width"),
     (["density", "--domain", "disk", "--half-width", "nan"], "--half-width"),
+    # these three printed RuntimeWarnings and a partial table, and exited 0
+    (["density", "--domain", "disk", "--grid", "polar", "--grid-n", "3", "--rmin", "0.1",
+      "--rmax", "inf"], "--rmax"),
+    (["density", "--domain", "disk", "--grid", "cartesian", "--half-width", "inf"],
+     "--half-width"),
+    (["density", "--domain", "disk", "--grid", "cartesian", "--half-width", "1e308"],
+     "--half-width"),
     (["rigidity", "sample", "--metric", "pdisk", "--reference", "pdisk", "--kmin", "5",
       "--kmax", "2"], "--kmin"),
     (["verify", "curvature", "--tol", "nonsense=1"], "--tol 'nonsense'"),
@@ -434,7 +472,8 @@ def test_usage_error_exit_code():
     (["verify", "aux-solutions", "--tol", "aux-h=inf"], "--tol 'aux-h'"),
 ], ids=["spec", "tolerance", "setting", "setting-no-order", "setting-with-order", "csv-cell", "missing-csv", "grid-n-negative",
         "grid-n-zero", "rmin-zero", "rmin-negative", "rmin-above-rmax", "half-width-zero",
-        "half-width-nan", "kmin-above-kmax", "tolerance-unknown", "tolerance-other-suite",
+        "half-width-nan", "rmax-inf", "half-width-inf", "half-width-span-overflow",
+        "kmin-above-kmax", "tolerance-unknown", "tolerance-other-suite",
         "tolerance-none-read", "tolerance-negative", "tolerance-nan", "tolerance-inf"])
 def test_parse_error_exit_code(tmp_path, capsys, argv, named):
     (tmp_path / "good.csv").write_text("re,im,ratio,distance\n0.1,0,0.5,1.0\n")

@@ -12,14 +12,13 @@ from hypmetrics.distances import (DistanceMethod, comparability_constants,
                                   dist_disk, dist_halfplane,
                                   dist_punctured_disk, dist_strip)
 from hypmetrics import distances
-from hypmetrics.errors import HypMetricsError, OutsideDomain, SingularPoint
+from hypmetrics.errors import HypMetricsError, NumericOverflow, OutsideDomain, SingularPoint
 from hypmetrics.inequalities import (aux_v, aux_v_alpha, hopf_conical_functional,
                                      hopf_functional)
 from hypmetrics.maps import mobius_map, phi_map, square_map
 from hypmetrics.metrics import (annulus_metric, density_at, log_density_at,
                                 punctured_disk_metric)
 from hypmetrics.oracle import geodesic_oracle
-from hypmetrics.rigidity import euclidean_puncture_form
 from hypmetrics.sampling import sample_annular, sample_log_annular
 from hypmetrics.specparse import domain_distance, domain_metric, parse_domain
 from hypmetrics.witnesses import example1_ratio
@@ -67,6 +66,51 @@ def test_halfplane_extreme_heights():
                                                                   rel=1e-14)
     assert dist_halfplane(1e-300j, 2e-300j).value == pytest.approx(0.5 * math.log(2.0),
                                                                    rel=1e-14)
+
+
+def _exact_distance(domain: str, z1: complex, z2: complex):
+    """The half-plane or strip distance in mpmath at 50 digits, at the exact doubles;
+    the strip through w = e^(pi z / h), which maps it onto the half-plane."""
+    with mp.workdps(50):
+        w1, w2 = mp.mpc(z1.real, z1.imag), mp.mpc(z2.real, z2.imag)
+        if domain == "halfplane":
+            return mp.asinh(abs(w1 - w2) / (2 * mp.sqrt(w1.imag) * mp.sqrt(w2.imag)))
+        h = mp.mpf(float(domain.partition(":")[2]))
+        dw = (w1 - w2) * mp.pi / h
+        num = mp.sqrt(mp.sinh(dw.real / 2) ** 2 + mp.sin(dw.imag / 2) ** 2)
+        return mp.asinh(num / mp.sqrt(mp.sin(mp.pi * w1.imag / h) * mp.sin(mp.pi * w2.imag / h)))
+
+
+# |w1 - w2|, its quotient by the heights, a1 - a2 or sin b1 sin b2 of the
+# strip's formula leave the double range here: these distances printed inf, or
+# raised ZeroDivisionError or ValueError
+@pytest.mark.parametrize("domain,z1,z2", [
+    ("halfplane", 1j, 1e308 + 1e-308j),
+    ("halfplane", 5e-324j, 1e10 + 5e-324j),
+    ("halfplane", -1e308 + 1j, 1e308 + 1j),
+    ("halfplane", -1e308 + 1e308j, 1e308 + 1e308j),
+    ("halfplane", -1e308 + 1e-300j, 1e308 + 3j),
+    ("strip:1", 0.5j, 1e308 + 0.5j),
+    ("strip:1", 1e-300j, 1 + 1e-300j),
+    ("strip:1", 1e-300j, 1000 + 1e-300j),
+    ("strip:1", 1e-100j, 95 + 1e-100j),
+    ("strip:1", 1e-300j, 1e-300 + 1e-300j),
+    ("strip:1", 1e-300j, 1e-300j),
+    ("strip:1", 1e-200j, 1 + 1e-160j),
+    ("strip:4", -1e308 + 1j, 1e308 + 1j),
+    ("strip:1e308", -1e308 + 5e307j, 1e308 + 5e307j),
+])
+def test_distances_at_extreme_coordinates(domain, z1, z2):
+    got = domain_distance(parse_domain(domain), z1, z2).value
+    assert got == pytest.approx(float(_exact_distance(domain, z1, z2)), rel=1e-15, abs=0.0)
+
+
+def test_a_strip_distance_past_the_double_range_is_refused():
+    # (pi/2) 1e10 / 1e-300 = 1.57e310
+    with pytest.raises(NumericOverflow, match=r"^distance from z=5e-301j to "
+                                              r"z=\(10000000000\+5e-301j\) in strip:1e-300 is "
+                                              r"not finite in double precision$"):
+        dist_strip(5e-301j, 1e10 + 5e-301j, 1e-300)
 
 
 def test_punctured_disk_same_ray():
@@ -178,7 +222,6 @@ POINT_CHECKS = {
     lambda z: hopf_functional(_PD, _PD, z): "pdisk",
     lambda z: hopf_conical_functional(_PD, 0.5, z): "pdisk",
     example1_ratio: "pdisk",
-    lambda z: euclidean_puncture_form(0.5, z): "pdisk",
     lambda z: density_at(annulus_metric(0.5), z): "annulus:0.5",
     lambda z: log_density_at(_PD, z): "pdisk",
     lambda z: geodesic_oracle(parse_domain("strip:1"), 0.5j, z, 100): "strip:1.0",

@@ -22,7 +22,6 @@ from hypmetrics.metrics import (MetricDensity, annulus_metric, conical_metric,
                                 conical_scaled_metric, disk_metric, eval_many,
                                 half_plane_metric, pullback, punctured_disk_metric,
                                 punctured_disk_metric_r)
-from hypmetrics.rigidity import interior_equality_check
 from hypmetrics.sampling import cartesian_grid, polar_grid, sample_annular
 
 
@@ -61,10 +60,6 @@ _OFF_DOMAIN = {
     "hopf-halfplane": lambda: hopf_functional(half_plane_metric(), punctured_disk_metric(),
                                               0.3),
     "hopf-conical-annulus": lambda: hopf_conical_functional(annulus_metric(0.5), 0.5, 0.3),
-    "interior-halfplane": lambda: interior_equality_check(half_plane_metric(),
-                                                          half_plane_metric()),
-    "interior-annulus": lambda: interior_equality_check(annulus_metric(0.5),
-                                                        annulus_metric(0.5)),
 }
 
 

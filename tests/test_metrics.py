@@ -134,6 +134,22 @@ def test_half_plane_and_strip_densities():
     assert density_at(strip_metric(h), 1j) == pytest.approx(math.pi / (2 * h), rel=1e-15)
 
 
+def test_half_plane_density_where_twice_the_height_overflows():
+    # 2 Im z overflowed to inf: lambda read 0.0 and log lambda -inf
+    m = half_plane_metric()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, log_lam = density_at(m, 1e308j), log_density_at(m, np.array([1e308j, 1.7e308j]))
+    with mp.workdps(50):
+        assert lam == float(1 / (2 * mp.mpf(1e308)))  # subnormal: 5e-309 to its rounding
+        for got, y in zip(log_lam, (1e308, 1.7e308)):
+            assert got == pytest.approx(float(-mp.log(2 * mp.mpf(y))), rel=1e-15)
+    # elsewhere the bits of 1 / (2 Im z) and -log(2 Im z)
+    y = np.geomspace(1e-300, 8e307, 10001)
+    assert np.array_equal(density_at(m, 1j * y), 1.0 / (2.0 * y))
+    assert np.array_equal(log_density_at(m, 1j * y), -np.log(2.0 * y))
+
+
 def test_domain_errors():
     with pytest.raises(SingularPoint):
         density_at(punctured_disk_metric(), 0.0)

@@ -38,8 +38,7 @@ EXPORTED = {
     "reports": ["Check", "VerificationReport"],
     "rigidity": ["BoundarySequenceSample", "Classification", "DecayEstimate", "Setting",
                  "build_sample", "classify_boundary_condition", "classify_sample",
-                 "decay_exponent_fit", "dichotomy_report", "euclidean_puncture_form",
-                 "interior_equality_check"],
+                 "decay_exponent_fit", "dichotomy_report"],
     "suites": ["SuiteConfig", "run_suite", "suite_names"],
     "witnesses": ["WitnessLimit", "annulus_expected_limit", "annulus_sharpness_limit",
                   "disk_sharpness_functional", "example1_limit", "example1_ratio",
@@ -49,7 +48,7 @@ ALL = [name for names in EXPORTED.values() for name in names]
 
 
 def test_all_lists_every_exported_name():
-    assert len(ALL) == len(set(ALL)) == 72
+    assert len(ALL) == len(set(ALL)) == 70
     assert hypmetrics.__all__ == ALL
 
 

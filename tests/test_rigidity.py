@@ -14,8 +14,7 @@ from hypmetrics.metrics import (conical_metric, pullback, punctured_disk_metric,
 from hypmetrics.rigidity import (BoundarySequenceSample, Classification, Setting,
                                  build_sample, classify_boundary_condition,
                                  classify_sample, decay_exponent_fit,
-                                 dichotomy_report, euclidean_puncture_form,
-                                 interior_equality_check)
+                                 dichotomy_report)
 
 
 def _synthetic(beta, c=0.5, d=None, n=10):
@@ -160,31 +159,6 @@ def test_euclidean_form_matches_hyperbolic_classification():
         c_true = classify_sample(true_sample, Setting.puncture()).classification
         c_norm = classify_sample(norm_sample, Setting.puncture()).classification
         assert c_true == c_norm
-
-
-def test_euclidean_puncture_form_values():
-    assert euclidean_puncture_form(1.0, 0.1) == 0.0
-    # example1: (ratio - 1) log(1/|z|) -> -1
-    from hypmetrics.witnesses import example1_ratio
-    vals = [euclidean_puncture_form(example1_ratio(10.0 ** (-k)), 10.0 ** (-k))
-            for k in range(2, 9)]
-    assert all(b < a for a, b in zip(vals[2:], vals[3:]))
-    assert vals[-1] == pytest.approx(-0.948509, abs=1e-5)  # slow 1/log approach to -1
-    # lambda^(e): (ratio - 1) L = -L/(L+1) -> -1
-    pd = punctured_disk_metric()
-    fam = punctured_disk_metric_r(math.e)
-    z = 1e-8
-    ratio = fam.eval(complex(z, 0)) / pd.eval(complex(z, 0))
-    L = math.log(1.0 / z)
-    assert euclidean_puncture_form(float(ratio), z) == pytest.approx(-L / (L + 1),
-                                                                     rel=1e-10)
-
-
-def test_interior_equality_shortcut():
-    pd = punctured_disk_metric()
-    assert interior_equality_check(pd, pd)
-    pulled = pullback(pd, example1_map(), pd.domain)
-    assert not interior_equality_check(pulled, pd)
 
 
 def test_dichotomy_report_trigger_only_for_pdisk():
