@@ -17,7 +17,10 @@ underflows: |w1-w2| / (2 sqrt(Im w1) sqrt(Im w2)) in the half-plane, and
 double range (points ~1e308 apart, or heights near 5e-324) is asinh x taken
 as log 2x from the logs of the factors, so a value that the plain form
 gives finite keeps its bits. A strip distance past the double range raises
-NumericOverflow.
+NumericOverflow. Where a product or a quotient falls below the normal range
+(heights near 5e-324, or nearly coincident strip points), the half-plane
+value is taken at 2^600 times the points, and the strip value from the
+factors' exponents apart (_strip_extended).
 
 The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
@@ -47,6 +50,8 @@ from .domains import DomainModel
 from .errors import NumericOverflow
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
+_TINY = 2.0 ** -1022  # the least normal double
+_SCALE = 2.0 ** 600  # an exact scale, with the exact square root 2^300
 SWEEP_N = 720  # angles of the circle sweep in circle_max, before refinement
 
 _DISK = DomainModel.disk()
@@ -87,7 +92,11 @@ def _asinh_quotient(num: float, s1: float, s2: float) -> float:
 
 def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
     """Distance between half-plane points at heights y1, y2 that differ by dw."""
-    x = abs(dw) / (2.0 * math.sqrt(y1) * math.sqrt(y2))
+    p = 2.0 * math.sqrt(y1) * math.sqrt(y2)
+    if p < _TINY and abs(dw) < 2.0 ** 400:  # subnormal: take the points 2^600 times as far out
+        dw, y1, y2 = _SCALE * dw, _SCALE * y1, _SCALE * y2
+        p = 2.0 * math.sqrt(y1) * math.sqrt(y2)
+    x = abs(dw) / p
     if x < math.inf:
         return HALF * 2.0 * math.asinh(x)
     return HALF * 2.0 * _asinh_quotient(0.5 * abs(dw), y1, y2)
@@ -116,12 +125,18 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
     the numerator being cosh(a1-a2) - cos(b1-b2) without its cancellation.
     Where a1 - a2 overflows, or sin b1 sin b2 underflows to 0, or q
     overflows, the logs of the factors are taken apart: sqrt(q/2) is
-    |sinh((dz pi/h)/2)| / sqrt(sin b1 sin b2).
+    |sinh((dz pi/h)/2)| / sqrt(sin b1 sin b2). Where pi Im z overflows, or
+    a factor falls below the normal range, _strip_extended takes over.
     """
     da = math.pi * dz.real / h
     db = math.pi * dz.imag / h  # not b1 - b2, which rounds both
-    s1, s2 = math.sin(math.pi * y1 / h), math.sin(math.pi * y2 / h)
+    py1, py2 = math.pi * y1, math.pi * y2
+    if not (_TINY <= min(py1, py2) and max(py1, py2) < math.inf):
+        return _strip_extended(dz, y1, y2, h)
+    s1, s2 = math.sin(py1 / h), math.sin(py2 / h)
     sb = s1 * s2
+    if min(s1, s2) < _TINY or 0.0 < sb < _TINY:
+        return _strip_extended(dz, y1, y2, h)
     if abs(da) > 300.0:
         # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
         if sb > 0.0 and abs(da) < math.inf:
@@ -129,10 +144,46 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
         return HALF * math.pi * (abs(dz.real) / h) - HALF * (math.log(s1) + math.log(s2))
     if sb > 0.0:
         q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
+        if q < _TINY:
+            return _strip_extended(dz, y1, y2, h)
         if q < math.inf:
             return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
-    return HALF * 2.0 * _asinh_quotient(math.hypot(math.sinh(0.5 * da), math.sin(0.5 * db)),
-                                        s1, s2)
+    num = math.hypot(math.sinh(0.5 * da), math.sin(0.5 * db))
+    if num < _TINY:
+        return _strip_extended(dz, y1, y2, h)
+    return HALF * 2.0 * _asinh_quotient(num, s1, s2)
+
+
+def _strip_extended(dz: complex, y1: float, y2: float, h: float) -> float:
+    """_strip_value where pi Im z overflows, or a factor of the closed form
+    falls below the normal range: each factor is kept as m 2^e, with the
+    mantissa m from math.frexp and the exponent e apart, and sin u and
+    sinh u are u below |u| ~ 6e-9, where they agree to double precision."""
+    mh, eh = math.frexp(h)
+
+    def factor(f, t: float, shift: int = 0) -> tuple[float, int]:  # f(pi t / h / 2^shift)
+        m, e = math.frexp(t)
+        m, e = math.pi * m / mh, e - eh - shift
+        return math.frexp(f(math.ldexp(m, e))) if e > -30 else (m, e)
+
+    (m1, e1), (m2, e2) = factor(math.sin, y1), factor(math.sin, y2)
+    log_sb = math.log(m1 * m2) + (e1 + e2) * math.log(2.0)
+    da = abs(math.pi * dz.real / h)
+    if da > 300.0:  # as in _strip_value
+        return HALF * (da if da < math.inf else math.pi * (abs(dz.real) / h)) - HALF * log_sb
+    (ma, ea), (mb, eb) = factor(math.sinh, dz.real, 1), factor(math.sin, dz.imag, 1)
+    if not (ma and mb):  # hypot(sinh(da/2), sin(db/2)) as m 2^e
+        mn, en = (abs(ma), ea) if ma else (abs(mb), eb)
+    else:
+        en = max(ea, eb)
+        mn = math.hypot(math.ldexp(ma, ea - en), math.ldexp(mb, eb - en))
+    if not mn:
+        return 0.0
+    e, odd = divmod(e1 + e2, 2)  # sqrt(sin b1 sin b2) = sqrt(m1 m2 2^odd) 2^e
+    mx, ex = mn / math.sqrt(m1 * m2 * 2.0 ** odd), en - e
+    if ex > 30:  # asinh x = log 2x to double precision for x > 1e8
+        return HALF * 2.0 * (math.log(2.0 * mx) + ex * math.log(2.0))
+    return HALF * 2.0 * math.asinh(math.ldexp(mx, ex))
 
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:

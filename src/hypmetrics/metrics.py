@@ -164,12 +164,25 @@ def half_plane_metric() -> MetricDensity:
 
 def strip_metric(h: float) -> MetricDensity:
     dom = DomainModel.strip(h)
+    if math.pi * h < math.inf:
+        def sin_b(z):
+            return np.sin(np.pi * np.imag(z) / h)
+    else:  # pi Im z can overflow: Im z and h enter scaled by 1/4, which is exact
+        def sin_b(z):
+            return np.sin(np.pi * (0.25 * np.imag(z)) / (0.25 * h))
 
-    def ev(z):
-        return np.pi / (2.0 * h * np.sin(np.pi * np.imag(z) / h))
+    if 2.0 * h < math.inf:
+        def ev(z):
+            return np.pi / (2.0 * h * sin_b(z))
 
-    def logev(z):
-        return np.log(np.pi) - np.log(2.0 * h) - np.log(np.sin(np.pi * np.imag(z) / h))
+        def logev(z):
+            return np.log(np.pi) - np.log(2.0 * h) - np.log(sin_b(z))
+    else:  # 2h overflows: halve pi instead; lambda >= pi / 2h is then within ~1e-308 of 0
+        def ev(z):
+            return 0.5 * np.pi / (h * sin_b(z))
+
+        def logev(z):
+            return np.log(ev(z))
 
     return MetricDensity(dom, ev, f"strip:{h}", logev)
 

@@ -83,7 +83,10 @@ def _exact_distance(domain: str, z1: complex, z2: complex):
 
 # |w1 - w2|, its quotient by the heights, a1 - a2 or sin b1 sin b2 of the
 # strip's formula leave the double range here: these distances printed inf, or
-# raised ZeroDivisionError or ValueError
+# raised ZeroDivisionError or ValueError. From ("strip:1.5e308", ...) on, pi Im z
+# overflows, or a product of heights or q falls below the normal range: these
+# raised ValueError or ZeroDivisionError, read a silent 0, or were 1.1e-15 to
+# 1.5e-4 off
 @pytest.mark.parametrize("domain,z1,z2", [
     ("halfplane", 1j, 1e308 + 1e-308j),
     ("halfplane", 5e-324j, 1e10 + 5e-324j),
@@ -99,6 +102,14 @@ def _exact_distance(domain: str, z1: complex, z2: complex):
     ("strip:1", 1e-200j, 1 + 1e-160j),
     ("strip:4", -1e308 + 1j, 1e308 + 1j),
     ("strip:1e308", -1e308 + 5e307j, 1e308 + 5e307j),
+    ("strip:1.5e308", 1e308j, 1 + 1e308j),
+    ("halfplane", 1e-320j, 2e-320j),
+    ("strip:1", 1e-320j, 2e-320j),
+    ("strip:10", 5e-324j, 1 + 5e-324j),
+    ("strip:1", 0.5j, 1e-170 + 0.5j),
+    ("strip:1", 1e-155j, 2e-155j),
+    ("halfplane", 1e-317j, 6e-306j),
+    ("strip:1e183", 4e-132j, 1.7e-16j),
 ])
 def test_distances_at_extreme_coordinates(domain, z1, z2):
     got = domain_distance(parse_domain(domain), z1, z2).value

