@@ -14,6 +14,12 @@ Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage or
 parse error. Output is deterministic: floats are serialized with their
 shortest round-trip representation and all sampling is seeded.
 
+The three tables (`density`, `liouville solve`, `rigidity sample`) go through
+one writer, as CSV or, under `--output json`, as {..., "points": [{column:
+value}, ...]}. It formats and writes BLOCK_ROWS rows at a time from the
+column arrays, so a table's memory is its arrays and one block of text, and
+it starts only once every value is computed, so an error leaves stdout empty.
+
 Each handler imports the modules it calls, so a command loads only what it
 runs: `verify` loads no oracle, liouville or rigidity module, the other
 commands load no suite, and only `distance --oracle-grid` loads the oracle.
@@ -26,6 +32,8 @@ import math
 import sys
 
 from .errors import HypMetricsError, ParseError, UnknownSuite
+
+BLOCK_ROWS = 512  # table rows formatted and written at a time
 
 
 def _parse_complex(text: str) -> complex:
@@ -62,6 +70,33 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _write_table(output: str, names: str, columns, meta: dict) -> None:
+    """Write equal-length 1-d float arrays as a table with the comma-separated
+    column `names`, BLOCK_ROWS rows per write: CSV (a header, then one line of
+    shortest round-trip floats per row), or the bytes of json.dumps({**meta,
+    "points": [{name: value, ...}, ...]}, indent=2)."""
+    write, n = sys.stdout.write, len(columns[0])
+    if output == "json":
+        head, tail = json.dumps({**meta, "points": []}, indent=2).rsplit("[]", 1)
+        write(head + "[")
+        row = (",\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in names.split(","))
+               + "\n    }")
+        fmt = _json_float
+    else:
+        write(names + "\n")
+        row, fmt = ",".join(["%s"] * len(columns)) + "\n", repr
+    for start in range(0, n, BLOCK_ROWS):
+        cells = zip(*(map(fmt, c[start:start + BLOCK_ROWS].tolist()) for c in columns))
+        text = "".join(row % r for r in cells)
+        write(text[1:] if output == "json" and not start else text)  # no comma before row 0
+    if output == "json":
+        write(("\n  ]" if n else "]") + tail + "\n")
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 def _cmd_density(args) -> int:
@@ -88,14 +123,8 @@ def _cmd_density(args) -> int:
             pts = cartesian_grid(args.grid_n, args.half_width)
         pts = pts[metric.domain.contains(pts)]
     columns = (np.real(pts), np.imag(pts), density_at(metric, pts), log_density_at(metric, pts))
-    rows = list(zip(*(np.atleast_1d(c).tolist() for c in columns)))
-    if args.output == "json":
-        _emit(json.dumps({"metric": metric.label,
-                          "points": [{"re": r, "im": i, "lambda": l, "log_lambda": g}
-                                     for r, i, l, g in rows]}, indent=2))
-    else:
-        _emit("\n".join(["re,im,lambda,log_lambda"]
-                        + [",".join(map(repr, row)) for row in rows]))
+    _write_table(args.output, "re,im,lambda,log_lambda", [np.atleast_1d(c) for c in columns],
+                 {"metric": metric.label})
     return 0
 
 
@@ -185,6 +214,8 @@ def _estimate_json(est, classification=None) -> str:
 
 
 def _cmd_rigidity(args) -> int:
+    import numpy as np
+
     from .distances import dist_punctured_disk
     from .rigidity import Setting, build_sample, classify_sample, decay_exponent_fit
     from .specparse import parse_float, parse_metric
@@ -212,9 +243,10 @@ def _cmd_rigidity(args) -> int:
     sample = build_sample(metric, reference,
                           [complex(10.0 ** (-k), 0.0) for k in range(args.kmin, args.kmax + 1)],
                           q, lambda z, q: dist_punctured_disk(z, q).value)
-    _emit("\n".join(["re,im,ratio,distance"]
-                    + [",".join(map(repr, (z.real, z.imag, ratio, d)))
-                       for z, ratio, d in zip(sample.points, sample.ratios, sample.distances)]))
+    pts = np.asarray(sample.points)
+    _write_table(args.output, "re,im,ratio,distance",
+                 (pts.real, pts.imag, np.asarray(sample.ratios), np.asarray(sample.distances)),
+                 {"metric": metric.label, "reference": reference.label})
     return 0
 
 
@@ -223,10 +255,11 @@ def _cmd_liouville(args) -> int:
 
     if args.action == "solve":
         profile = integrate_radial(args.w0, args.dw0, args.t0, args.t1, args.steps)
-        columns = (profile.t_grid, profile.w_values, profile.lambda_values(),
-                   profile.first_integral())
-        rows = zip(*(map(repr, c.tolist()) for c in columns))
-        _emit("\n".join(["t,w,lambda,E"] + [",".join(row) for row in rows]))
+        _write_table(args.output, "t,w,lambda,E",
+                     (profile.t_grid, profile.w_values, profile.lambda_values(),
+                      profile.first_integral()),
+                     {"w0": args.w0, "dw0": args.dw0, "t0": args.t0, "t1": args.t1,
+                      "steps": args.steps})
         return 0
     # classify; each family reads only its own parameters
     profile = closed_form_family(args.family, R=args.R, alpha=args.alpha, c=args.c)

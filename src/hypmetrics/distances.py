@@ -113,9 +113,10 @@ def dist_halfplane(w1, w2) -> DistanceResult:
     return DistanceResult(value, DistanceMethod.CLOSED_FORM)
 
 
-def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
-    """Distance between points at heights y1, y2 that differ by dz, in the
-    strip {0 < Im z < h}, via the exponential map to H.
+def _strip_value(dz: complex, y1: float, y2: float, h: float, half: bool = False) -> float:
+    """Distance between points at heights y1, y2 that differ by dz (by 2 dz
+    with half, where their difference overflows), in the strip
+    {0 < Im z < h}, via the exponential map to H.
 
     Written in terms of differences so that widely separated lifts do not
     overflow: with a = pi Re z / h, b = pi Im z / h,
@@ -128,33 +129,34 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float) -> float:
     |sinh((dz pi/h)/2)| / sqrt(sin b1 sin b2). Where pi Im z overflows, or
     a factor falls below the normal range, _strip_extended takes over.
     """
-    da = math.pi * dz.real / h
-    db = math.pi * dz.imag / h  # not b1 - b2, which rounds both
+    scale = 2.0 if half else 1.0
+    da = scale * (math.pi * dz.real / h)
+    db = scale * (math.pi * dz.imag / h)  # not b1 - b2, which rounds both
     py1, py2 = math.pi * y1, math.pi * y2
     if not (_TINY <= min(py1, py2) and max(py1, py2) < math.inf):
-        return _strip_extended(dz, y1, y2, h)
+        return _strip_extended(dz, y1, y2, h, half)
     s1, s2 = math.sin(py1 / h), math.sin(py2 / h)
     sb = s1 * s2
     if min(s1, s2) < _TINY or 0.0 < sb < _TINY:
-        return _strip_extended(dz, y1, y2, h)
+        return _strip_extended(dz, y1, y2, h, half)
     if abs(da) > 300.0:
         # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
         if sb > 0.0 and abs(da) < math.inf:
             return HALF * (abs(da) - math.log(sb))
-        return HALF * math.pi * (abs(dz.real) / h) - HALF * (math.log(s1) + math.log(s2))
+        return HALF * scale * math.pi * (abs(dz.real) / h) - HALF * (math.log(s1) + math.log(s2))
     if sb > 0.0:
         q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
         if q < _TINY:
-            return _strip_extended(dz, y1, y2, h)
+            return _strip_extended(dz, y1, y2, h, half)
         if q < math.inf:
             return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
     num = math.hypot(math.sinh(0.5 * da), math.sin(0.5 * db))
     if num < _TINY:
-        return _strip_extended(dz, y1, y2, h)
+        return _strip_extended(dz, y1, y2, h, half)
     return HALF * 2.0 * _asinh_quotient(num, s1, s2)
 
 
-def _strip_extended(dz: complex, y1: float, y2: float, h: float) -> float:
+def _strip_extended(dz: complex, y1: float, y2: float, h: float, half: bool) -> float:
     """_strip_value where pi Im z overflows, or a factor of the closed form
     falls below the normal range: each factor is kept as m 2^e, with the
     mantissa m from math.frexp and the exponent e apart, and sin u and
@@ -168,10 +170,12 @@ def _strip_extended(dz: complex, y1: float, y2: float, h: float) -> float:
 
     (m1, e1), (m2, e2) = factor(math.sin, y1), factor(math.sin, y2)
     log_sb = math.log(m1 * m2) + (e1 + e2) * math.log(2.0)
-    da = abs(math.pi * dz.real / h)
+    scale = 2.0 if half else 1.0
+    da = scale * abs(math.pi * dz.real / h)
     if da > 300.0:  # as in _strip_value
-        return HALF * (da if da < math.inf else math.pi * (abs(dz.real) / h)) - HALF * log_sb
-    (ma, ea), (mb, eb) = factor(math.sinh, dz.real, 1), factor(math.sin, dz.imag, 1)
+        far = HALF * da if da < math.inf else HALF * scale * math.pi * (abs(dz.real) / h)
+        return far - HALF * log_sb
+    (ma, ea), (mb, eb) = factor(math.sinh, dz.real, 1 - half), factor(math.sin, dz.imag, 1 - half)
     if not (ma and mb):  # hypot(sinh(da/2), sin(db/2)) as m 2^e
         mn, en = (abs(ma), ea) if ma else (abs(mb), eb)
     else:
@@ -191,10 +195,10 @@ def dist_strip(z1, z2, h: float) -> DistanceResult:
     it is past the double range."""
     dom = DomainModel.strip(h)
     z1, z2 = dom.check(z1), dom.check(z2)
-    w1, w2, height = z1, z2, h
-    if cmath.isinf(z1 - z2):  # Re(z1 - z2) overflows: z -> z/2 maps onto the strip of height h/2
-        w1, w2, height = 0.5 * z1, 0.5 * z2, 0.5 * h
-    value = _strip_value(w1 - w2, w1.imag, w2.imag, height)
+    if cmath.isinf(z1 - z2):  # Re(z1 - z2) overflows: take half of it, and keep the heights
+        value = _strip_value(0.5 * z1 - 0.5 * z2, z1.imag, z2.imag, h, half=True)
+    else:
+        value = _strip_value(z1 - z2, z1.imag, z2.imag, h)
     if value == math.inf:
         raise NumericOverflow(f"distance from z={z1} to z={z2} in {dom.label()} "
                               "is not finite in double precision")

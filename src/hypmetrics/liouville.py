@@ -92,11 +92,11 @@ def integrate_radial(w0: float, dw0: float, t0: float, t1: float,
             f"initial data must be finite, got w0={w0}, dw0={dw0}, t0={t0}, t1={t1}")
     if t0 == t1:
         raise BadParameter("t0 and t1 must differ")
+    from array import array
+
     h = (t1 - t0) / steps
-    ts = [t0]
-    ws = [float(w0)]
-    dws = [float(dw0)]
     w, dw = float(w0), float(dw0)
+    ts, ws, dws = array("d", [t0]), array("d", [w]), array("d", [dw])  # 8 bytes a value
     for i in range(steps):
         k1w, k1d = dw, radial_rhs(w)
         k2w, k2d = dw + 0.5 * h * k1d, radial_rhs(w + 0.5 * h * k1w)
@@ -109,9 +109,7 @@ def integrate_radial(w0: float, dw0: float, t0: float, t1: float,
         ts.append(t0 + (i + 1) * h)
         ws.append(w)
         dws.append(dw)
-    t = np.asarray(ts)
-    w_arr = np.asarray(ws)
-    dw_arr = np.asarray(dws)
+    t, w_arr, dw_arr = (np.frombuffer(a) for a in (ts, ws, dws))  # views, no copy
     if t[0] > t[-1]:  # keep t_grid strictly increasing
         t, w_arr, dw_arr = t[::-1], w_arr[::-1], dw_arr[::-1]
     return RadialProfile(t, w_arr, "integrated", dw_arr)

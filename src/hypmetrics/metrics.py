@@ -165,26 +165,40 @@ def half_plane_metric() -> MetricDensity:
 def strip_metric(h: float) -> MetricDensity:
     dom = DomainModel.strip(h)
     if math.pi * h < math.inf:
-        def sin_b(z):
-            return np.sin(np.pi * np.imag(z) / h)
+        def arg(z):  # b = pi Im z / h
+            return np.pi * np.imag(z) / h
     else:  # pi Im z can overflow: Im z and h enter scaled by 1/4, which is exact
-        def sin_b(z):
-            return np.sin(np.pi * (0.25 * np.imag(z)) / (0.25 * h))
+        def arg(z):
+            return np.pi * (0.25 * np.imag(z)) / (0.25 * h)
 
     if 2.0 * h < math.inf:
-        def ev(z):
-            return np.pi / (2.0 * h * sin_b(z))
+        def ev(sin_b):
+            return np.pi / (2.0 * h * sin_b)
 
-        def logev(z):
-            return np.log(np.pi) - np.log(2.0 * h) - np.log(sin_b(z))
+        def logev(sin_b):
+            return np.log(np.pi) - np.log(2.0 * h) - np.log(sin_b)
     else:  # 2h overflows: halve pi instead; lambda >= pi / 2h is then within ~1e-308 of 0
-        def ev(z):
-            return 0.5 * np.pi / (h * sin_b(z))
+        def ev(sin_b):
+            return 0.5 * np.pi / (h * sin_b)
 
-        def logev(z):
-            return np.log(ev(z))
+        def logev(sin_b):
+            return np.log(ev(sin_b))
 
-    return MetricDensity(dom, ev, f"strip:{h}", logev)
+    edge = half_plane_metric()
+
+    def of_z(f, f_edge):
+        """f(sin b), and where b is below the normal range, where sin b = b and
+        lambda = pi / (2 h b) = 1 / (2 Im z), the half-plane's f_edge(z)."""
+        def value(z):
+            b = arg(z)
+            below = b < np.finfo(float).tiny
+            if not np.any(below):
+                return f(np.sin(b))
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.where(below, f_edge(z), f(np.sin(b)))
+        return value
+
+    return MetricDensity(dom, of_z(ev, edge.eval), f"strip:{h}", of_z(logev, edge.log_eval))
 
 
 # --- pullback -------------------------------------------------------------

@@ -121,7 +121,8 @@ def decay_exponent_fit(sample: BoundarySequenceSample,
     regressor="log_radius" fits against log(1/|z_n|) (the Euclidean/conical
     form, model 1 - ratio ~ c |z_n|^beta). Exact-equality points are removed
     and counted; an all-equality sample raises DegenerateSample, which
-    certifies rigidity through the interior equality case.
+    certifies rigidity through the interior equality case, and so does a
+    sample whose decay variable takes one value, which fixes no slope.
     """
     if regressor not in ("distance", "log_radius"):
         raise BadParameter(f"unknown regressor {regressor!r}")
@@ -139,7 +140,11 @@ def decay_exponent_fit(sample: BoundarySequenceSample,
     y = np.log(1.0 - ratios[keep])
     if x.size < 5:
         raise TooFewPoints(f"fit needs >= 5 usable points, got {x.size}")
-    slope, intercept = np.polyfit(x, y, 1)
+    if x.min() == x.max():
+        raise DegenerateSample(f"fit needs two distinct {regressor} values")
+    dx = x - x.mean()  # centred least squares: no LAPACK call
+    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    intercept = float(y.mean()) - slope * float(x.mean())
     yhat = slope * x + intercept
     ss_res = float(((y - yhat) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())

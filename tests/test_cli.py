@@ -6,11 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypmetrics
-from hypmetrics.cli import main
+from hypmetrics.cli import BLOCK_ROWS, main
+from hypmetrics.distances import dist_punctured_disk
 from hypmetrics.errors import ParseError
+from hypmetrics.liouville import integrate_radial
+from hypmetrics.metrics import density_at, log_density_at
+from hypmetrics.rigidity import build_sample
+from hypmetrics.sampling import cartesian_grid, polar_grid
 from hypmetrics.specparse import parse_domain, parse_map, parse_metric
 from hypmetrics.suites import SUITES, SuiteConfig, run_suite, suite_names
 
@@ -277,6 +283,91 @@ def test_json_output_matches_the_csv_rows(capsys, argv):
         numbers = payload["points"][0] if argv[0] == "density" else payload
         assert [float(v) for v in row] == [numbers[k] for k in header]
         assert payload["metric"] == ("strip:1.0" if argv[0] == "density" else "annulus:0.5")
+
+
+# --- tables --------------------------------------------------------------------
+
+README_SOLVE = ["liouville", "solve", "--w0", "-0.6931471805599453", "--dw0", "1",
+                "--t0", "-1", "--t1", "-5"]
+
+
+def _whole_table(header, columns, meta, output) -> str:
+    """A table built whole, as one string, from its columns."""
+    rows = list(zip(*(np.atleast_1d(c).tolist() for c in columns)))
+    if output == "json":
+        points = [dict(zip(header.split(","), row)) for row in rows]
+        return json.dumps({**meta, "points": points}, indent=2) + "\n"
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+def _density_table(spec, pts):
+    metric = parse_metric(spec)
+    pts = pts[metric.domain.contains(pts)] if isinstance(pts, np.ndarray) else pts
+    return ("re,im,lambda,log_lambda",
+            (np.real(pts), np.imag(pts), density_at(metric, pts), log_density_at(metric, pts)),
+            {"metric": metric.label})
+
+
+def _solve_table(steps):
+    profile = integrate_radial(-math.log(2.0), 1.0, -1.0, -5.0, steps)
+    return ("t,w,lambda,E",
+            (profile.t_grid, profile.w_values, profile.lambda_values(), profile.first_integral()),
+            {"w0": -math.log(2.0), "dw0": 1.0, "t0": -1.0, "t1": -5.0, "steps": steps})
+
+
+def _sample_table():
+    sample = build_sample(parse_metric("pull:example1:pdisk"), parse_metric("pdisk"),
+                          [complex(10.0 ** -k, 0.0) for k in range(2, 9)], 0.5,
+                          lambda z, q: dist_punctured_disk(z, q).value)
+    pts = np.asarray(sample.points)
+    return ("re,im,ratio,distance", (pts.real, pts.imag, sample.ratios, sample.distances),
+            {"metric": "pull:example1:pdisk", "reference": "pdisk"})
+
+
+# a single point, an empty grid, a table of two whole blocks and one of a part block:
+# name -> (argv, its table from the library, rows)
+TABLES = {
+    "density-point": (["density", "--domain", "conical:0.5", "--z", "0.25,0"],
+                      lambda: _density_table("conical:0.5", 0.25 + 0j), 1),
+    "density-empty-grid": (["density", "--domain", "disk", "--grid", "polar", "--grid-n", "1",
+                            "--rmin", "2", "--rmax", "3"],
+                           lambda: _density_table("disk", polar_grid(1, 2.0, 3.0)), 0),
+    "density-grid": (["density", "--domain", "disk", "--grid-n", "32", "--half-width", "0.7"],
+                     lambda: _density_table("disk", cartesian_grid(32, 0.7)), 1024),
+    "solve-two-blocks": ([*README_SOLVE, "--steps", str(2 * BLOCK_ROWS - 1)],
+                         lambda: _solve_table(2 * BLOCK_ROWS - 1), 2 * BLOCK_ROWS),
+    "solve-1234": ([*README_SOLVE, "--steps", "1234"], lambda: _solve_table(1234), 1235),
+    "sample": (["rigidity", "sample", "--metric", "pull:example1:pdisk", "--reference", "pdisk",
+                "--q", "0.5,0"], _sample_table, 7),
+}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("name", TABLES)
+def test_table_is_its_whole_string_form(capsys, name, output):
+    argv, table, rows = TABLES[name]
+    code, out, err = run(capsys, "--output", output, *argv)
+    assert (code, err) == (0, "")
+    assert out == _whole_table(*table(), output)
+    assert len(json.loads(out)["points"] if output == "json" else out.splitlines()[1:]) == rows
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_a_table_is_written_a_block_at_a_time(monkeypatch, output):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["--output", output, *README_SOLVE, "--steps", "20000"]) == 0
+    monkeypatch.undo()
+    rows_per_write = [w.count("\n") if output == "csv" else w.count("{") for w in writes]
+    assert max(rows_per_write) == BLOCK_ROWS
+    assert len(writes) == 1 + math.ceil(20001 / BLOCK_ROWS) + (output == "json")
+    assert "".join(writes) == _whole_table(*_solve_table(20000), output)
 
 
 def test_spec_grammar():

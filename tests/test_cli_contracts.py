@@ -5,16 +5,17 @@ A row is (id, argv, exit code, message):
   nothing on stdout;
 - a success row (exit 0, message None) runs with `--output csv` and with
   `--output json`; each exits 0 with nothing on stderr, and the JSON run
-  prints no `Infinity` and no `NaN`.
+  prints one JSON value, with no `Infinity` and no `NaN`.
 
 Warnings are errors in every test (pyproject.toml), so a command that warns
 fails its row. `{dir}` in an argv or a message is a directory holding
-good.csv, bad.csv and sample.csv, the last written by SAMPLE_ARGV, the
-README's `rigidity sample`. A new command, or a new input the CLI must
-refuse, is added here as a row.
+good.csv, bad.csv, one_distance.csv and sample.csv, the last written by
+SAMPLE_ARGV, the README's `rigidity sample`. A new command, or a new input
+the CLI must refuse, is added here as a row.
 """
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -102,6 +103,16 @@ ROWS = [
     ("density-halfplane-huge-height", "density --domain halfplane --z 0,1e308", 0, None),
     ("density-strip-2h-overflows", "density --domain strip:1e308 --z 0,1", 0, None),
     ("density-strip-pi-im-z-overflows", "density --domain strip:1.5e308 --z 0,1e308", 0, None),
+    # pi Im z / h below the normal range: its sine was 0 and lambda NumericOverflow
+    ("density-strip-sine-underflows", "density --domain strip:1e308 --z 0,1e-307", 0, None),
+    ("density-strip-sine-underflows-1e-300", "density --domain strip:1e308 --z 0,1e-300", 0,
+     None),
+    # Re(z1 - z2) overflows at subnormal heights: halving the points took the
+    # heights to 0, and the log of a zero sine raised ValueError
+    ("strip-10-far-subnormal-heights",
+     "distance --domain strip:10 --z1=-1e308,5e-324 --z2 1e308,5e-324", 0, None),
+    ("strip-1e10-far-subnormal-heights",
+     "distance --domain strip:1e10 --z1=-1e308,5e-324 --z2 1e308,5e-324", 0, None),
     # --- typed errors --------------------------------------------------------------
     # stencils lost to rounding (a point equal to its centre, or h^2 = 0) and a
     # curvature whose lambda^2 overflows printed nan or -0.0 with exit 0, or nan
@@ -166,6 +177,14 @@ ROWS = [
     ("strip-distance-overflow", "distance --domain strip:1e-300 --z1 0,5e-301 --z2 1e10,5e-301", 1,
      "distance from z=5e-301j to z=(10000000000+5e-301j) in strip:1e-300 is not finite "
      "in double precision"),
+    # 3.14e308; it raised an untyped ValueError
+    ("strip-1-far-subnormal-heights",
+     "distance --domain strip:1 --z1=-1e308,5e-324 --z2 1e308,5e-324", 1,
+     "distance from z=(-1e+308+5e-324j) to z=(1e+308+5e-324j) in strip:1.0 is not finite "
+     "in double precision"),
+    # a slope needs two distances: np.polyfit warned and printed r2 = 0.0 with exit 0
+    ("fit-one-distance", "rigidity fit --input {dir}/one_distance.csv", 1,
+     "fit needs two distinct distance values"),
     ("curvature-nan-stencil", "curvature --metric disk --z 0.3,0 --h nan", 1,
      "stencil size must be positive, got h=nan"),
     # heights 1e-9 and 1 across 1e6: the solve stalls under heavy damping
@@ -277,6 +296,8 @@ def files(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("cli")
     (path / "good.csv").write_text("re,im,ratio,distance\n0.1,0,0.5,1.0\n")
     (path / "bad.csv").write_text("re,im,ratio,distance\n0.1,0,abc,1.0\n")
+    (path / "one_distance.csv").write_text(
+        "re,im,ratio,distance\n" + "".join(f"0.1,0,0.{k},1.0\n" for k in range(5, 10)))
     sample = io.StringIO()
     with contextlib.redirect_stdout(sample):
         assert main(SAMPLE_ARGV.split()) == 0
@@ -302,6 +323,7 @@ def test_cli_contract(capsys, files, argv, code, message):
         out = capsys.readouterr()
         assert out.err == ""
     assert "Infinity" not in out.out and "NaN" not in out.out
+    json.loads(out.out)
 
 
 def test_readme_cli_block_is_in_the_table():

@@ -52,6 +52,30 @@ def test_fourth_order_convergence():
     assert e1 / e2 >= 15.0
 
 
+# the pdisk profile w = -log(-2t) from t = -1 down to -5, and back up
+@pytest.mark.parametrize("w0, dw0, t0, t1", [(-math.log(2.0), 1.0, -1.0, -5.0),
+                                             (-math.log(10.0), 0.2, -5.0, -1.0)])
+def test_integrate_radial_matches_a_list_based_loop(w0, dw0, t0, t1):
+    # the same RK4 steps, kept in Python lists and converted at the end
+    steps = 1000
+    h = (t1 - t0) / steps
+    ts, ws, dws, w, dw = [t0], [w0], [dw0], w0, dw0
+    for i in range(steps):
+        k1w, k1d = dw, radial_rhs(w)
+        k2w, k2d = dw + 0.5 * h * k1d, radial_rhs(w + 0.5 * h * k1w)
+        k3w, k3d = dw + 0.5 * h * k2d, radial_rhs(w + 0.5 * h * k2w)
+        k4w, k4d = dw + h * k3d, radial_rhs(w + h * k3w)
+        w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        dw = dw + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        ts.append(t0 + (i + 1) * h)
+        ws.append(w)
+        dws.append(dw)
+    order = slice(None, None, -1 if t0 > t1 else 1)
+    prof = integrate_radial(w0, dw0, t0, t1, steps)
+    for got, want in zip((prof.t_grid, prof.w_values, prof.dw_values), (ts, ws, dws)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(want)[order])
+
 def test_blow_up_policies():
     # large initial slope toward increasing w blows up quickly
     with pytest.raises(NumericOverflow):

@@ -139,21 +139,27 @@ def test_half_plane_density_where_twice_the_height_overflows():
     assert np.array_equal(log_density_at(m, 1j * y), -np.log(2.0 * y))
 
 
-@pytest.mark.parametrize("h, y", [(1e308, 1.0), (1.5e308, 1e308)],
-                         ids=["2h-overflows", "pi-im-z-overflows"])
+@pytest.mark.parametrize("h, y", [(1e308, 1.0), (1.5e308, 1e308), (1e308, 1e-307),
+                                  (1e308, 1e-300), (1.0, 5e-309)],
+                         ids=["2h-overflows", "pi-im-z-overflows", "sine-underflows-1e-307",
+                              "sine-underflows-1e-300", "sine-subnormal"])
 def test_strip_density_at_extreme_heights(h, y):
     # 2h overflowed for strip:1e308 (lambda read 0.0, log lambda -inf), and
-    # pi Im z for strip:1.5e308 (NumericOverflow where lambda is 1.2e-308)
+    # pi Im z for strip:1.5e308 (NumericOverflow where lambda is 1.2e-308);
+    # pi Im z / h below the normal range lost digits in its sine, or underflowed
+    # to 0 (NumericOverflow where lambda is 5e306)
     m = strip_metric(h)
     with mp.workdps(60):
         lam = mp.pi / (2 * mp.mpf(h) * mp.sin(mp.pi * mp.mpf(y) / mp.mpf(h)))
         assert density_at(m, 1j * y) == pytest.approx(float(lam), rel=1e-15, abs=0.0)
         assert log_density_at(m, 1j * y) == pytest.approx(float(mp.log(lam)), rel=1e-15)
-    # elsewhere the bits of pi / (2h sin(pi Im z / h)), wherever pi Im z is finite
+    # elsewhere the bits of pi / (2h sin(pi Im z / h)), wherever pi Im z is finite and
+    # pi Im z / h normal, and below that, where sin b = b, of 1 / (2 Im z)
     h = 8e307
     y = np.geomspace(1e-10, 5e307, 1001)
-    assert np.array_equal(density_at(strip_metric(h), 1j * y),
-                          np.pi / (2.0 * h * np.sin(np.pi * y / h)))
+    b = np.pi * y / h
+    want = np.where(b >= np.finfo(float).tiny, np.pi / (2.0 * h * np.sin(b)), 0.5 / y)
+    assert np.array_equal(density_at(strip_metric(h), 1j * y), want)
 
 
 def test_domain_errors():

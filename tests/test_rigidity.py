@@ -11,10 +11,9 @@ from hypmetrics.errors import (BadParameter, DegenerateSample, OutsideDomain, To
 from hypmetrics.maps import example1_map
 from hypmetrics.metrics import (conical_metric, pullback, punctured_disk_metric,
                                 punctured_disk_metric_r)
-from hypmetrics.rigidity import (BoundarySequenceSample, Classification, Setting,
-                                 build_sample, classify_boundary_condition,
-                                 classify_sample, decay_exponent_fit,
-                                 dichotomy_report)
+from hypmetrics.rigidity import (RATIO_EQUALITY_TOL, BoundarySequenceSample, Classification,
+                                 Setting, build_sample, classify_boundary_condition,
+                                 classify_sample, decay_exponent_fit, dichotomy_report)
 
 
 def _synthetic(beta, c=0.5, d=None, n=10):
@@ -77,10 +76,52 @@ def test_degenerate_sample():
         decay_exponent_fit(s)
 
 
+def test_a_sample_at_one_distance_is_degenerate():
+    # the ratios differ, the distances do not: there is no slope to fit
+    s = BoundarySequenceSample(tuple([0.1 + 0j] * 5), (0.5, 0.6, 0.7, 0.8, 0.9),
+                               tuple([1.0] * 5))
+    with pytest.raises(DegenerateSample, match="^fit needs two distinct distance values$"):
+        decay_exponent_fit(s)
+
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         decay_exponent_fit(_synthetic(2.0, n=4))
 
+
+def _conical_sample(exponent):
+    pts = [complex(10.0 ** (-n), 0.0) for n in range(1, 8)]
+    return BoundarySequenceSample(tuple(pts), tuple(1.0 - 0.4 * abs(z) ** exponent for z in pts),
+                                  tuple(float(n) for n in range(1, 8)))
+
+
+def _readme_sample():
+    pd = punctured_disk_metric()
+    return build_sample(pullback(pd, example1_map(), pd.domain), pd,
+                        [complex(10.0 ** (-n), 0.0) for n in range(2, 9)], 0.5 + 0j,
+                        lambda z, q: dist_punctured_disk(z, q).value)
+
+
+# the README's sample, and the synthetic samples above
+@pytest.mark.parametrize("sample, regressor", [
+    (_readme_sample(), "distance"),
+    (_readme_sample(), "log_radius"),
+    *[(_synthetic(beta), "distance") for beta in (0.5, 1.0, 1.5, 2.0, 3.95, 4.0, 5.0, 6.0)],
+    (_synthetic(3.0, d=np.linspace(1.0, 4.0, 8)), "distance"),
+    (_synthetic(5.0, d=np.linspace(0.5, 2.5, 12)), "distance"),
+    (_synthetic(2.0, d=np.linspace(0.5, 2.5, 10) + 0.37), "distance"),
+    *[(_conical_sample(e), "log_radius") for e in (1.5, 1.45, 1.7)],
+], ids=["readme", "readme-log-radius", *[f"beta-{b}" for b in (0.5, 1, 1.5, 2, 3.95, 4, 5, 6)],
+        "beta-3-eight-points", "beta-5-twelve-points", "beta-2-shifted",
+        *[f"conical-{e}" for e in (1.5, 1.45, 1.7)]])
+def test_fit_agrees_with_polyfit(sample, regressor):
+    est = decay_exponent_fit(sample, regressor=regressor)
+    ratios = np.asarray(sample.ratios)
+    keep = np.abs(ratios - 1.0) > RATIO_EQUALITY_TOL
+    x = (np.asarray(sample.distances) if regressor == "distance"
+         else np.log(1.0 / np.abs(np.asarray(sample.points))))
+    slope, intercept = np.polyfit(x[keep], np.log(1.0 - ratios[keep]), 1)
+    assert est.beta == pytest.approx(-slope, rel=1e-13, abs=0.0)
+    assert est.c == pytest.approx(math.exp(intercept), rel=1e-13, abs=0.0)
 
 def test_example1_puncture_fit():
     pd = punctured_disk_metric()
