@@ -10,17 +10,19 @@ Closed forms:
     half-plane  d(w1,w2) = (1/2) arccosh(1 + |w1-w2|^2/(2 Im w1 Im w2))
 
 arccosh(1 + q) is evaluated as 2 asinh(sqrt(q/2)), exact for small q.
-sqrt(q/2) is formed without squares, so that it neither overflows nor
-underflows: |w1-w2| / (2 sqrt(Im w1) sqrt(Im w2)) in the half-plane, and
-|z1-z2| / sqrt((1-|z1|^2)(1-|z2|^2)) in the disk, where rho would round to
-1 near the edge. Only where a difference or that quotient still leaves the
-double range (points ~1e308 apart, or heights near 5e-324) is asinh x taken
-as log 2x from the logs of the factors, so a value that the plain form
-gives finite keeps its bits. A strip distance past the double range raises
-NumericOverflow. Where a product or a quotient falls below the normal range
-(heights near 5e-324, or nearly coincident strip points), the half-plane
-value is taken at 2^600 times the points, and the strip value from the
-factors' exponents apart (_strip_extended).
+sqrt(q/2) is formed without squares: |w1-w2| / (2 sqrt(Im w1) sqrt(Im w2))
+in the half-plane, and |z1-z2| / sqrt((1-|z1|^2)(1-|z2|^2)) in the disk,
+where rho would round to 1 near the edge.
+
+The half-plane and strip forms carry each factor as a pair (m, e) with
+x = m 2^e, m from math.frexp, so that no product, quotient, square root or
+sum of squares leaves the double range: each step is the plain step on the
+mantissas, with the exponents added apart. Scaling by 2^e is exact, so a
+value whose plain arithmetic stays in the normal range keeps its bits; the
+squares are taken of plain values wherever they are normal, since x**2 is
+not scale-invariant. Past the double range asinh x is log 2x, and a strip
+distance past it raises NumericOverflow. Where Re(z1 - z2) overflows, half
+of it is carried, with an exponent shift of 1.
 
 The punctured disk and annulus are handled by lifting through the covering
 zeta -> e^(i zeta): the punctured disk lifts to the upper half-plane
@@ -50,8 +52,8 @@ from .domains import DomainModel
 from .errors import NumericOverflow
 
 HALF = 0.5  # curvature -4 normalization: half of the curvature -1 distance
-_TINY = 2.0 ** -1022  # the least normal double
-_SCALE = 2.0 ** 600  # an exact scale, with the exact square root 2^300
+_LN2 = math.log(2.0)
+_SMALL = -510  # below 2^-510, sin u = sinh u = u, and a product of two leaves the normal range
 SWEEP_N = 720  # angles of the circle sweep in circle_max, before refinement
 
 _DISK = DomainModel.disk()
@@ -81,42 +83,59 @@ def dist_disk(z1, z2) -> DistanceResult:
                           DistanceMethod.CLOSED_FORM)
 
 
-def _asinh_quotient(num: float, s1: float, s2: float) -> float:
-    """asinh(num / (sqrt(s1) sqrt(s2))) for num >= 0 and s1, s2 > 0; past the
-    double range the quotient x is kept as logs, where asinh x = log 2x."""
-    x = num / (math.sqrt(s1) * math.sqrt(s2))
-    if x < math.inf:
-        return math.asinh(x)
-    return math.log(2.0) + math.log(num) - 0.5 * (math.log(s1) + math.log(s2))
+def _split(x: float, e: int = 0) -> tuple[float, int]:
+    """x 2^e as (m, e) with 1/2 <= |m| < 1, or m = 0."""
+    m, ex = math.frexp(x)
+    return m, ex + e
 
 
-def _halfplane_value(dw: complex, y1: float, y2: float) -> float:
-    """Distance between half-plane points at heights y1, y2 that differ by dw."""
-    p = 2.0 * math.sqrt(y1) * math.sqrt(y2)
-    if p < _TINY and abs(dw) < 2.0 ** 400:  # subnormal: take the points 2^600 times as far out
-        dw, y1, y2 = _SCALE * dw, _SCALE * y1, _SCALE * y2
-        p = 2.0 * math.sqrt(y1) * math.sqrt(y2)
-    x = abs(dw) / p
-    if x < math.inf:
-        return HALF * 2.0 * math.asinh(x)
-    return HALF * 2.0 * _asinh_quotient(0.5 * abs(dw), y1, y2)
+def _sqrt(m: float, e: int) -> tuple[float, int]:
+    """sqrt(m 2^e), an even exponent taken out first, so that it rounds as sqrt."""
+    return math.sqrt(math.ldexp(m, e & 1)), e >> 1
+
+
+def _asinh(m: float, e: int) -> float:
+    """asinh(m 2^e) for m >= 0; past the double range, where asinh x = log 2x,
+    from the log of each part."""
+    m, ex = math.frexp(m)
+    e += ex
+    if e <= 1024 or not m:
+        return math.asinh(math.ldexp(m, e))
+    return math.log(2.0 * m) + e * _LN2
+
+
+def _scaled(z: complex) -> tuple[complex, int]:
+    """z as (c, e) with z = c 2^e, the larger part of c in [1/2, 1)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
+def _gap(z1: complex, z2: complex) -> tuple[complex, int]:
+    """z1 - z2 as (dz, shift) with z1 - z2 = dz 2^shift: where the difference
+    overflows, half of it."""
+    dz = z1 - z2
+    return (0.5 * z1 - 0.5 * z2, 1) if cmath.isinf(dz) else (dz, 0)
+
+
+def _halfplane_value(dw: complex, y1: float, y2: float, shift: int = 0) -> float:
+    """Distance between half-plane points at heights y1, y2 that differ by
+    dw 2^shift."""
+    c, e = _scaled(dw)
+    (s1, e1), (s2, e2) = _sqrt(*math.frexp(y1)), _sqrt(*math.frexp(y2))
+    return HALF * 2.0 * _asinh(abs(c) / (s1 * s2), e + shift - e1 - e2 - 1)
 
 
 def dist_halfplane(w1, w2) -> DistanceResult:
     """Hyperbolic distance in the upper half-plane (density 1/(2 Im w))."""
     w1, w2 = _HALF_PLANE.check(w1), _HALF_PLANE.check(w2)
-    dw = w1 - w2
-    if cmath.isinf(dw):  # |w1 - w2| overflows, and half of it does not
-        value = HALF * 2.0 * _asinh_quotient(abs(0.5 * w1 - 0.5 * w2), w1.imag, w2.imag)
-    else:
-        value = _halfplane_value(dw, w1.imag, w2.imag)
-    return DistanceResult(value, DistanceMethod.CLOSED_FORM)
+    dw, shift = _gap(w1, w2)
+    return DistanceResult(_halfplane_value(dw, w1.imag, w2.imag, shift),
+                          DistanceMethod.CLOSED_FORM)
 
 
-def _strip_value(dz: complex, y1: float, y2: float, h: float, half: bool = False) -> float:
-    """Distance between points at heights y1, y2 that differ by dz (by 2 dz
-    with half, where their difference overflows), in the strip
-    {0 < Im z < h}, via the exponential map to H.
+def _strip_value(dz: complex, y1: float, y2: float, h: float, shift: int = 0) -> float:
+    """Distance between points at heights y1, y2 that differ by dz 2^shift in
+    the strip {0 < Im z < h}, via the exponential map to H.
 
     Written in terms of differences so that widely separated lifts do not
     overflow: with a = pi Re z / h, b = pi Im z / h,
@@ -124,70 +143,28 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float, half: bool = False
         cosh(2d) = 1 + (2 sinh^2((a1-a2)/2) + 2 sin^2((b1-b2)/2)) / (sin b1 sin b2),
 
     the numerator being cosh(a1-a2) - cos(b1-b2) without its cancellation.
-    Where a1 - a2 overflows, or sin b1 sin b2 underflows to 0, or q
-    overflows, the logs of the factors are taken apart: sqrt(q/2) is
-    |sinh((dz pi/h)/2)| / sqrt(sin b1 sin b2). Where pi Im z overflows, or
-    a factor falls below the normal range, _strip_extended takes over.
+    Where |a1 - a2| > 300, cosh(2d) ~ e^|a1-a2| / (2 sin b1 sin b2).
     """
-    scale = 2.0 if half else 1.0
-    da = scale * (math.pi * dz.real / h)
-    db = scale * (math.pi * dz.imag / h)  # not b1 - b2, which rounds both
-    py1, py2 = math.pi * y1, math.pi * y2
-    if not (_TINY <= min(py1, py2) and max(py1, py2) < math.inf):
-        return _strip_extended(dz, y1, y2, h, half)
-    s1, s2 = math.sin(py1 / h), math.sin(py2 / h)
-    sb = s1 * s2
-    if min(s1, s2) < _TINY or 0.0 < sb < _TINY:
-        return _strip_extended(dz, y1, y2, h, half)
-    if abs(da) > 300.0:
-        # cosh(da) ~ e^|da|/2; arccosh(1+x) ~ log(2x) for huge x
-        if sb > 0.0 and abs(da) < math.inf:
-            return HALF * (abs(da) - math.log(sb))
-        return HALF * scale * math.pi * (abs(dz.real) / h) - HALF * (math.log(s1) + math.log(s2))
-    if sb > 0.0:
-        q = 2.0 * (math.sinh(0.5 * da) ** 2 + math.sin(0.5 * db) ** 2) / sb
-        if q < _TINY:
-            return _strip_extended(dz, y1, y2, h, half)
-        if q < math.inf:
-            return HALF * 2.0 * math.asinh(math.sqrt(q / 2.0))
-    num = math.hypot(math.sinh(0.5 * da), math.sin(0.5 * db))
-    if num < _TINY:
-        return _strip_extended(dz, y1, y2, h, half)
-    return HALF * 2.0 * _asinh_quotient(num, s1, s2)
-
-
-def _strip_extended(dz: complex, y1: float, y2: float, h: float, half: bool) -> float:
-    """_strip_value where pi Im z overflows, or a factor of the closed form
-    falls below the normal range: each factor is kept as m 2^e, with the
-    mantissa m from math.frexp and the exponent e apart, and sin u and
-    sinh u are u below |u| ~ 6e-9, where they agree to double precision."""
     mh, eh = math.frexp(h)
 
-    def factor(f, t: float, shift: int = 0) -> tuple[float, int]:  # f(pi t / h / 2^shift)
-        m, e = math.frexp(t)
-        m, e = math.pi * m / mh, e - eh - shift
-        return math.frexp(f(math.ldexp(m, e))) if e > -30 else (m, e)
+    def sine(y: float) -> tuple[float, int]:  # sin(pi y / h)
+        m, e = _split(y, -eh)
+        b = math.pi * m / mh
+        return (math.sin(math.ldexp(b, e)), 0) if e > _SMALL else (b, e)
 
-    (m1, e1), (m2, e2) = factor(math.sin, y1), factor(math.sin, y2)
-    log_sb = math.log(m1 * m2) + (e1 + e2) * math.log(2.0)
-    scale = 2.0 if half else 1.0
-    da = scale * abs(math.pi * dz.real / h)
-    if da > 300.0:  # as in _strip_value
-        far = HALF * da if da < math.inf else HALF * scale * math.pi * (abs(dz.real) / h)
-        return far - HALF * log_sb
-    (ma, ea), (mb, eb) = factor(math.sinh, dz.real, 1 - half), factor(math.sin, dz.imag, 1 - half)
-    if not (ma and mb):  # hypot(sinh(da/2), sin(db/2)) as m 2^e
-        mn, en = (abs(ma), ea) if ma else (abs(mb), eb)
-    else:
-        en = max(ea, eb)
-        mn = math.hypot(math.ldexp(ma, ea - en), math.ldexp(mb, eb - en))
-    if not mn:
-        return 0.0
-    e, odd = divmod(e1 + e2, 2)  # sqrt(sin b1 sin b2) = sqrt(m1 m2 2^odd) 2^e
-    mx, ex = mn / math.sqrt(m1 * m2 * 2.0 ** odd), en - e
-    if ex > 30:  # asinh x = log 2x to double precision for x > 1e8
-        return HALF * 2.0 * (math.log(2.0 * mx) + ex * math.log(2.0))
-    return HALF * 2.0 * math.asinh(math.ldexp(mx, ex))
+    (s1, e1), (s2, e2) = sine(y1), sine(y2)
+    sb, eb = s1 * s2, e1 + e2
+    c, e = _scaled(dz)
+    u, v, k = math.pi * c.real / mh, math.pi * c.imag / mh, e + shift - eh - 1
+    # (a1-a2)/2 and (b1-b2)/2 are u 2^k and v 2^k
+    ma, ea = _split(u, k + 1)  # a1 - a2; from 2^10 on it exceeds 300 whatever ma is
+    if math.ldexp(abs(ma), min(ea, 10)) > 300.0:
+        half_da = math.ldexp(abs(ma), ea - 1) if ea <= 1025 else math.inf
+        return half_da - HALF * (math.log(sb) + eb * _LN2)
+    if k > _SMALL:
+        u, v, k = math.sinh(math.ldexp(u, k)), math.sin(math.ldexp(v, k)), 0
+    (mn, en), (ms, es) = _split(u ** 2 + v ** 2, 2 * k), _split(sb, eb)
+    return HALF * 2.0 * _asinh(*_sqrt(mn / ms, en - es))
 
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:
@@ -195,15 +172,12 @@ def dist_strip(z1, z2, h: float) -> DistanceResult:
     it is past the double range."""
     dom = DomainModel.strip(h)
     z1, z2 = dom.check(z1), dom.check(z2)
-    if cmath.isinf(z1 - z2):  # Re(z1 - z2) overflows: take half of it, and keep the heights
-        value = _strip_value(0.5 * z1 - 0.5 * z2, z1.imag, z2.imag, h, half=True)
-    else:
-        value = _strip_value(z1 - z2, z1.imag, z2.imag, h)
+    dz, shift = _gap(z1, z2)
+    value = _strip_value(dz, z1.imag, z2.imag, h, shift)
     if value == math.inf:
         raise NumericOverflow(f"distance from z={z1} to z={z2} in {dom.label()} "
                               "is not finite in double precision")
     return DistanceResult(value, DistanceMethod.CLOSED_FORM)
-
 
 def _lifts(z1: complex, z2: complex) -> tuple[complex, int, float, float]:
     """The lifts zeta = arg z + i log(1/|z|), arg z in (-pi, pi], of z1 and z2

@@ -40,7 +40,8 @@ class WrongSingularityOrder(HypMetricsError):
 
 class NumericOverflow(HypMetricsError):
     """A value left the range of double precision: a radial solution past
-    the overflow guard (blow-up reached), or a curvature that is not finite."""
+    the overflow guard (blow-up reached), or a density, distance or
+    curvature that is not finite."""
 
 
 class BadParameter(HypMetricsError):

@@ -54,8 +54,15 @@ class RadialProfile:
     dw_func: Optional[Callable] = None
 
     def lambda_values(self) -> np.ndarray:
-        """Density lambda = e^(w - t) on the grid."""
-        return np.exp(self.w_values - self.t_grid)
+        """Density lambda = e^(w - t) on the grid; NumericOverflow where it is
+        past the double range."""
+        with np.errstate(over="ignore"):  # checked below
+            lam = np.exp(self.w_values - self.t_grid)
+        finite = lam < math.inf
+        if not finite.all():
+            raise NumericOverflow(f"density e^(w - t) at t={self.t_grid[~finite][0]} "
+                                  "is not finite in double precision")
+        return lam
 
     def first_integral(self) -> np.ndarray:
         """E = (w')^2 - 4 e^(2w) on the grid."""

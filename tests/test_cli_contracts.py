@@ -113,6 +113,14 @@ ROWS = [
      "distance --domain strip:10 --z1=-1e308,5e-324 --z2 1e308,5e-324", 0, None),
     ("strip-1e10-far-subnormal-heights",
      "distance --domain strip:1e10 --z1=-1e308,5e-324 --z2 1e308,5e-324", 0, None),
+    # |z1 - z2| overflows while both parts are finite: abs() raised OverflowError
+    ("halfplane-modulus-overflows",
+     "distance --domain halfplane --z1 0,1 --z2 1.5e308,1.5e308", 0, None),
+    ("halfplane-modulus-overflows-1e-300",
+     "distance --domain halfplane --z1 0,1e-300 --z2 1.5e308,1.5e308", 0, None),
+    # pi Re(z1 - z2) overflows before the division by h: 1454.06..., 3e-5 off
+    ("strip-pi-gap-overflows",
+     "distance --domain strip:1e308 --z1=-5e307,5e-324 --z2 5e307,5e-324", 0, None),
     # --- typed errors --------------------------------------------------------------
     # stencils lost to rounding (a point equal to its centre, or h^2 = 0) and a
     # curvature whose lambda^2 overflows printed nan or -0.0 with exit 0, or nan
@@ -225,6 +233,9 @@ ROWS = [
      "initial data must be finite, got w0=nan, dw0=1.0, t0=-2.0, t1=-1.0"),
     ("solve-t1-inf", "liouville solve --w0 0 --dw0 1 --t0 -2 --t1 inf", 1,
      "initial data must be finite, got w0=0.0, dw0=1.0, t0=-2.0, t1=inf"),
+    # e^(w - t) overflows: lambda printed inf (Infinity in JSON) with a RuntimeWarning
+    ("solve-lambda-overflows", "liouville solve --w0 -5 --dw0 0 --t0 -800 --t1 -799 --steps 10",
+     1, "density e^(w - t) at t=-800.0 is not finite in double precision"),
     # bad suite names; only the annulus radius message moved when one table of
     # suites replaced two, from "got 2.0" to "got r=2.0", the annulus's own rule
     ("annulus-bare", "verify annulus-sharpness", 2,

@@ -1,6 +1,7 @@
 """Hyperbolic distances: closed forms, lifts, deck minimization, constants."""
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def _exact_distance(domain: str, z1: complex, z2: complex):
     ("strip:1", -1e308 + 5e-324j, 1e308 + 5e-324j),
     ("strip:10", -1e308 + 5e-324j, 1e308 + 5e-324j),
     ("strip:1e10", -1e308 + 5e-324j, 1e308 + 5e-324j),
+    # |w1 - w2| overflows while both parts are finite: abs(dw) raised OverflowError
+    ("halfplane", 1j, 1.5e308 + 1.5e308j),
+    ("halfplane", 1e-300j, 1.5e308 + 1.5e308j),
+    # pi Re(z1 - z2) overflows before the division by h, and the pair read as far
+    # apart: 1454.0623470044927, 3e-5 off
+    ("strip:1e308", -5e307 + 5e-324j, 5e307 + 5e-324j),
+    # coincident points where the heights alone would put the quotient past 2^1024
+    ("halfplane", 5e-324j, 5e-324j),
+    ("strip:1", 5e-324j, 5e-324j),
 ])
 def test_distances_at_extreme_coordinates(domain, z1, z2):
     exact = float(_exact_distance(domain, z1, z2))
@@ -124,6 +134,51 @@ def test_distances_at_extreme_coordinates(domain, z1, z2):
         return
     got = domain_distance(parse_domain(domain), z1, z2).value
     assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def _coordinate(rnd: random.Random, lo: int = -1074) -> float:
+    """A double from 2^lo to 2^1023, with an exponent uniform in that range."""
+    return math.ldexp(rnd.uniform(1.0, 2.0), rnd.randint(lo, 1022))
+
+
+def _nearby(rnd: random.Random, x: float) -> float:
+    """x moved by a few ulps, or by up to a tenth of itself."""
+    if rnd.random() < 0.5:
+        return x + rnd.randint(-3, 3) * math.ulp(x)
+    return x * (1.0 + rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.uniform(-15.0, -1.0))
+
+
+@pytest.mark.parametrize("domain", ["halfplane", "strip"])
+def test_closed_forms_across_the_double_range(domain):
+    # heights, real parts and strip heights h from 5e-324 to 1.8e308, a third of the
+    # pairs nearly coincident; strip points at most h/2 high. A distance below the
+    # normal range is rounded to the subnormal grid, an ulp of 0 apart
+    rnd = random.Random(29)
+    for _ in range(600):
+        h = _coordinate(rnd, -1000)
+        top = h / 2.0 if domain == "strip" else math.inf
+
+        def height(y: float) -> float:
+            return min(max(y, math.ulp(0.0)), top)
+
+        y1 = height(_coordinate(rnd))
+        x1 = rnd.choice((-1.0, 0.0, 1.0)) * _coordinate(rnd)
+        if rnd.random() < 1.0 / 3.0:
+            x2, y2 = _nearby(rnd, x1), height(_nearby(rnd, y1))
+        else:
+            x2 = rnd.choice((-1.0, 0.0, 1.0)) * _coordinate(rnd)
+            y2 = height(_coordinate(rnd))
+        z1, z2 = complex(x1, y1), complex(x2, y2)
+        if domain == "halfplane":
+            exact, dist = _exact_distance(domain, z1, z2), lambda: dist_halfplane(z1, z2)
+        else:
+            exact, dist = _exact_distance(f"strip:{h!r}", z1, z2), lambda: dist_strip(z1, z2, h)
+        if float(exact) == math.inf:
+            with pytest.raises(NumericOverflow):
+                dist()
+            continue
+        assert dist().value == pytest.approx(float(exact), rel=1e-15, abs=math.ulp(0.0)), \
+            (z1, z2, h)
 
 
 def test_a_strip_distance_past_the_double_range_is_refused():

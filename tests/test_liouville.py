@@ -82,6 +82,16 @@ def test_blow_up_policies():
         integrate_radial(1.0, 50.0, 0.0, 40.0, 2000)
 
 
+def test_lambda_past_the_double_range_is_refused():
+    # e^(w - t) overflows for t < w - 709.78; lambda was inf, with a RuntimeWarning.
+    # The first t of the grid past the range is named
+    prof = integrate_radial(-5.0, 0.0, -700.0, -715.0, 10)
+    assert prof.t_grid[0] == -715.0 and prof.t_grid[-1] == -700.0
+    with pytest.raises(NumericOverflow, match=r"^density e\^\(w - t\) at t=-715.0 is not "
+                                              r"finite in double precision$"):
+        prof.lambda_values()
+
+
 def test_closed_form_families_satisfy_ode():
     # the first integral is constant on every solution, here to rounding
     for name, kw in [("pdisk", {}), ("pdiskR", {"R": math.e}),
