@@ -117,25 +117,31 @@ def _gap(z1: complex, z2: complex) -> tuple[complex, int]:
     return (0.5 * z1 - 0.5 * z2, 1) if cmath.isinf(dz) else (dz, 0)
 
 
-def _halfplane_value(dw: complex, y1: float, y2: float, shift: int = 0) -> float:
-    """Distance between half-plane points at heights y1, y2 that differ by
-    dw 2^shift."""
-    c, e = _scaled(dw)
+def _halfplane_value(dws: list[complex], y1: float, y2: float, shift: int = 0) -> list[float]:
+    """Distances between half-plane points at heights y1, y2 that differ by
+    dw 2^shift, one for each dw in dws; the heights' factors are taken once."""
     (s1, e1), (s2, e2) = _sqrt(*math.frexp(y1)), _sqrt(*math.frexp(y2))
-    return HALF * 2.0 * _asinh(abs(c) / (s1 * s2), e + shift - e1 - e2 - 1)
+    s, es = s1 * s2, shift - e1 - e2 - 1
+    values = []
+    for dw in dws:
+        c, e = _scaled(dw)
+        values.append(HALF * 2.0 * _asinh(abs(c) / s, e + es))
+    return values
 
 
 def dist_halfplane(w1, w2) -> DistanceResult:
     """Hyperbolic distance in the upper half-plane (density 1/(2 Im w))."""
     w1, w2 = _HALF_PLANE.check(w1), _HALF_PLANE.check(w2)
     dw, shift = _gap(w1, w2)
-    return DistanceResult(_halfplane_value(dw, w1.imag, w2.imag, shift),
+    return DistanceResult(_halfplane_value([dw], w1.imag, w2.imag, shift)[0],
                           DistanceMethod.CLOSED_FORM)
 
 
-def _strip_value(dz: complex, y1: float, y2: float, h: float, shift: int = 0) -> float:
-    """Distance between points at heights y1, y2 that differ by dz 2^shift in
-    the strip {0 < Im z < h}, via the exponential map to H.
+def _strip_value(dzs: list[complex], y1: float, y2: float, h: float,
+                 shift: int = 0) -> list[float]:
+    """Distances between points at heights y1, y2 that differ by dz 2^shift in
+    the strip {0 < Im z < h}, one for each dz in dzs, via the exponential map
+    to H; the heights' factors are taken once.
 
     Written in terms of differences so that widely separated lifts do not
     overflow: with a = pi Re z / h, b = pi Im z / h,
@@ -154,17 +160,22 @@ def _strip_value(dz: complex, y1: float, y2: float, h: float, shift: int = 0) ->
 
     (s1, e1), (s2, e2) = sine(y1), sine(y2)
     sb, eb = s1 * s2, e1 + e2
-    c, e = _scaled(dz)
-    u, v, k = math.pi * c.real / mh, math.pi * c.imag / mh, e + shift - eh - 1
-    # (a1-a2)/2 and (b1-b2)/2 are u 2^k and v 2^k
-    ma, ea = _split(u, k + 1)  # a1 - a2; from 2^10 on it exceeds 300 whatever ma is
-    if math.ldexp(abs(ma), min(ea, 10)) > 300.0:
-        half_da = math.ldexp(abs(ma), ea - 1) if ea <= 1025 else math.inf
-        return half_da - HALF * (math.log(sb) + eb * _LN2)
-    if k > _SMALL:
-        u, v, k = math.sinh(math.ldexp(u, k)), math.sin(math.ldexp(v, k)), 0
-    (mn, en), (ms, es) = _split(u ** 2 + v ** 2, 2 * k), _split(sb, eb)
-    return HALF * 2.0 * _asinh(*_sqrt(mn / ms, en - es))
+    ms, es = _split(sb, eb)
+    values = []
+    for dz in dzs:
+        c, e = _scaled(dz)
+        u, v, k = math.pi * c.real / mh, math.pi * c.imag / mh, e + shift - eh - 1
+        # (a1-a2)/2 and (b1-b2)/2 are u 2^k and v 2^k
+        ma, ea = _split(u, k + 1)  # a1 - a2; from 2^10 on it exceeds 300 whatever ma is
+        if math.ldexp(abs(ma), min(ea, 10)) > 300.0:
+            half_da = math.ldexp(abs(ma), ea - 1) if ea <= 1025 else math.inf
+            values.append(half_da - HALF * (math.log(sb) + eb * _LN2))
+            continue
+        if k > _SMALL:
+            u, v, k = math.sinh(math.ldexp(u, k)), math.sin(math.ldexp(v, k)), 0
+        mn, en = _split(u ** 2 + v ** 2, 2 * k)
+        values.append(HALF * 2.0 * _asinh(*_sqrt(mn / ms, en - es)))
+    return values
 
 
 def dist_strip(z1, z2, h: float) -> DistanceResult:
@@ -173,7 +184,7 @@ def dist_strip(z1, z2, h: float) -> DistanceResult:
     dom = DomainModel.strip(h)
     z1, z2 = dom.check(z1), dom.check(z2)
     dz, shift = _gap(z1, z2)
-    value = _strip_value(dz, z1.imag, z2.imag, h, shift)
+    [value] = _strip_value([dz], z1.imag, z2.imag, h, shift)
     if value == math.inf:
         raise NumericOverflow(f"distance from z={z1} to z={z2} in {dom.label()} "
                               "is not finite in double precision")
@@ -198,15 +209,13 @@ def _lifts(z1: complex, z2: complex) -> tuple[complex, int, float, float]:
     return dw, round((darg - near) / (2.0 * math.pi)), y1, y2
 
 
-def _deck_minimize(value_at_k):
-    """Minimize a lifted distance over the deck translations 2 pi k.
-
-    Only k in {-1, 0, 1} can attain the minimum (see the module docstring);
-    ties go to the first of them, the smallest k.
-    """
-    vals = [value_at_k(k) for k in (-1, 0, 1)]
-    i = int(np.argmin(vals))
-    return vals[i], i - 1
+def _deck_minimize(values: list[float]) -> tuple[float, int]:
+    """The least of a lifted distance's values at the deck translations
+    2 pi k, k = -1, 0, 1, and its k; ties go to the first of them, the
+    smallest k. Only those k can attain the minimum (see the module
+    docstring)."""
+    least = min(values)
+    return least, values.index(least) - 1
 
 
 def dist_punctured_disk(z1, z2) -> DistanceResult:
@@ -222,7 +231,8 @@ def _dist_punctured(dom: DomainModel, z1, z2) -> DistanceResult:
     dw, j, y1, y2 = _lifts(z1, z2)
     log_r = math.log(dom.hi)
     y1, y2 = log_r + y1, log_r + y2  # exact for R = 1: 0.0 + y = y
-    value, k = _deck_minimize(lambda k: _halfplane_value(dw + 2.0 * math.pi * (j + k), y1, y2))
+    gaps = [dw + 2.0 * math.pi * (j + k) for k in (-1, 0, 1)]
+    value, k = _deck_minimize(_halfplane_value(gaps, y1, y2))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 
@@ -232,7 +242,8 @@ def dist_annulus(z1, z2, r: float) -> DistanceResult:
     z1, z2 = dom.check(z1), dom.check(z2)
     s = math.log(1.0 / r)
     dw, j, y1, y2 = _lifts(z1, z2)
-    value, k = _deck_minimize(lambda k: _strip_value(dw + 2.0 * math.pi * (j + k), y1, y2, s))
+    gaps = [dw + 2.0 * math.pi * (j + k) for k in (-1, 0, 1)]
+    value, k = _deck_minimize(_strip_value(gaps, y1, y2, s))
     return DistanceResult(value, DistanceMethod.LIFT_MINIMIZATION, k)
 
 

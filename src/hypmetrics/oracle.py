@@ -27,12 +27,12 @@ only the 8 points round it, and the length returned at convergence is that
 trial's. The Hessian is exact up to the stencil: L_k depends on the two
 ends of segment k alone, so it is a sum of one 4x4 block per segment,
 banded. The blocks are built as arrays over all segments at once and added
-straight into the band storage of LAPACK's band LU, gbtrf, whose factors
-gbtrs solves with. Both come from scipy's LAPACK wrapper extension
-linalg/_flapack, loaded from its file when this module is imported; the
-scipy package itself is never imported. When the accepted step was
-undamped, it is the full Newton step that the convergence test asks for,
-so that test solves nothing more.
+straight into the band storage of LAPACK's band LU, dgbtrf, whose factors
+dgbtrs solves with. Both are called through ctypes from the LAPACK that
+numpy's linalg extension already links (see _band_lu_routines), so no
+library is loaded for them. When the accepted step was undamped, it is the
+full Newton step that the convergence test asks for, so that test solves
+nothing more.
 
 Once the solve is plainly inside the Newton basin, the Hessian hardly
 changes: while each accepted step is undamped, below _FULL_STEP_TOL of the
@@ -46,13 +46,11 @@ Overflow and invalid operations are not warned about; a non-finite seed
 length, energy or derivative raises GeodesicSolveFailed instead.
 """
 import cmath
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import os
-import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .distances import DistanceMethod, DistanceResult
 from .domains import DomainModel
@@ -80,31 +78,45 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 _CHORD_LENGTH = 1e-8
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrapper module linalg/_flapack, loaded from its
-    file: importing scipy.linalg for its two band LU routines would cost
-    ~0.3 s and ~28 MB. find_spec finds a top-level package without importing
-    it. The interpreter files a single-phase extension in sys.modules under
-    its spec's name; it is taken out, so no top-level _flapack is importable."""
-    scipy = importlib.util.find_spec("scipy")
-    stems = [os.path.join(d, "linalg", "_flapack")
-             for d in (scipy.submodule_search_locations if scipy else [])]
-    for stem in stems:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            if os.path.isfile(stem + suffix):
-                spec = importlib.util.spec_from_file_location("_flapack", stem + suffix)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                if sys.modules.get(spec.name) is module:
-                    del sys.modules[spec.name]
-                return module
-    looked_for = " or ".join(stems) or "scipy/linalg/_flapack (no scipy package found)"
-    raise ImportError(f"scipy's LAPACK extension not found: no file {looked_for} "
-                      f"with a suffix in {importlib.machinery.EXTENSION_SUFFIXES}")
+# dgbtrf's symbol and LAPACK's integer type in the builds numpy links; dgbtrs
+# is named alike. The ILP64 names come first: an LP64 dgbtrf_ called with
+# 64-bit integers would misread them.
+_LAPACK_SYMBOLS = (
+    ("scipy_dgbtrf_64_", ctypes.c_int64),  # numpy >= 2 wheels (scipy-openblas64)
+    ("dgbtrf_64_", ctypes.c_int64),  # numpy 1.2x wheels (openblas64_)
+    ("dgbtrf_", ctypes.c_int32),  # LP64 builds
+)
 
 
-_FLAPACK = _load_flapack()
-dgbtrf, dgbtrs = _FLAPACK.dgbtrf, _FLAPACK.dgbtrs
+def _band_lu_routines(lib):
+    """dgbtrf, dgbtrs and their integer type from the shared library lib, by
+    the first row of _LAPACK_SYMBOLS that lib resolves; ImportError if none."""
+    for name, int_type in _LAPACK_SYMBOLS:
+        try:
+            trf, trs = getattr(lib, name), getattr(lib, name.replace("trf", "trs"))
+        except AttributeError:
+            continue
+        ptr, addr = ctypes.POINTER(int_type), ctypes.c_void_p  # addr: an _ARRAY
+        # M, N, KL, KU, AB, LDAB, IPIV, INFO
+        trf.argtypes = [ptr, ptr, ptr, ptr, addr, ptr, ptr, ptr]
+        # TRANS, N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO, and TRANS's
+        # length, which Fortran passes after the arguments
+        trs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, addr, ptr, ptr, addr, ptr, ptr,
+                        ctypes.c_size_t]
+        trf.restype = trs.restype = None
+        return trf, trs, int_type
+    tried = ", ".join(f"{name}/{name.replace('trf', 'trs')}" for name, _ in _LAPACK_SYMBOLS)
+    raise ImportError(f"no LAPACK band LU in {lib._name}: none of the symbols {tried}")
+
+
+# The handle of numpy's loaded linalg extension: dlsym through it also
+# searches the libraries the extension links, its LAPACK among them.
+_DGBTRF, _DGBTRS, _INT = _band_lu_routines(ctypes.CDLL(_umath_linalg.__file__))
+# The arguments every call passes alike, made once: KL = KU, LDAB, NRHS.
+_KL, _LDAB, _NRHS = _INT(_BAND), _INT(3 * _BAND + 1), _INT(1)
+# _ARRAY.from_buffer(a) shares the memory of the C-contiguous array a, and
+# passes as its address: cheaper than a.ctypes.data.
+_ARRAY = ctypes.c_char * 1
 
 
 def _seed(domain: DomainModel, z1: complex, z2: complex, m: int) -> np.ndarray:
@@ -255,18 +267,32 @@ def _energy_derivatives(metric: MetricDensity, q: np.ndarray, lam: np.ndarray,
 def _band_lu(ab: np.ndarray, damping: float, label: str):
     """LAPACK dgbtrf's LU factors and pivots of H + damping |diag H|, H the
     banded Hessian in its storage ab; GeodesicSolveFailed when H is singular."""
-    lu = ab.copy(order="F")  # dgbtrf factors it in place
-    lu[2 * _BAND] += damping * np.abs(ab[2 * _BAND])
-    lu, piv, info = dgbtrf(lu, _BAND, _BAND, overwrite_ab=True)
-    if info > 0:  # e.g. a path that no longer spans its ends
+    lu = ab.astype(np.float64, order="F")  # a copy, which dgbtrf factors in place
+    if lu.shape[0] != 3 * _BAND + 1:
+        raise ValueError(f"band storage has {lu.shape[0]} rows, not {3 * _BAND + 1}")
+    if damping:  # +0.0 would leave ab's diagonal as it is: summed from +0.0, it has no -0.0
+        lu[2 * _BAND] += damping * np.abs(ab[2 * _BAND])
+    n, info = _INT(lu.shape[1]), _INT()
+    piv = (_INT * lu.shape[1])()
+    _DGBTRF(n, n, _KL, _KL, _ARRAY.from_buffer(lu.T), _LDAB, piv, info)
+    if info.value > 0:  # e.g. a path that no longer spans its ends
         raise GeodesicSolveFailed(f"singular energy Hessian in {label}")
+    if info.value < 0:  # an argument LAPACK refuses: a bug here, not a bad path
+        raise RuntimeError(f"dgbtrf refused its argument {-info.value}")
     return lu, piv
 
 
 def _newton_step(factors, grad: np.ndarray) -> np.ndarray:
     """The step -H^-1 grad, by LAPACK dgbtrs on the _band_lu factors of H."""
     lu, piv = factors
-    step, _ = dgbtrs(lu, _BAND, _BAND, -grad.view(np.float64), piv, overwrite_b=True)
+    step = -grad.view(np.float64)  # a copy, which dgbtrs overwrites with the solution
+    if step.size != lu.shape[1]:
+        raise ValueError(f"{step.size} unknowns for factors of order {lu.shape[1]}")
+    n, info = _INT(step.size), _INT()
+    _DGBTRS(b"N", n, _KL, _KL, _NRHS, _ARRAY.from_buffer(lu.T), _LDAB, piv,
+            _ARRAY.from_buffer(step), n, info, 1)
+    if info.value:
+        raise RuntimeError(f"dgbtrs refused its argument {-info.value}")
     return step.view(np.complex128)
 
 

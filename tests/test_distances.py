@@ -269,14 +269,16 @@ def test_deck_minimum_matches_wide_scan():
     for z1, z2 in _hard_pairs((1e-6, 0.05, 0.3, 0.9)):
         dw, j, y1, y2 = distances._lifts(z1, z2)
         res = dist_punctured_disk(z1, z2)
-        want = _wide_scan(lambda k: distances._halfplane_value(dw + two_pi * (j + k), y1, y2))
+        want = _wide_scan(
+            lambda k: distances._halfplane_value([dw + two_pi * (j + k)], y1, y2)[0])
         assert (res.value, res.deck_index) == want, (z1, z2)
     r = 0.5
     s = math.log(1.0 / r)
     for z1, z2 in _hard_pairs((0.51, 0.7, 0.99)):
         dw, j, y1, y2 = distances._lifts(z1, z2)
         res = dist_annulus(z1, z2, r)
-        want = _wide_scan(lambda k: distances._strip_value(dw + two_pi * (j + k), y1, y2, s))
+        want = _wide_scan(
+            lambda k: distances._strip_value([dw + two_pi * (j + k)], y1, y2, s)[0])
         assert (res.value, res.deck_index) == want, (z1, z2)
 
 

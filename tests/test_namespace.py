@@ -154,8 +154,8 @@ def test_other_commands_load_no_suite(files):
 
 
 def test_only_the_oracle_loads_lapack():
-    # the oracle loads scipy's LAPACK extension by its path, importing no scipy
-    # module and leaving no _flapack in sys.modules
+    # the oracle calls LAPACK through numpy's own linalg extension: no scipy
+    # module, and no scipy extension such as linalg/_flapack, is loaded
     command = ["distance", "--domain", "disk", "--z1", "0.1,0", "--z2", "0.5,0.2",
                "--oracle-grid", "100"]
     [(code, mods)] = _loaded([command]).values()

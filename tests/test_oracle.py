@@ -1,8 +1,10 @@
 """Geodesic oracle against the closed-form and lifted distances."""
+import _ctypes
+import ctypes
 import importlib.util
+import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -528,7 +530,7 @@ def test_geodesic_solve_failures_are_typed():
 
 @pytest.mark.parametrize("code", [
     "import hypmetrics",
-    # the oracle loads scipy's LAPACK extension _flapack by its path alone
+    # the oracle calls LAPACK through numpy's own linalg extension, not scipy
     "import hypmetrics; hypmetrics.geodesic_oracle(hypmetrics.DomainModel.disk(), 0.1, 0.5j, 100)",
 ], ids=["import", "oracle-call"])
 def test_import_loads_no_scipy(code):
@@ -542,10 +544,45 @@ def test_import_loads_no_scipy(code):
     assert out.strip() == "[]"
 
 
-def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
-    # a scipy whose linalg/_flapack is not where every supported scipy keeps it
-    monkeypatch.setattr(importlib.util, "find_spec",
-                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
-    with pytest.raises(ImportError, match=re.escape(os.path.join(str(tmp_path), "linalg",
-                                                                 "_flapack"))):
-        oracle._load_flapack()
+# In a process where any scipy import raises, the oracle returns the pinned
+# annulus value at 220 points, and no file of scipy's is mapped.
+_NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not importable here")
+
+sys.meta_path.insert(0, NoScipy())
+import hypmetrics
+value = hypmetrics.geodesic_oracle(hypmetrics.DomainModel.annulus(0.5), complex(sys.argv[1]),
+                                   complex(sys.argv[2]), 220).value
+with open("/proc/self/maps") as maps:
+    files = sorted({fields[5] for fields in map(str.split, maps) if len(fields) > 5})
+print(json.dumps([value, files]))
+"""
+
+
+def test_oracle_runs_without_scipy():
+    scipy_dir = str(Path(importlib.util.find_spec("scipy").origin).parent)
+    src = str(Path(hypmetrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    z1, z2 = 0.5678878558127806 + 0.712361404979451j, -0.37345039543344777 - 0.6328434191698491j
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(z1), str(z2)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    value, files = json.loads(out)
+    assert value == pytest.approx(7.255932910725994, rel=1e-13)
+    assert any("_umath_linalg" in f for f in files)  # the maps name the files mapped
+    # scipy's package, and scipy.libs beside it, where wheels keep their OpenBLAS
+    assert [f for f in files if f.startswith((scipy_dir + os.sep, scipy_dir + ".libs"))] == []
+
+
+def test_missing_band_lu_is_an_import_error():
+    # ctypes' own extension links no LAPACK; every symbol looked for is named
+    with pytest.raises(ImportError, match="no LAPACK band LU") as raised:
+        oracle._band_lu_routines(ctypes.CDLL(_ctypes.__file__))
+    named = str(raised.value).split("none of the symbols ")[1].replace("/", ", ").split(", ")
+    assert named == ["scipy_dgbtrf_64_", "scipy_dgbtrs_64_", "dgbtrf_64_", "dgbtrs_64_",
+                     "dgbtrf_", "dgbtrs_"]
