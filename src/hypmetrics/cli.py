@@ -279,13 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="verification toolkit for negatively "
                                             "curved conformal metrics")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=42)
     # accepted before or after the subcommand; SUPPRESS keeps the top-level
     # value when the flag is omitted at the subcommand position
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("csv", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True, parser_class=type(p))
 
     def add_parser(name, **kw):
@@ -317,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
+    v.add_argument("--seed", type=int, default=42)
     v.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="tolerance override (repeatable)")
     v.set_defaults(func=_cmd_verify)

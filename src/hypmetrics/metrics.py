@@ -23,7 +23,8 @@ Densities near singularities span many orders of magnitude, so every density
 carries an exact closed-form log-density, used by the curvature operator.
 Both are closures that accept numpy arrays of points and return real arrays
 of the same shape; no grids are stored here. density_at and log_density_at
-are their one checked evaluation, on a point or an array.
+are their one checked evaluation, on a point or an array. A density's value
+and its log read the same terms, each formed once (as the annulus's -log|z|).
 """
 from __future__ import annotations
 
@@ -106,14 +107,16 @@ def annulus_metric(r: float) -> MetricDensity:
     dom = DomainModel.annulus(r)
     s = np.log(1.0 / r)
 
+    def sin_t(az):  # sin(pi log(1/|z|) / s), with log(1/|z|) taken as -log|z|
+        return np.sin(-np.pi * np.log(az) / s)
+
     def ev(z):
         az = np.abs(z)
-        return np.pi / (2.0 * az * s * np.sin(np.pi * np.log(1.0 / az) / s))
+        return np.pi / (2.0 * az * s * sin_t(az))
 
     def logev(z):
         az = np.abs(z)
-        return (np.log(np.pi) - np.log(2.0) - np.log(az) - np.log(s)
-                - np.log(np.sin(-np.pi * np.log(az) / s)))
+        return np.log(np.pi) - np.log(2.0) - np.log(az) - np.log(s) - np.log(sin_t(az))
 
     return MetricDensity(dom, ev, f"annulus:{r}", logev)
 
@@ -136,15 +139,16 @@ def conical_scaled_metric(alpha: float, c: float) -> MetricDensity:
         raise BadParameter(f"conical scale requires 0 < c <= 1, got {c}")
     s = 1.0 - alpha
 
+    def gap(la):  # 1 - c^2 |z|^(2s) = -expm1(2 s log|z| + 2 log c), exact near |z| -> 1
+        return -np.expm1(2.0 * s * la + 2.0 * np.log(c))
+
     def ev(z):
         az = np.abs(z)
-        return s * c * az ** (-alpha) / (1.0 - c * c * az ** (2.0 * s))
+        return s * c * az ** (-alpha) / gap(np.log(az))
 
     def logev(z):
         la = np.log(np.abs(z))
-        # 1 - c^2 |z|^(2s) = -expm1(2 s log|z| + 2 log c), exact near |z| -> 1
-        return (np.log(s) + np.log(c) - alpha * la
-                - np.log(-np.expm1(2.0 * s * la + 2.0 * np.log(c))))
+        return np.log(s) + np.log(c) - alpha * la - np.log(gap(la))
 
     return MetricDensity(DomainModel.punctured_disk(), ev, f"conical-scaled:{alpha},{c}", logev)
 
@@ -164,25 +168,18 @@ def half_plane_metric() -> MetricDensity:
 
 def strip_metric(h: float) -> MetricDensity:
     dom = DomainModel.strip(h)
-    if math.pi * h < math.inf:
-        def arg(z):  # b = pi Im z / h
-            return np.pi * np.imag(z) / h
-    else:  # pi Im z can overflow: Im z and h enter scaled by 1/4, which is exact
-        def arg(z):
-            return np.pi * (0.25 * np.imag(z)) / (0.25 * h)
+    mh, eh = np.frexp(h)
 
-    if 2.0 * h < math.inf:
-        def ev(sin_b):
-            return np.pi / (2.0 * h * sin_b)
+    def arg(z):  # b = pi Im z / h on the mantissas of Im z and h: pi Im z cannot overflow
+        m, e = np.frexp(np.imag(z))
+        return np.ldexp(np.pi * m / mh, e - eh)
 
-        def logev(sin_b):
-            return np.log(np.pi) - np.log(2.0 * h) - np.log(sin_b)
-    else:  # 2h overflows: halve pi instead; lambda >= pi / 2h is then within ~1e-308 of 0
-        def ev(sin_b):
-            return 0.5 * np.pi / (h * sin_b)
+    def ev(sin_b):
+        return 0.5 * np.pi / (h * sin_b)
 
-        def logev(sin_b):
-            return np.log(ev(sin_b))
+    def logev(sin_b):  # log(pi/2) - log(h sin b), h sin b as mh ms 2^(eh + es): no cancellation
+        ms, es = np.frexp(sin_b)
+        return np.log(0.5 * np.pi) - np.log(mh * ms) - (eh + es) * np.log(2.0)
 
     edge = half_plane_metric()
 

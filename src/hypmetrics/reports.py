@@ -9,6 +9,7 @@ order.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -101,15 +102,16 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
-        lines = []
+        import csv  # here, so that only CSV output maps the _csv extension (~0.13 MB)
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")  # quotes the names that hold commas
         if self.seed is not None:
-            lines.append(f"# suite={self.suite} seed={self.seed}")
-        lines.append("name,value,expected,tol,pass,provenance")
-        for c in self.checks:
-            lines.append(",".join([c.name, repr(c.value), repr(c.expected),
-                                   repr(c.tol), str(c.passed).lower(), c.provenance]))
-        for name, rows in self.series.items():
-            lines.append(f"# series={name}")
-            lines.append("sample,functional_value")
-            lines.extend(f"{s!r},{v!r}" for s, v in rows)
-        return "\n".join(lines) + "\n"
+            buf.write(f"# suite={self.suite} seed={self.seed}\n")
+        rows.writerow(["name", "value", "expected", "tol", "pass", "provenance"])
+        rows.writerows([c.name, repr(c.value), repr(c.expected), repr(c.tol),
+                        str(c.passed).lower(), c.provenance] for c in self.checks)
+        for name, series in self.series.items():
+            buf.write(f"# series={name}\n")
+            rows.writerow(["sample", "functional_value"])
+            rows.writerows([repr(s), repr(v)] for s, v in series)
+        return buf.getvalue()

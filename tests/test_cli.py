@@ -392,6 +392,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["density", "--domain", "disk", "--z", "0,0", "--seed", "3"],
+                                  ["--seed", "3", "verify", "lemma44"]])
+def test_seed_is_accepted_by_verify_alone(capsys, argv):
+    # every command, and the top level, once took a --seed that only verify reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert run(capsys, "verify", "lemma44", "--seed", "3")[1].startswith(
+        "# suite=lemma44 seed=3\n")
+
+
 def test_witness_suite_emits_sample_series(capsys):
     code, out, _ = run(capsys, "verify", "example1")
     assert "# series=example1-functional" in out

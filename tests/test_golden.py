@@ -7,6 +7,8 @@ values; the `phi` suite exits 1 because its documented-target checks are red
 by design. No suite writes to stderr, and warnings are errors
 (pyproject.toml), so a suite that warns fails here.
 """
+import csv
+import itertools
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,15 @@ def test_verify_matches_golden(capsys, suite, seed):
 @pytest.mark.parametrize("suite", SUITES)
 def test_verify_json_matches_golden(capsys, suite, seed):
     _check_golden(capsys, suite, seed, "json")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda path: path.name)
+def test_golden_csv_check_rows_have_six_fields(path):
+    # names such as kappa+4[pull:mobius:0.3,0.2:disk] were written unquoted, so a
+    # CSV reader split their rows into 7 or 8 fields under a 6-field header
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows.index(["name", "value", "expected", "tol", "pass", "provenance"])
+    checks = list(itertools.takewhile(lambda row: not row[0].startswith("# series="),
+                                      rows[header + 1:]))
+    assert checks and all(len(row) == 6 for row in checks)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypmetrics.distances import dist_disk
 from hypmetrics.errors import (BadParameter, NonpositiveDensity, NumericOverflow,
                                OutsideDomain, StencilOutsideDomain)
-from hypmetrics.extrapolation import extrapolate
+from hypmetrics.extrapolation import aitken, extrapolate
 from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      aux_v_alpha, beardon_minda_bound,
                                      boundary_max_ratio, harnack_bound,
@@ -248,6 +248,11 @@ def test_extrapolate_short_input(values, expected):
     assert est.method == "last" and not est.trend_ok
     assert est.value == pytest.approx(expected, nan_ok=True)
     assert est.raw_last == pytest.approx(expected, nan_ok=True)
+
+
+def test_aitken_on_zero_second_difference_returns_the_last_value():
+    # a linear sequence has no delta-squared denominator to divide by
+    assert aitken([1.0, 2.0, 3.0]) == 3.0
 
 
 def test_hopf_functional_nonpositive_whenever_ahlfors_holds():

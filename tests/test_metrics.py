@@ -73,6 +73,29 @@ def test_punctured_disk_density_against_mpmath(x):
     assert abs(got_log - log_lam) <= 1e-15 * abs(log_lam)
 
 
+def _annulus_half(x):  # lambda_A_r at r = 1/2
+    s = mp.log(2)
+    return mp.pi / (2 * x * s * mp.sin(mp.pi * mp.log(1 / x) / s))
+
+
+def _conical_03(x):  # lambda_alpha at alpha = 3/10
+    s = 1 - mp.mpf(3) / 10
+    return s * x ** (s - 1) / (1 - x ** (2 * s))
+
+
+# The annulus eval took log(1/|z|) and the conical one 1 - |z|^(2s), where their
+# log_eval took -log|z| and -expm1(2s log|z|): at 1 - 1e-13 they were 1.1e-3 and
+# 3.2e-4 off, and at 1 - 1e-6 already 2.3e-11 and 1.3e-12.
+@pytest.mark.parametrize("x", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13])
+@pytest.mark.parametrize("metric, exact", [(annulus_metric(0.5), _annulus_half),
+                                           (conical_metric(0.3), _conical_03)],
+                         ids=["annulus:0.5", "conical:0.3"])
+def test_density_near_the_outer_circle_against_mpmath(metric, exact, x):
+    with mp.workdps(50):
+        lam = exact(mp.mpf(x))
+    assert abs(density_at(metric, x) - lam) <= 1e-15 * lam
+
+
 def test_density_out_of_double_range_is_refused():
     # the true lambda ~ 1.4e320 at the least subnormal; its log still fits
     m = punctured_disk_metric()
