@@ -10,6 +10,9 @@ Subcommands:
     rigidity   fit/classify boundary decay exponents from CSV samples
     liouville  integrate the radial curvature ODE / classify singularities
 
+`--output csv|json` goes before the command. `rigidity fit`, `rigidity
+classify` and `liouville classify` print JSON under either value.
+
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage or
 parse error. Output is deterministic: floats are serialized with their
 shortest round-trip representation and all sampling is seeded.
@@ -275,21 +278,14 @@ def _cmd_liouville(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser. `--output` is an option of the program, so it goes before the command."""
     p = argparse.ArgumentParser(prog="hypmetrics",
                                 description="verification toolkit for negatively "
                                             "curved conformal metrics")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    # accepted before or after the subcommand; SUPPRESS keeps the top-level
-    # value when the flag is omitted at the subcommand position
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("csv", "json"),
-                        default=argparse.SUPPRESS)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=type(p))
+    sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    d = add_parser("density", help="evaluate a metric density")
+    d = sub.add_parser("density", help="evaluate a metric density")
     d.add_argument("--domain", required=True, help="metric spec (e.g. disk, pull:phi:disk)")
     d.add_argument("--z", help="single point <re>,<im>")
     d.add_argument("--grid", choices=("cartesian", "polar"), default="cartesian")
@@ -299,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--half-width", type=float, default=0.95)
     d.set_defaults(func=_cmd_density)
 
-    c = add_parser("curvature", help="discrete Gauss curvature at a point")
+    c = sub.add_parser("curvature", help="discrete Gauss curvature at a point")
     c.add_argument("--metric", required=True)
     c.add_argument("--z", required=True)
     c.add_argument("--h", type=float, default=1e-3)
     c.set_defaults(func=_cmd_curvature)
 
-    t = add_parser("distance", help="hyperbolic distance in a model domain")
+    t = sub.add_parser("distance", help="hyperbolic distance in a model domain")
     t.add_argument("--domain", required=True)
     t.add_argument("--z1", required=True)
     t.add_argument("--z2", required=True)
@@ -313,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the geodesic oracle with this many path points")
     t.set_defaults(func=_cmd_distance)
 
-    v = add_parser("verify", help="run a verification suite")
+    v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="tolerance override (repeatable)")
     v.set_defaults(func=_cmd_verify)
 
-    r = add_parser("rigidity", help="boundary decay-rate fitting")
+    r = sub.add_parser("rigidity", help="boundary decay-rate fitting")
     rsub = r.add_subparsers(dest="action", required=True)
     rf = rsub.add_parser("fit")
     rf.add_argument("--input", required=True, help="CSV with re,im,ratio,distance")
@@ -337,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--kmax", type=int, default=8)
     r.set_defaults(func=_cmd_rigidity)
 
-    l = add_parser("liouville", help="radial curvature ODE")
+    l = sub.add_parser("liouville", help="radial curvature ODE")
     lsub = l.add_subparsers(dest="action", required=True)
     ls = lsub.add_parser("solve")
     ls.add_argument("--w0", type=float, required=True)

@@ -100,18 +100,18 @@ def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
     return circle_max(ratio, ratio)
 
 
-def _within_radius(z, r: float, message: str):
-    """z as a complex array (0-d for a point); message names the first z off 0 < |z| < r."""
+def _within_radius(z, r: float, what: str):
+    """z as a complex array (0-d for a point); OutsideDomain names the first z off 0 < |z| < r."""
     z = np.asarray(z, dtype=complex)
     out = z[~((0.0 < np.abs(z)) & (np.abs(z) < r))]
     if out.size:
-        raise OutsideDomain(message.format(z=complex(out.flat[0])))
+        raise OutsideDomain(f"{what} needs 0 < |z| < {r}, got {complex(out.flat[0])}")
     return z
 
 
 def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z):
     """Right side of the boundary Harnack inequality at z, 0 < |z| < r; z a point or an array."""
-    z = _within_radius(z, spec.r, f"harnack bound needs 0 < |z| < {spec.r}, got {{z}}")
+    z = _within_radius(z, spec.r, "harnack bound")
     return spec.boundary_max_ratio ** spec.exponent(z) * density_at(reference, z)
 
 
@@ -121,12 +121,11 @@ def aux_v_alpha(alpha: float, z) -> float:
     return p / (1.0 - p)
 
 
-def harnack_conical_bound(alpha: float, r: float, boundary_max_ratio: float, z):
-    """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z); z a point or
-    an array."""
-    z = _within_radius(z, r if r < 1.0 else 0.0,  # no z is in range unless r < 1
-                       f"conical harnack needs 0 < |z| < r < 1, got {{z}}, r={r}")
-    return (boundary_max_ratio ** (aux_v_alpha(alpha, z) / aux_v_alpha(alpha, r))
+def harnack_conical_bound(alpha: float, spec: HarnackBoundSpec, z):
+    """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z), with r and M
+    from spec, at z, 0 < |z| < r; z a point or an array."""
+    z = _within_radius(z, spec.r, "conical harnack bound")
+    return (spec.boundary_max_ratio ** (aux_v_alpha(alpha, z) / aux_v_alpha(alpha, spec.r))
             * density_at(conical_metric(alpha), z))
 
 
@@ -162,9 +161,9 @@ def _weighted_log_ratio(metric, reference, z, weight, what: str):
 
 
 def aux_v(z):
-    """v(z) = 1/log(1/|z|), the bounded radial solution of Dv = 8 lambda^2 v; z a point
-    (a float back) or an array."""
-    value = 1.0 / np.log(1.0 / np.abs(_PUNCTURED_DISK.check(z)))
+    """v(z) = 1/log(1/|z|), the bounded radial solution of Dv = 8 lambda^2 v, taken as
+    -1/log|z| (1/|z| would round); z a point (a float back) or an array."""
+    value = -1.0 / np.log(np.abs(_PUNCTURED_DISK.check(z)))
     return value if np.ndim(value) else float(value)
 
 
@@ -190,8 +189,8 @@ def radial_solution_space_check(h: float) -> list[Check]:
     def residual(f, z: np.ndarray, step: float) -> np.ndarray:
         return np.abs(laplacian(f, z, step, pd.domain) - 8.0 * density_at(pd, z) ** 2 * f(z))
 
-    v2 = lambda z: np.log(1.0 / np.abs(z)) ** 2
-    v_bad = lambda z: np.log(1.0 / np.abs(z))
+    v2 = lambda z: np.log(np.abs(z)) ** 2  # log(1/|z|) as -log|z|, as in aux_v
+    v_bad = lambda z: -np.log(np.abs(z))
 
     tol = 3e4 * h * h
     checks = []

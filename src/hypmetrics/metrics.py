@@ -5,8 +5,8 @@ domain and an exact log-density evaluator. The builtins (curvature -4
 normalization throughout):
 
     lambda_D(z)      = 1 / (1 - |z|^2)                       unit disk
-    lambda^(R)(z)    = 1 / (2 |z| (log R - log|z|))          punctured disk of
-                       radius R >= 1, restricted to the unit punctured disk
+    lambda^(R)(z)    = 1 / (2 |z| (log R - log|z|))          punctured disk
+                       0 < |z| < R of radius R >= 1
     lambda_D'(z)     = lambda^(1)(z) = 1 / (2 |z| log(1/|z|))  punctured disk
                        (pdisk is pdiskR at R = 1: one closure pair for both)
     lambda_A_r(z)    = pi / (2 |z| s sin(pi log(1/|z|)/s)),  s = log(1/r)
@@ -83,13 +83,13 @@ def disk_metric() -> MetricDensity:
 
 
 def punctured_disk_metric() -> MetricDensity:
-    """The punctured disk's density: pdiskR at R = 1, where log R = 0.0."""
-    return replace(punctured_disk_metric_r(1.0), label="pdisk")
+    """The punctured disk's density: pdiskR at R = 1, where log R = 0.0, on pdisk."""
+    return replace(punctured_disk_metric_r(1.0), domain=DomainModel.punctured_disk(), label="pdisk")
 
 
 def punctured_disk_metric_r(R: float) -> MetricDensity:
-    """Hyperbolic density of {0 < |z| < R}, restricted to the unit punctured disk."""
-    DomainModel.punctured_disk_r(R)  # raises BadParameter unless R is a valid radius
+    """Hyperbolic density of pdiskR:R on that whole domain, the punctured disk 0 < |z| < R."""
+    dom = DomainModel.punctured_disk_r(R)
     logR = np.log(R)
 
     def ev(z):
@@ -100,7 +100,7 @@ def punctured_disk_metric_r(R: float) -> MetricDensity:
         az = np.abs(z)
         return -np.log(2.0) - np.log(az) - np.log(logR - np.log(az))
 
-    return MetricDensity(DomainModel.punctured_disk(), ev, f"pdiskR:{R}", logev)
+    return MetricDensity(dom, ev, f"pdiskR:{R}", logev)
 
 
 def annulus_metric(r: float) -> MetricDensity:

@@ -11,12 +11,11 @@ Domain specs (for distance / oracle commands):
 
 BUILTINS maps each builtin head to its parameter name, its density
 constructor and, for the heads that are domain kinds, its distance. A
-domain's parameter is passed to both; the pdiskR density is restricted to
-the unit punctured disk, so domain_metric widens it to the whole domain.
+domain's parameter is passed to both, and each density lives on the whole
+of its domain, so domain_metric and domain_distance are table lookups.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, NamedTuple, Optional
 
 from .distances import (DistanceResult, _dist_punctured, dist_annulus, dist_disk,
@@ -62,8 +61,7 @@ def _params(domain: DomainModel) -> tuple:
 
 def domain_metric(domain: DomainModel) -> MetricDensity:
     """The builtin density of a model domain, on the whole domain."""
-    metric = BUILTINS[domain.kind].metric(*_params(domain))
-    return dataclasses.replace(metric, domain=domain)
+    return BUILTINS[domain.kind].metric(*_params(domain))
 
 
 def domain_distance(domain: DomainModel, z1, z2) -> DistanceResult:

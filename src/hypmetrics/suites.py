@@ -185,16 +185,17 @@ def suite_harnack_conical(cfg: SuiteConfig, report: VerificationReport) -> None:
     lam_a = conical_metric(alpha)
     metric = conical_scaled_metric(alpha, c)
     M = inequalities.boundary_max_ratio(metric, lam_a, r)
+    spec = inequalities.HarnackBoundSpec(r=r, boundary_max_ratio=M)
     pts = polar_grid(15, 1e-4, r * 0.999)[:300]
     lam = density_at(metric, pts)
-    bounds = inequalities.harnack_conical_bound(alpha, r, M, pts)
+    bounds = inequalities.harnack_conical_bound(alpha, spec, pts)
     rel_slack = float(((bounds - lam) / bounds).min())
     tol = cfg.tol("harnack-conical")
     report.add(Check.at_least(f"min-rel-slack[scaled(alpha={alpha},c={c}), r={r}]",
                               rel_slack, 0.0, tol, "paper",
                               note=f"boundary max ratio {M:.6f} at 300 polar points"))
     report.add(Check.close("exponent-at-r",
-                           inequalities.harnack_conical_bound(alpha, r, M, r * 0.9999999 * 1j)
+                           inequalities.harnack_conical_bound(alpha, spec, r * 0.9999999 * 1j)
                            / density_at(lam_a, r * 0.9999999 * 1j),
                            M, 1e-5, "trivial",
                            note="exponent tends to 1 at |z| = r"))

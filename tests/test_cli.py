@@ -403,6 +403,17 @@ def test_seed_is_accepted_by_verify_alone(capsys, argv):
         "# suite=lemma44 seed=3\n")
 
 
+@pytest.mark.parametrize("argv", [["verify", "lemma44", "--output", "json"],
+                                  ["liouville", "--output", "json", "classify", "--family", "pdisk"]])
+def test_output_is_accepted_before_the_command_alone(capsys, argv):
+    # verify and the other first-level commands also took --output, and the
+    # leaf commands of rigidity and liouville did not
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert json.loads(run(capsys, "--output", "json", "verify", "lemma44")[1])["suite"] == "lemma44"
+
+
 def test_witness_suite_emits_sample_series(capsys):
     code, out, _ = run(capsys, "verify", "example1")
     assert "# series=example1-functional" in out

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from hypmetrics.cli import main
-from hypmetrics.suites import SUITES
+from hypmetrics.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SAMPLE_ARGV = "rigidity sample --metric pull:example1:pdisk --reference pdisk --q 0.5,0"
@@ -60,6 +59,10 @@ ROWS = [
     # a point at 1e-300 is lifted without dividing it by R, which underflowed to 0
     ("distance-pdiskR-huge-radius", "distance --domain pdiskR:1e300 --z1 1e-300,0 --z2 0.1,0",
      0, None),
+    # pdiskR:2's density lived on the unit punctured disk: these refused z=1.5
+    # with "is not in pdisk"
+    ("density-pdiskR-past-the-unit-circle", "density --domain pdiskR:2 --z 1.5,0", 0, None),
+    ("curvature-pdiskR-past-the-unit-circle", "curvature --metric pdiskR:2 --z 1.5,0", 0, None),
     ("rigidity-sample", SAMPLE_ARGV, 0, None),
     ("rigidity-fit", "rigidity fit --input {dir}/sample.csv", 0, None),
     ("rigidity-classify-puncture",
@@ -149,6 +152,8 @@ ROWS = [
     ("distance-off-strip", "distance --domain strip:1 --z1 0,2 --z2 0,0.5", 1,
      "z=2j is not in strip:1.0"),
     ("distance-off-pdiskR", "distance --domain pdiskR:2 --z1 2.5,0 --z2 0.1,0", 1,
+     "z=(2.5+0j) is not in pdiskR:2.0"),
+    ("density-off-pdiskR", "density --domain pdiskR:2 --z 2.5,0", 1,
      "z=(2.5+0j) is not in pdiskR:2.0"),
     ("density-at-puncture", "density --domain pdisk --z 0,0", 1, "z=0j is not in pdisk"),
     ("density-overflow", "density --domain pdisk --z 5e-324,0", 1,
@@ -338,7 +343,8 @@ def test_cli_contract(capsys, files, argv, code, message):
 
 
 def test_readme_cli_block_is_in_the_table():
-    # each command of the README runs as a success row, and each suite it names exists
+    # each command of the README parses; each verify command passes, and each
+    # other command runs as a success row
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
     success = {argv for _, argv, code, _ in ROWS if not code}
     lines = block.replace("\\\n", " ").splitlines()
@@ -346,8 +352,8 @@ def test_readme_cli_block_is_in_the_table():
         command, _, redirect = line.partition(" > ")
         argv = command.split()
         assert argv[0] == "hypmetrics", line
-        if argv[1] == "verify":
-            assert argv[2] in SUITES, line
+        if build_parser().parse_args(argv[1:]).command == "verify":
+            assert main(argv[1:]) == 0, line
             continue
         command = " ".join(argv[1:])
         if redirect:  # the sample that the README's rigidity commands read

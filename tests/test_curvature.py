@@ -75,6 +75,14 @@ def test_stencil_shrinks_near_boundary():
     assert math.isfinite(kappa) and kappa < -3.0
 
 
+# |z| = 1 is not an edge of pdiskR:2: the stencil shrank to 2.5e-4 there while
+# the density lived on the unit punctured disk
+def test_stencil_does_not_shrink_inside_pdiskR():
+    kappa, h_used = curvature_at(punctured_disk_metric_r(2.0), 0.9995, 1e-3, full_output=True)
+    assert h_used == 1e-3
+    assert kappa == pytest.approx(-4.0, abs=1e-5)
+
+
 def test_stencil_shrinks_near_puncture():
     kappa, h_used = curvature_at(punctured_disk_metric(), 1e-4, 1e-3, full_output=True)
     assert h_used == pytest.approx(5e-5, rel=1e-9)

@@ -23,7 +23,7 @@ SUITES = [key.replace("<r>", "0.5") for key in suites.SUITES]
 
 
 def _check_golden(capsys, suite: str, seed: int, output: str) -> None:
-    code = main(["verify", suite, "--seed", str(seed), "--output", output])
+    code = main(["--output", output, "verify", suite, "--seed", str(seed)])
     out = capsys.readouterr()
     golden = GOLDEN / f"{suite.replace(':', '-')}.seed{seed}.{output}"
     assert (out.out, out.err) == (golden.read_text(), "")

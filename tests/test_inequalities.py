@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from hypmetrics.distances import dist_disk
 from hypmetrics.errors import (BadParameter, NonpositiveDensity, NumericOverflow,
@@ -54,7 +55,7 @@ _OFF_DOMAIN = {
                                                      half_plane_metric(), 0.5),
     "harnack-annulus": lambda: harnack_bound(_SPEC, annulus_metric(0.5), 0.05),
     "harnack-halfplane": lambda: harnack_bound(_SPEC, half_plane_metric(), 0.05),
-    "harnack-conical": lambda: harnack_conical_bound(0.5, 0.5, 0.9, 1.5),
+    "harnack-conical": lambda: harnack_conical_bound(0.5, HarnackBoundSpec(0.5, 0.9), 1.5),
     "hopf-annulus": lambda: hopf_functional(annulus_metric(0.5), punctured_disk_metric(), 0.3),
     "hopf-halfplane": lambda: hopf_functional(half_plane_metric(), punctured_disk_metric(),
                                               0.3),
@@ -173,7 +174,8 @@ def test_harnack_conical_inequality_scaled_family():
     assert M == pytest.approx(c * (1 - r) / (1 - c * c * r), rel=1e-12)
     pts = polar_grid(15, 1e-4, r * 0.999)[:300]
     lam = eval_many(metric, pts)
-    bounds = np.array([harnack_conical_bound(alpha, r, M, z) for z in pts])
+    spec = HarnackBoundSpec(r, M)
+    bounds = np.array([harnack_conical_bound(alpha, spec, z) for z in pts])
     assert float(((bounds - lam) / bounds).min()) >= -1e-9
 
 
@@ -181,7 +183,7 @@ def test_harnack_conical_inequality_scaled_family():
 # error names the first point out of range.
 @pytest.mark.parametrize("bound", [
     lambda z: harnack_bound(HarnackBoundSpec(0.1, 0.5), punctured_disk_metric(), z),
-    lambda z: harnack_conical_bound(0.5, 0.1, 0.9, z),
+    lambda z: harnack_conical_bound(0.5, HarnackBoundSpec(0.1, 0.9), z),
 ], ids=["harnack", "harnack-conical"])
 def test_harnack_bounds_take_a_point_or_an_array(bound):
     pts = polar_grid(5, 1e-4, 0.0999)
@@ -190,6 +192,17 @@ def test_harnack_bounds_take_a_point_or_an_array(bound):
     assert values == pytest.approx([bound(z) for z in pts], rel=1e-15, abs=0.0)
     with pytest.raises(OutsideDomain, match=r"got \(0\.2\+0j\)"):
         bound(np.array([0.05, 0.2, 0.3 + 0.1j]))
+
+
+# the conical bound took r and M bare: at z = 0.1 it gave 1.897 for M = 2
+# (above lambda_alpha = 1.757), 0.0 for M = 0, a complex number for M = -1,
+# and OutsideDomain for r = 1
+@pytest.mark.parametrize("r, M", [(0.5, 2.0), (0.5, 0.0), (0.5, -1.0), (1.0, 0.5)])
+def test_conical_harnack_bound_refuses_bad_data(r, M):
+    with pytest.raises(BadParameter):
+        harnack_conical_bound(0.5, HarnackBoundSpec(r, M), 0.1)
+    with pytest.raises(TypeError):  # r and M come only through the spec that checks them
+        harnack_conical_bound(0.5, r, M, 0.1)
 
 
 def test_hopf_functional_zero_for_identical_metrics():
@@ -303,6 +316,15 @@ def test_aux_v_values():
     assert aux_v_alpha(0.0, 1.0 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(OutsideDomain):
         aux_v(0.0)
+
+
+# aux_v took 1/log(1/|z|), in which 1/|z| rounds: 2.3e-11, 1.0e-10 and 1.1e-3 off
+# at these points
+@pytest.mark.parametrize("x", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13])
+def test_aux_v_near_the_circle_against_mpmath(x):
+    with mp.workdps(50):
+        exact = -1 / mp.log(mp.mpf(x))
+        assert abs(aux_v(x) - exact) <= 1e-15 * exact
 
 
 def test_aux_v_alpha_differential_inequality():

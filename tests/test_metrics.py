@@ -60,6 +60,17 @@ def test_punctured_disk_R_restriction():
         assert getattr(lam_1, f)(pts).tobytes() == getattr(pd, f)(pts).tobytes()
 
 
+# pdiskR:R's density was put on the unit punctured disk: density_at refused
+# z = 1.5 in pdiskR:2 with "is not in pdisk", and named pdisk at z = 2.5 too
+def test_punctured_disk_R_density_lives_on_its_whole_domain():
+    lam_2 = punctured_disk_metric_r(2.0)
+    assert lam_2.domain == DomainModel.punctured_disk_r(2.0)
+    assert punctured_disk_metric().domain == DomainModel.punctured_disk()
+    assert density_at(lam_2, 1.5) == pytest.approx(1.0 / (3.0 * math.log(4.0 / 3.0)), rel=1e-15)
+    with pytest.raises(OutsideDomain, match=r"^z=\(2\.5\+0j\) is not in pdiskR:2\.0$"):
+        density_at(lam_2, 2.5)
+
+
 # pdisk's eval took log(1/|z|), in which 1/|z| rounds: it gave 0.0 (with a
 # RuntimeWarning) at 1e-310, and was 1.1e-3 off at 1 - 1e-13.
 @pytest.mark.parametrize("x", [1e-310, 1e-300, 1e-30, 0.3, 1.0 - 1e-13])
