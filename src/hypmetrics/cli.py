@@ -219,9 +219,8 @@ def _estimate_json(est, classification=None) -> str:
 def _cmd_rigidity(args) -> int:
     import numpy as np
 
-    from .distances import dist_punctured_disk
     from .rigidity import Setting, build_sample, classify_sample, decay_exponent_fit
-    from .specparse import parse_float, parse_metric
+    from .specparse import domain_distance, parse_float, parse_metric
 
     if args.action == "fit":
         est = decay_exponent_fit(_read_sample_csv(args.input))
@@ -245,7 +244,7 @@ def _cmd_rigidity(args) -> int:
         raise ParseError(f"need --kmin <= --kmax, got {args.kmin} and {args.kmax}")
     sample = build_sample(metric, reference,
                           [complex(10.0 ** (-k), 0.0) for k in range(args.kmin, args.kmax + 1)],
-                          q, lambda z, q: dist_punctured_disk(z, q).value)
+                          q, lambda z, q: domain_distance(reference.domain, z, q).value)
     pts = np.asarray(sample.points)
     _write_table(args.output, "re,im,ratio,distance",
                  (pts.real, pts.imag, np.asarray(sample.ratios), np.asarray(sample.distances)),

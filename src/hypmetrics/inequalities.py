@@ -28,8 +28,8 @@ import numpy as np
 from .curvature import laplacian
 from .distances import _PUNCTURED_DISK, circle_max
 from .errors import BadParameter, NonpositiveDensity, NumericOverflow, OutsideDomain
-from .metrics import (MetricDensity, conical_metric, density_at, log_density_at,
-                      punctured_disk_metric)
+from .metrics import (MetricDensity, conical_gap, conical_metric, density_at,
+                      log_density_at, punctured_disk_metric)
 from .reports import Check
 
 
@@ -116,9 +116,9 @@ def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z):
 
 
 def aux_v_alpha(alpha: float, z) -> float:
-    """v_alpha(z) = |z|^(2(1-alpha)) / (1 - |z|^(2(1-alpha)))."""
-    p = abs(_PUNCTURED_DISK.check(z)) ** (2.0 * (1.0 - alpha))
-    return p / (1.0 - p)
+    """v_alpha(z) = |z|^(2s) / (1 - |z|^(2s)), s = 1 - alpha, over the exact conical gap."""
+    az, s = np.abs(_PUNCTURED_DISK.check(z)), 1.0 - alpha
+    return az ** (2.0 * s) / conical_gap(s, np.log(az))
 
 
 def harnack_conical_bound(alpha: float, spec: HarnackBoundSpec, z):

@@ -31,7 +31,7 @@ import numpy as np
 from . import extrapolation
 from .domains import DomainModel
 from .errors import BadParameter, NumericOverflow
-from .metrics import conical_scaled_metric
+from .metrics import conical_gap, conical_scaled_metric
 from .reports import Check, VerificationReport
 
 OVERFLOW_GUARD = 300.0
@@ -144,9 +144,12 @@ def closed_form_family(name: str, R: float = 1.0, alpha: float = 0.0, c: float =
         conical_scaled_metric(alpha, c)  # raises BadParameter unless alpha < 1, 0 < c <= 1
         s = 1.0 - alpha
         logsc = math.log(s) + math.log(c)
-        c2 = c * c
-        w_func = lambda t: logsc + s * t - np.log1p(-c2 * np.exp(2.0 * s * t))
-        dw_func = lambda t: s * (1.0 + c2 * np.exp(2.0 * s * t)) / (1.0 - c2 * np.exp(2.0 * s * t))
+        w_func = lambda t: logsc + s * t - np.log(conical_gap(s, t, c))
+
+        def dw_func(t):  # s (1 + c^2 e^(2st)) / g with g = 1 - c^2 e^(2st), the exact gap
+            g = conical_gap(s, t, c)
+            return s * (2.0 - g) / g
+
         label = f"conical:{alpha}" if c == 1.0 else f"conical-scaled:{alpha},{c}"
     else:
         raise BadParameter(f"unknown closed-form family {name!r}")

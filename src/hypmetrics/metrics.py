@@ -132,6 +132,12 @@ def conical_metric(alpha: float) -> MetricDensity:
     return replace(conical_scaled_metric(alpha, 1.0), label=f"conical:{alpha}")
 
 
+def conical_gap(s: float, log_r, c: float = 1.0):
+    """1 - c^2 |z|^(2s) from log_r = log|z|, as -expm1(2 s log|z| + 2 log c): exact
+    near |z| -> 1, where 1 - c^2 |z|^(2s) would cancel."""
+    return -np.expm1(2.0 * s * log_r + 2.0 * np.log(c))
+
+
 def conical_scaled_metric(alpha: float, c: float) -> MetricDensity:
     """The scaled conical family lambda_{alpha,c}; c = 1 recovers lambda_alpha."""
     check_conical_order(alpha)
@@ -139,16 +145,13 @@ def conical_scaled_metric(alpha: float, c: float) -> MetricDensity:
         raise BadParameter(f"conical scale requires 0 < c <= 1, got {c}")
     s = 1.0 - alpha
 
-    def gap(la):  # 1 - c^2 |z|^(2s) = -expm1(2 s log|z| + 2 log c), exact near |z| -> 1
-        return -np.expm1(2.0 * s * la + 2.0 * np.log(c))
-
     def ev(z):
         az = np.abs(z)
-        return s * c * az ** (-alpha) / gap(np.log(az))
+        return s * c * az ** (-alpha) / conical_gap(s, np.log(az), c)
 
     def logev(z):
         la = np.log(np.abs(z))
-        return np.log(s) + np.log(c) - alpha * la - np.log(gap(la))
+        return np.log(s) + np.log(c) - alpha * la - np.log(conical_gap(s, la, c))
 
     return MetricDensity(DomainModel.punctured_disk(), ev, f"conical-scaled:{alpha},{c}", logev)
 

@@ -11,7 +11,7 @@ import pytest
 
 import hypmetrics
 from hypmetrics.cli import BLOCK_ROWS, main
-from hypmetrics.distances import dist_punctured_disk
+from hypmetrics.distances import dist_disk, dist_punctured_disk
 from hypmetrics.errors import ParseError
 from hypmetrics.liouville import integrate_radial
 from hypmetrics.metrics import density_at, log_density_at
@@ -222,6 +222,18 @@ def test_rigidity_roundtrip(tmp_path, capsys):
                        "--setting", "puncture")
     assert code == 0
     assert json.loads(out)["classification"] in ("Inconclusive", "StrictlyBelow")
+
+
+def test_rigidity_sample_measures_in_the_reference_domain(capsys):
+    # the distance column was the punctured-disk distance for every reference:
+    # 0.6002726829148101 at z = 0.1, where the disk distance is 0.44897079660297934
+    code, out, _ = run(capsys, "rigidity", "sample", "--metric", "pull:phi:disk",
+                       "--reference", "disk", "--q", "0.5,0", "--kmin", "1", "--kmax", "3")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    for re_, im, _, distance in rows:
+        assert distance == dist_disk(complex(re_, im), 0.5).value
 
 
 def test_liouville_solve_csv(capsys):

@@ -64,6 +64,10 @@ ROWS = [
     ("density-pdiskR-past-the-unit-circle", "density --domain pdiskR:2 --z 1.5,0", 0, None),
     ("curvature-pdiskR-past-the-unit-circle", "curvature --metric pdiskR:2 --z 1.5,0", 0, None),
     ("rigidity-sample", SAMPLE_ARGV, 0, None),
+    # a disk reference's distance column is the disk distance (test_cli.py
+    # checks the values); it was the punctured-disk distance
+    ("rigidity-sample-disk-reference", "rigidity sample --metric pull:phi:disk --reference disk "
+     "--q 0.5,0 --kmin 1 --kmax 3", 0, None),
     ("rigidity-fit", "rigidity fit --input {dir}/sample.csv", 0, None),
     ("rigidity-classify-puncture",
      "rigidity classify --input {dir}/sample.csv --setting puncture", 0, None),

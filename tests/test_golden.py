@@ -3,7 +3,12 @@ tests/golden/ (CSV and JSON, seeds 42 and 7, all 13 suites).
 
 The JSON copies also pin the check notes that the CSV drops. A change to any
 printed digit must regenerate the affected files and name the changed
-values; the `phi` suite exits 1 because its documented-target checks are red
+values. One command regenerates one file (a parametrized suite's `:` is `-`
+in its file name):
+
+    hypmetrics --output <csv|json> verify <suite> --seed <s> > tests/golden/<suite>.seed<s>.<csv|json>
+
+The `phi` suite exits 1 because its documented-target checks are red
 by design. No suite writes to stderr, and warnings are errors
 (pyproject.toml), so a suite that warns fails here.
 """

@@ -9,7 +9,7 @@ from mpmath import mp
 from hypmetrics.distances import dist_disk
 from hypmetrics.errors import (BadParameter, NonpositiveDensity, NumericOverflow,
                                OutsideDomain, StencilOutsideDomain)
-from hypmetrics.extrapolation import aitken, extrapolate
+from hypmetrics.extrapolation import extrapolate
 from hypmetrics.inequalities import (HarnackBoundSpec, ahlfors_check, aux_v,
                                      aux_v_alpha, beardon_minda_bound,
                                      boundary_max_ratio, harnack_bound,
@@ -263,9 +263,14 @@ def test_extrapolate_short_input(values, expected):
     assert est.raw_last == pytest.approx(expected, nan_ok=True)
 
 
-def test_aitken_on_zero_second_difference_returns_the_last_value():
-    # a linear sequence has no delta-squared denominator to divide by
-    assert aitken([1.0, 2.0, 3.0]) == 3.0
+# Richardson in the sequence's own variable is exact on a quadratic in it; the
+# Aitken branch that a 0.55 ratio test once chose here was 1.9e-6 and 5.3e-6 off
+@pytest.mark.parametrize("a, b", [(0.3, 2.0), (-1.0, 5.0)])
+def test_extrapolate_is_exact_on_a_quadratic_in_its_variable(a, b):
+    xs = [10.0 ** -k for k in range(1, 5)]
+    est = extrapolate([-1.0 / 6.0 + a * x + b * x * x for x in xs], xs=xs)
+    assert est.method == "richardson"
+    assert abs(est.value + 1.0 / 6.0) <= 1e-15
 
 
 def test_hopf_functional_nonpositive_whenever_ahlfors_holds():
@@ -325,6 +330,17 @@ def test_aux_v_near_the_circle_against_mpmath(x):
     with mp.workdps(50):
         exact = -1 / mp.log(mp.mpf(x))
         assert abs(aux_v(x) - exact) <= 1e-15 * exact
+
+
+# v_alpha took p/(1 - p) with p = |z|^(2(1-alpha)) rounded, so 1 - p cancelled:
+# 1.1e-11 off at alpha = 0, |z| = 1 - 1e-6, and 1.1e-3 at alpha = 0.9, 1 - 1e-13
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("x", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13])
+def test_aux_v_alpha_near_the_circle_against_mpmath(alpha, x):
+    with mp.workdps(50):
+        p = mp.mpf(x) ** (2 * (1 - mp.mpf(alpha)))
+        exact = p / (1 - p)
+        assert abs(aux_v_alpha(alpha, x) - exact) <= 1e-15 * exact
 
 
 def test_aux_v_alpha_differential_inequality():

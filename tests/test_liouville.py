@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from hypmetrics.errors import (BadParameter, NumericOverflow)
 from hypmetrics.liouville import (CONICAL, LOGARITHMIC, UNCLASSIFIED, RadialProfile,
@@ -110,6 +111,18 @@ def test_family_identities():
     p1 = closed_form_family("pdiskR", R=1.0)
     p2 = closed_form_family("pdisk")
     assert np.allclose(p1.w_values, p2.w_values, rtol=0, atol=1e-14)
+
+
+# w' formed 1 - e^(2st), which cancels as alpha -> 1: 5.3e-14 off at 0.9999
+def test_conical_derivative_near_alpha_one_against_mpmath():
+    alpha = 0.9999
+    prof = closed_form_family("conical", alpha=alpha)
+    for i in (0, len(prof.t_grid) // 2, len(prof.t_grid) - 1):
+        with mp.workdps(50):
+            s, t = 1 - mp.mpf(alpha), mp.mpf(prof.t_grid[i])
+            e = mp.exp(2 * s * t)
+            exact = s * (1 + e) / (1 - e)
+            assert abs(prof.dw_values[i] - exact) <= 1e-15 * exact
 
 
 def test_scaled_family_ratio_tends_to_c():

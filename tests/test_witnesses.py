@@ -58,7 +58,7 @@ def test_phi_expansion_values_match_oracle():
 def test_phi_expansion_limit_is_minus_one_sixth():
     check = phi_expansion_check()
     assert check.trend_ok
-    assert check.extrapolated_limit == pytest.approx(-1.0 / 6.0, abs=1e-4)
+    assert check.extrapolated_limit == pytest.approx(-1.0 / 6.0, abs=2e-8)
     # the documented target is -1/12 and genuinely disagrees
     assert check.expected == pytest.approx(-1.0 / 12.0, rel=1e-12)
     assert abs(check.extrapolated_limit - check.expected) > 5e-2
@@ -74,7 +74,7 @@ def test_disk_functional_limit_is_minus_two_thirds():
     F = (1 - x ** 2) * dphi / (1 - phi ** 2)
     oracle = float((F - 1) * ((1 + x) / (1 - x)) ** 2)
     assert check.functional_values[-1] == pytest.approx(oracle, abs=1e-6)
-    assert check.extrapolated_limit == pytest.approx(-2.0 / 3.0, abs=1e-3)
+    assert check.extrapolated_limit == pytest.approx(-2.0 / 3.0, abs=1e-7)
     assert abs(check.extrapolated_limit - check.expected) > 0.3
 
 
