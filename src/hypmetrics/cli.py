@@ -34,7 +34,7 @@ import json
 import math
 import sys
 
-from .errors import HypMetricsError, ParseError, UnknownSuite
+from .errors import BadParameter, HypMetricsError, ParseError, UnknownSuite
 
 BLOCK_ROWS = 512  # table rows formatted and written at a time
 
@@ -157,7 +157,10 @@ def _cmd_distance(args) -> int:
     if args.oracle_grid:
         from .oracle import geodesic_oracle
 
-        oracle = geodesic_oracle(domain, z1, z2, grid_n=args.oracle_grid)
+        try:
+            oracle = geodesic_oracle(domain, z1, z2, grid_n=args.oracle_grid)
+        except BadParameter as exc:  # the oracle's own check of grid_n
+            raise ParseError(f"--oracle-grid: {exc}") from exc
         lines.append(f"distance,{oracle.value!r},{oracle.method.value},")
     if args.output == "json":
         out = {"distance": res.value, "method": res.method.value,
@@ -242,6 +245,8 @@ def _cmd_rigidity(args) -> int:
     q = _parse_complex(args.q)
     if args.kmin > args.kmax:
         raise ParseError(f"need --kmin <= --kmax, got {args.kmin} and {args.kmax}")
+    if args.kmin < -308:  # |z| = 10^-kmin past the double range
+        raise ParseError(f"--kmin must be at least -308, got {args.kmin}")
     sample = build_sample(metric, reference,
                           [complex(10.0 ** (-k), 0.0) for k in range(args.kmin, args.kmax + 1)],
                           q, lambda z, q: domain_distance(reference.domain, z, q).value)

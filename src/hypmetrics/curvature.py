@@ -4,8 +4,8 @@ The Gauss curvature of lambda(z)|dz| is
 
     kappa(z) = -Laplacian(log lambda)(z) / lambda(z)^2,
 
-discretized with the 5-point `laplacian` below at stencil size h, on a point
-or an array of points. The discretization error is O(h^2) for C^4 densities.
+discretized with the 5-point `laplacian` below at stencil size h, on an array
+or (`domains.pointwise`) a point. The discretization error is O(h^2) for C^4 densities.
 Every point must lie in the domain (`DomainModel.check` names the first one
 that does not), and so must its stencil: `laplacian` refuses one that
 leaves it. Near the domain edge the stencil is shrunk to half the distance
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import DomainModel
+from .domains import DomainModel, pointwise
 from .errors import NonpositiveDensity, NumericOverflow, StencilOutsideDomain
 from .metrics import MetricDensity, density_at, log_density_at
 
@@ -43,13 +43,13 @@ def laplacian(f, z, h, domain: DomainModel):
     return (v[1] + v[2] + v[3] + v[4] - 4.0 * v[0]) / h2
 
 
+@pointwise
 def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
                  full_output: bool = False):
-    """Discrete Gauss curvature of the metric at z (a point or an array).
+    """Discrete Gauss curvature of the metric at z.
 
-    Returns kappa, or (kappa, h_used) when full_output is set, as floats for
-    a point and as arrays in the shape of z otherwise, from one log_density_at
-    on the whole stencil and one density_at at z. Refuses the first point
+    Returns kappa, or (kappa, h_used) when full_output is set, from one
+    log_density_at on the whole stencil and one density_at at z. Refuses the first point
     off the domain with the point check's OutsideDomain (SingularPoint at a
     puncture) before any stencil is built, with NonpositiveDensity when log
     lambda is -inf (lambda = 0) anywhere on a stencil, with
@@ -59,11 +59,8 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     """
     if not h > 0.0:
         raise StencilOutsideDomain(f"stencil size must be positive, got h={h}")
-    point = np.ndim(z) == 0
     dom = metric.domain
-    # numpy scalars round powers differently from arrays, so a point goes
-    # through the array path too and matches an array call bit for bit
-    z = dom.check(np.atleast_1d(z))
+    z = dom.check(z)
     h_used = np.minimum(float(h), 0.5 * dom.boundary_distance(z))
 
     def log_lambda(stencil):
@@ -80,6 +77,4 @@ def curvature_at(metric: MetricDensity, z, h: float = DEFAULT_STENCIL,
     if not finite.all():
         raise NumericOverflow(f"curvature of {metric.label} at z={z[~finite][0]} "
                               "is not finite in double precision")
-    if point:
-        kappa, h_used = float(kappa[0]), float(h_used[0])
     return (kappa, h_used) if full_output else kappa

@@ -17,10 +17,12 @@ to shrink finite-difference stencils near the boundary), the singular point
 (z = 0 for the radial kinds that exclude it) and the label all follow from
 the table. Membership is exact and false for non-finite points; check is
 the one test of a given point or array of points, naming the first point
-off the domain with the one message "z=... is not in <label>".
+off the domain with the one message "z=... is not in <label>". pointwise is
+the one point rule of every checked evaluator: a point is read as an array.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -57,6 +59,20 @@ KINDS = {
     STRIP: Kind(False, lambda h: (0.0, h), lambda h: math.isfinite(h) and h > 0.0,
                 "strip requires finite height h > 0, got h={}"),
 }
+
+
+def pointwise(f):
+    """The point rule of an evaluator f(..., z, ...), z given by position: a point goes in as a
+    one-element complex array and each value of f (one, or a tuple) comes back as a Python float;
+    an array passes through untouched. numpy scalars round powers differently from arrays."""
+    at = f.__code__.co_varnames.index("z")
+
+    def rule(*args, **kwargs):
+        if np.ndim(args[at]):
+            return f(*args, **kwargs)
+        out = f(*args[:at], np.array([args[at]], dtype=complex), *args[at + 1:], **kwargs)
+        return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
+    return functools.wraps(f)(rule)
 
 
 @dataclass(frozen=True)
@@ -141,12 +157,11 @@ class DomainModel:
         error = SingularPoint if self.doubly_connected and bad == 0.0 else OutsideDomain
         raise error(f"z={bad} is not in {self.label()}")
 
+    @pointwise
     def boundary_distance(self, z):
-        """Euclidean distance from z to the domain edge. Works on scalars and numpy arrays."""
-        z = np.asarray(z, dtype=complex)
+        """Euclidean distance from z to the domain edge."""
         c = np.abs(z) if self.radial else z.imag
-        out = np.minimum(c - self.lo, self.hi - c)
-        return float(out) if out.ndim == 0 else out
+        return np.minimum(c - self.lo, self.hi - c)
 
     def label(self) -> str:
         if KINDS[self.kind].rule is None:

@@ -2,7 +2,7 @@
 
 Implements the comparison machinery used across the verification suites,
 reading every density by density_at or log_density_at, so that a point off a
-metric's domain raises OutsideDomain:
+metric's domain raises OutsideDomain; each takes an array or (domains.pointwise) a point:
 
   * the Ahlfors bound lambda/lambda_ref <= 1 for curvature <= -4 metrics;
   * the distortion bound of the sharpened Schwarz-Pick inequality,
@@ -27,6 +27,7 @@ import numpy as np
 
 from .curvature import laplacian
 from .distances import _PUNCTURED_DISK, circle_max
+from .domains import pointwise
 from .errors import BadParameter, NonpositiveDensity, NumericOverflow, OutsideDomain
 from .metrics import (MetricDensity, conical_gap, conical_metric, density_at,
                       log_density_at, punctured_disk_metric)
@@ -80,10 +81,10 @@ class HarnackBoundSpec:
             raise BadParameter(
                 f"boundary max ratio must lie in (0,1], got {self.boundary_max_ratio}")
 
+    @pointwise
     def exponent(self, z):
-        """C_r(z) = log r / log|z|, in (0,1) for 0 < |z| < r; z a point or an array."""
-        value = math.log(self.r) / np.log(np.abs(z))
-        return value if np.ndim(value) else float(value)
+        """C_r(z) = log r / log|z|, in (0,1) for 0 < |z| < r."""
+        return math.log(self.r) / np.log(np.abs(z))
 
 
 def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
@@ -101,30 +102,31 @@ def boundary_max_ratio(metric: MetricDensity, reference: MetricDensity,
 
 
 def _within_radius(z, r: float, what: str):
-    """z as a complex array (0-d for a point); OutsideDomain names the first z off 0 < |z| < r."""
-    z = np.asarray(z, dtype=complex)
+    """OutsideDomain names the first z of the array z off 0 < |z| < r."""
     out = z[~((0.0 < np.abs(z)) & (np.abs(z) < r))]
     if out.size:
-        raise OutsideDomain(f"{what} needs 0 < |z| < {r}, got {complex(out.flat[0])}")
-    return z
+        raise OutsideDomain(f"{what} needs 0 < |z| < {r}, got {complex(out[0])}")
 
 
+@pointwise
 def harnack_bound(spec: HarnackBoundSpec, reference: MetricDensity, z):
-    """Right side of the boundary Harnack inequality at z, 0 < |z| < r; z a point or an array."""
-    z = _within_radius(z, spec.r, "harnack bound")
+    """Right side of the boundary Harnack inequality at z, 0 < |z| < r."""
+    _within_radius(z, spec.r, "harnack bound")
     return spec.boundary_max_ratio ** spec.exponent(z) * density_at(reference, z)
 
 
-def aux_v_alpha(alpha: float, z) -> float:
+@pointwise
+def aux_v_alpha(alpha: float, z):
     """v_alpha(z) = |z|^(2s) / (1 - |z|^(2s)), s = 1 - alpha, over the exact conical gap."""
     az, s = np.abs(_PUNCTURED_DISK.check(z)), 1.0 - alpha
     return az ** (2.0 * s) / conical_gap(s, np.log(az))
 
 
+@pointwise
 def harnack_conical_bound(alpha: float, spec: HarnackBoundSpec, z):
     """Conical Harnack right side M^(v_alpha(z)/v_alpha(r)) lambda_alpha(z), with r and M
-    from spec, at z, 0 < |z| < r; z a point or an array."""
-    z = _within_radius(z, spec.r, "conical harnack bound")
+    from spec, at z, 0 < |z| < r."""
+    _within_radius(z, spec.r, "conical harnack bound")
     return (spec.boundary_max_ratio ** (aux_v_alpha(alpha, z) / aux_v_alpha(alpha, spec.r))
             * density_at(conical_metric(alpha), z))
 
@@ -132,10 +134,9 @@ def harnack_conical_bound(alpha: float, spec: HarnackBoundSpec, z):
 # --- Hopf functionals -----------------------------------------------------
 
 def hopf_functional(metric: MetricDensity, reference: MetricDensity, z):
-    """log(lambda(z)/lambda_ref(z)) * log(1/|z|) at a point of the punctured
-    disk (a float) or an array of them, from one log_density_at per metric.
-    OutsideDomain off either domain, NonpositiveDensity where a density is 0
-    (its log -inf), NumericOverflow where the value is not finite."""
+    """log(lambda(z)/lambda_ref(z)) * log(1/|z|) at z in the punctured disk, from one
+    log_density_at per metric. OutsideDomain off either domain, NonpositiveDensity where a
+    density is 0 (its log -inf), NumericOverflow where the value is not finite."""
     return _weighted_log_ratio(metric, reference, z, lambda az: -np.log(az), "densities")
 
 
@@ -145,26 +146,27 @@ def hopf_conical_functional(metric: MetricDensity, alpha: float, z):
                                lambda az: az ** (2.0 * (alpha - 1.0)), "density")
 
 
+@pointwise
 def _weighted_log_ratio(metric, reference, z, weight, what: str):
     z = _PUNCTURED_DISK.check(z)
     log_m, log_ref = log_density_at(metric, z), log_density_at(reference, z)
     zero = np.isneginf(log_m) | np.isneginf(log_ref)
     if np.any(zero):
-        raise NonpositiveDensity(f"{what} must be positive at z={complex(np.asarray(z)[zero][0])}")
+        raise NonpositiveDensity(f"{what} must be positive at z={complex(z[zero][0])}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         value = (log_m - log_ref) * weight(np.abs(z))
     finite = np.isfinite(value)
     if not np.all(finite):
-        raise NumericOverflow(f"Hopf functional at z={complex(np.asarray(z)[~finite][0])} "
+        raise NumericOverflow(f"Hopf functional at z={complex(z[~finite][0])} "
                               "is not finite in double precision")
-    return value if np.ndim(value) else float(value)
+    return value
 
 
+@pointwise
 def aux_v(z):
     """v(z) = 1/log(1/|z|), the bounded radial solution of Dv = 8 lambda^2 v, taken as
-    -1/log|z| (1/|z| would round); z a point (a float back) or an array."""
-    value = -1.0 / np.log(np.abs(_PUNCTURED_DISK.check(z)))
-    return value if np.ndim(value) else float(value)
+    -1/log|z| (1/|z| would round)."""
+    return -1.0 / np.log(np.abs(_PUNCTURED_DISK.check(z)))
 
 
 # --- radial solution space ------------------------------------------------

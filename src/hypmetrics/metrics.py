@@ -23,8 +23,8 @@ Densities near singularities span many orders of magnitude, so every density
 carries an exact closed-form log-density, used by the curvature operator.
 Both are closures that accept numpy arrays of points and return real arrays
 of the same shape; no grids are stored here. density_at and log_density_at
-are their one checked evaluation, on a point or an array. A density's value
-and its log read the same terms, each formed once (as the annulus's -log|z|).
+are their one checked evaluation, on an array or (domains.pointwise) a point.
+A density's value and its log read the same terms, each formed once (as the annulus's -log|z|).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainModel
+from .domains import DomainModel, pointwise
 from .errors import BadParameter, NumericOverflow, OutsideDomain
 from .maps import HolomorphicMap
 
@@ -48,9 +48,8 @@ class MetricDensity:
 
 
 def density_at(metric: MetricDensity, z):
-    """lambda at a point or a numpy array of points, as a float or a float
-    array, after DomainModel.check; NumericOverflow names the first point
-    where it is not finite in double precision."""
+    """lambda at z after DomainModel.check; NumericOverflow names the first
+    point where it is not finite in double precision."""
     return _finite_at(metric, z, metric.eval, "density")
 
 
@@ -59,15 +58,16 @@ def log_density_at(metric: MetricDensity, z):
     return _finite_at(metric, z, metric.log_eval, "log density")
 
 
+@pointwise
 def _finite_at(metric: MetricDensity, z, f, what: str):
     z = metric.domain.check(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         value = np.asarray(f(z), dtype=float)
     finite = value < math.inf  # -inf, the log of a zero density, is exact
     if not finite.all():
-        raise NumericOverflow(f"{what} of {metric.label} at z={complex(np.asarray(z)[~finite][0])} "
+        raise NumericOverflow(f"{what} of {metric.label} at z={complex(z[~finite][0])} "
                               "is not finite in double precision")
-    return float(value) if value.ndim == 0 else value
+    return value
 
 
 # --- builtin densities ----------------------------------------------------

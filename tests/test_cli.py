@@ -36,6 +36,19 @@ def test_density_single_point(capsys):
     assert (re_, im, lam, loglam) == (0.0, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("spec", ["conical:0.3", "pull:phi:disk", "pull:example1:pdisk",
+                                  "pull:mobius:0.3,0.2:disk"])
+def test_density_at_a_point_prints_its_grid_row(capsys, spec):
+    # --z evaluates its point as the grid evaluates each of its points
+    code, out, _ = run(capsys, "density", "--domain", spec, "--grid-n", "20")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) > 300
+    for row in rows:
+        re_, im = row.split(",")[:2]
+        code, out, _ = run(capsys, "density", "--domain", spec, f"--z={re_},{im}")
+        assert code == 0 and out.splitlines()[1] == row
+
+
 def test_density_conical_hand_value(capsys):
     code, out, _ = run(capsys, "density", "--domain", "conical:0.5", "--z", "0.25,0")
     assert code == 0

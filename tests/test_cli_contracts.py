@@ -295,6 +295,15 @@ ROWS = [
      "--half-width must be positive and at most half the double range, got 1e+308"),
     ("kmin-above-kmax", "rigidity sample --metric pdisk --reference pdisk --kmin 5 --kmax 2", 2,
      "need --kmin <= --kmax, got 5 and 2"),
+    # 10^400 ended in an untyped OverflowError traceback
+    ("kmin-past-the-double-range",
+     "rigidity sample --metric pdisk --reference pdisk --kmin -400 --kmax 2", 2,
+     "--kmin must be at least -308, got -400"),
+    # the oracle's own grid_n check, which exited 1 without naming the flag
+    ("oracle-grid-below-100", "distance --domain disk --z1 0.1,0 --z2 0.2,0 --oracle-grid 50", 2,
+     "--oracle-grid: grid_n must be >= 100, got 50"),
+    ("oracle-grid-negative", "distance --domain disk --z1 0.1,0 --z2 0.2,0 --oracle-grid -5", 2,
+     "--oracle-grid: grid_n must be >= 100, got -5"),
     ("tolerance-unknown", "verify curvature --tol nonsense=1", 2,
      "--tol 'nonsense': suite 'curvature' reads 'curvature'"),
     ("tolerance-other-suite", "verify phi --tol hopf=1", 2,

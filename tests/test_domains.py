@@ -5,8 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from hypmetrics import inequalities
+from hypmetrics.curvature import curvature_at
 from hypmetrics.domains import DomainModel
 from hypmetrics.errors import BadParameter, OutsideDomain, ParseError, SingularPoint
+from hypmetrics.metrics import density_at, log_density_at, punctured_disk_metric
+from hypmetrics.sampling import sample_annular
 from hypmetrics.specparse import parse_domain, parse_metric
 
 NAN, INF = math.nan, math.inf
@@ -124,3 +128,34 @@ def test_parameter_errors(kind, param, message):
 def test_parse_domain_rejects(bad):
     with pytest.raises(ParseError):
         parse_domain(bad)
+
+
+# The point rule (domains.pointwise), on every checked evaluator: a point read on
+# its own gives the bits it gives inside an array, as a Python float. Every point,
+# 0.01 <= |z| <= 0.45, lies in pdisk and inside the Harnack radius r = 0.5.
+_EXAMPLE1 = parse_metric("pull:example1:pdisk")
+_SPEC = inequalities.HarnackBoundSpec(0.5, 0.7)
+EVALUATORS = {
+    "density_at": lambda z: density_at(_EXAMPLE1, z),
+    "log_density_at": lambda z: log_density_at(_EXAMPLE1, z),
+    "boundary_distance": DomainModel.punctured_disk().boundary_distance,
+    "exponent": _SPEC.exponent,
+    "harnack_bound": lambda z: inequalities.harnack_bound(_SPEC, punctured_disk_metric(), z),
+    "harnack_conical_bound": lambda z: inequalities.harnack_conical_bound(0.3, _SPEC, z),
+    "aux_v": inequalities.aux_v,
+    "aux_v_alpha": lambda z: inequalities.aux_v_alpha(0.3, z),
+    "hopf_functional": lambda z: inequalities.hopf_functional(
+        _EXAMPLE1, punctured_disk_metric(), z),
+    "hopf_conical_functional": lambda z: inequalities.hopf_conical_functional(_EXAMPLE1, 0.3, z),
+    "curvature_at": lambda z: curvature_at(_EXAMPLE1, z),
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_a_point_gives_alone_the_bits_it_gives_in_an_array(name):
+    evaluate = EVALUATORS[name]
+    pts = sample_annular(7, 2000, 0.01, 0.45)
+    in_array = evaluate(pts).tolist()
+    alone = [evaluate(z) for z in pts.tolist()]
+    assert {type(v) for v in alone} == {float}
+    assert [v.hex() for v in alone] == [v.hex() for v in in_array]

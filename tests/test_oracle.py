@@ -616,3 +616,30 @@ def test_missing_band_lu_is_an_import_error():
     named = str(raised.value).split("none of the symbols ")[1].replace("/", ", ").split(", ")
     assert named == ["scipy_dgbtrf_64_", "scipy_dgbtrs_64_", "dgbtrf_64_", "dgbtrs_64_",
                      "dgbtrf_", "dgbtrs_"]
+
+
+def test_lp64_band_lu_gives_the_default_paths_bits(monkeypatch):
+    # The LP64 row of _LAPACK_SYMBOLS (32-bit integers), which numpy >= 2 wheels do not
+    # resolve, bound to scipy's test-only OpenBLAS: the default path's values at 220 points.
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        pytest.skip("scipy is not installed, so no LP64 band LU is at hand")
+    libs = sorted(Path(spec.origin).parent.with_name("scipy.libs").glob("*openblas*.so*"))
+    if not libs:
+        pytest.skip("scipy ships no OpenBLAS in scipy.libs")
+    pairs = [("annulus:0.5", 0.7, 0.8j), ("pdisk", 0.3, 0.5j), ("disk", 0.6, -0.5 + 0.3j),
+             ("strip:1", 0.2j, 2 + 0.7j)]
+    default = [geodesic_oracle(parse_domain(s), z1, z2, 220).value for s, z1, z2 in pairs]
+    monkeypatch.setattr(oracle, "_LAPACK_SYMBOLS",
+                        (("scipy_dgbtrf_", ctypes.c_int32), ("dgbtrf_", ctypes.c_int32)))
+    try:
+        trf, trs, int_type = oracle._band_lu_routines(ctypes.CDLL(str(libs[0])))
+    except ImportError as exc:
+        pytest.skip(f"scipy ships no LP64 band LU: {exc}")
+    assert int_type is ctypes.c_int32
+    for name, value in [("_DGBTRF", trf), ("_DGBTRS", trs), ("_INT", int_type),
+                        ("_KL", int_type(oracle._BAND)), ("_LDAB", int_type(3 * oracle._BAND + 1)),
+                        ("_NRHS", int_type(1))]:
+        monkeypatch.setattr(oracle, name, value)
+    lp64 = [geodesic_oracle(parse_domain(s), z1, z2, 220).value for s, z1, z2 in pairs]
+    assert [v.hex() for v in lp64] == [v.hex() for v in default]
